@@ -47,7 +47,6 @@ from .errors import (
     AsymmetricGrid,
     CsaopError,
     DimMismatch,
-    EmptySolutionSpace,
     HypothesisViolated,
     NonFinite,
     NotCsa,
@@ -78,7 +77,6 @@ __all__ = [
     "CsaopError",
     "DEFAULT_TOL",
     "DimMismatch",
-    "EmptySolutionSpace",
     "HypothesisViolated",
     "InvolutionClass",
     "NonFinite",

@@ -7,10 +7,12 @@ A square matrix ``H`` is *C-self-adjoint* with respect to an antiunitary
 everywhere-defined maps is an equality; the checks below report both under
 one roof.
 
-The generator :func:`generate_csa` samples the *real-linear* solution space
-of ``A @ conj(H) = H* @ A``. Symmetrizing ``(M + C^{-1} M* C) / 2`` would
-only be a projection onto that space when ``C^2 = +-I``, so the linear
-system route is used to cover arbitrary antiunitary ``C``.
+For ``C = A o K`` the constraint ``A conj(H) = H* A`` conjugates to the
+complex-linear fixed-point equation ``T(H) = H``, ``T(H) = A^T H^T conj(A)``.
+``T`` is Frobenius-unitary with ``T^2(H) = W H W^{-1}``, ``W = A^T A*`` the
+matrix of ``C^{-2}``, so ``T`` is a self-adjoint involution on the commutant
+of ``W`` (Wigner's normal form of antiunitaries). :func:`generate_csa`
+projects onto that commutant, then averages with ``T``.
 """
 
 from __future__ import annotations
@@ -20,12 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antiunitary import AntiunitaryOp, conjugate_linear_map
-from .errors import DimMismatch, EmptySolutionSpace, NotCsa
+from .errors import DimMismatch, NotCsa
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, cluster_indices, fro, nullspace
 
 #: Absolute eigenvalue clustering gap, relative to ||H||. Eigenvalues of
 #: non-normal matrices are only accurate to roughly sqrt(machine epsilon).
 EIG_CLUSTER_GAP = 1e-6
+
+#: Arc within which :func:`generate_csa` merges eigenvalues of ``C^{-2}``,
+#: and distance of ``C^2`` from ``+-I`` below which it skips the projection.
+#: The residual of ``H`` grows to about ``0.7 * gap * ||H||``: keep DEFAULT_TOL.
+C2_CLUSTER_GAP = DEFAULT_TOL.rel
 
 
 @dataclass(frozen=True)
@@ -65,49 +72,47 @@ def _require_csa(H, C, tol) -> np.ndarray:
     return H
 
 
-# Cache of constraint nullspace bases keyed by the unitary part's bytes;
-# generate_csa is typically called for many seeds with the same C.
-_BASIS_CACHE: dict[bytes, np.ndarray] = {}
+def _commutant_projection(W: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of ``G`` onto the commutant of the unitary ``W``.
 
-
-def _solution_basis(C: AntiunitaryOp) -> np.ndarray:
-    """Orthonormal basis (rows) of the real-linear space of solutions of
-    ``A @ conj(H) = H* @ A``, as vectors [Re H, Im H] of length 2 n^2."""
-    A = C.unitary_part
-    key = A.tobytes()
-    cached = _BASIS_CACHE.get(key)
-    if cached is not None:
-        return cached
-    n = C.dim
-    columns = []
-    for unit in (1.0, 1.0j):
-        for p in range(n):
-            for q in range(n):
-                E = np.zeros((n, n), dtype=complex)
-                E[p, q] = unit
-                L = A @ np.conj(E) - E.conj().T @ A
-                columns.append(np.concatenate([L.real.ravel(), L.imag.ravel()]))
-    constraint = np.array(columns).T
-    basis = np.ascontiguousarray(nullspace(constraint).T.real)  # rows; real by construction
-    basis.setflags(write=False)
-    _BASIS_CACHE[key] = basis
-    return basis
+    ``W``, rotated so that its widest spectral gap (placed from ``+-arccos``
+    of the spectrum of ``(W + W*) / 2``) sits at -1, has the Hermitian Cayley
+    transform ``e^{i psi} -> tan(psi / 2)``. That keeps the eigenvalue order
+    and at most halves distances, so its ``eigh`` basis diagonalises ``W`` to
+    rounding even inside clusters, where ``eig`` then ``qr`` does not.
+    """
+    n = W.shape[0]
+    half = np.arccos(np.clip(np.linalg.eigvalsh((W + W.conj().T) / 2), -1.0, 1.0))
+    angles = np.sort(np.concatenate([half, -half]))
+    gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
+    V = -np.exp(-1j * (angles + gaps / 2)[np.argmax(gaps)]) * W
+    eye = np.eye(n)
+    t, Q = np.linalg.eigh(1j * np.linalg.solve(eye + V, eye - V))  # Hermitian to rounding
+    # label each angle by the first one of its cluster; a cluster spans at
+    # most the gap, so a chain of close eigenvalues cannot widen it
+    labels, start = np.zeros(n, dtype=int), -np.inf
+    for i, psi in enumerate(2 * np.arctan(t)):
+        if psi - start > C2_CLUSTER_GAP:
+            start, labels[i:] = psi, i
+    X = Q.conj().T @ G @ Q
+    X[labels[:, None] != labels] = 0
+    return Q @ X @ Q.conj().T
 
 
 def generate_csa(C: AntiunitaryOp, seed: int) -> np.ndarray:
     """Pseudo-random C-self-adjoint matrix, deterministic in ``seed``.
 
-    Samples a standard-normal combination of an orthonormal basis of the
-    solution space of the structure constraint. The space always contains
-    the identity, so it is never empty.
+    The orthogonal projection of a complex Gaussian matrix onto the solution
+    space (module docstring): unit variance along every real direction in it.
     """
-    basis = _solution_basis(C)
-    if basis.shape[0] == 0:
-        raise EmptySolutionSpace("structure constraint admits only H = 0")
-    rng = np.random.default_rng(seed)
-    vec = rng.standard_normal(basis.shape[0]) @ basis
+    A = C.unitary_part
     n = C.dim
-    return vec[: n * n].reshape(n, n) + 1j * vec[n * n :].reshape(n, n)
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    W = A.T @ A.conj().T
+    if min(fro(W - np.eye(n)), fro(W + np.eye(n))) > C2_CLUSTER_GAP:
+        G = _commutant_projection(W, G)
+    return (G + A.T @ G.T @ A.conj()) / 2
 
 
 def eigen_pairing(

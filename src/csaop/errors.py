@@ -33,10 +33,6 @@ class NotCsa(CsaopError):
     antiunitary, but the operation requires it."""
 
 
-class EmptySolutionSpace(CsaopError):
-    """The structure constraint admits only the zero matrix."""
-
-
 class NotInvariant(CsaopError):
     """A subspace assumed invariant under an antilinear map is not."""
 

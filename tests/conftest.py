@@ -1,9 +1,10 @@
 """Shared builders for the test suite.
 
-``symmetrized_csa`` constructs C-self-adjoint matrices by averaging,
-independently of the library's nullspace-based generator, so the two
-routes cross-check each other. The averaging map is only a projection when
-``C^2 = +-I``, which is exactly where the tests use it.
+``symmetrized_csa`` constructs C-self-adjoint matrices by averaging alone,
+``(M + C^{-1} M* C) / 2``. That is the last step of the library's
+generator without its projection onto the commutant of ``C^2``, so it is a
+projection onto the solution space only when ``C^2 = +-I``, which is
+exactly where the tests use it.
 """
 
 import numpy as np

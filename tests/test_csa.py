@@ -1,18 +1,26 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import csaop
 from csaop import (
+    AntiunitaryOp,
     NotCsa,
     check_c_real,
     check_c_selfadjoint,
     eigen_pairing,
     eigenvalue_multiplicities,
     generate_csa,
+    haar_unitary,
     kernel_pairing,
 )
-from csaop.linalg import fro
+from csaop.linalg import fro, nullspace
 
 from conftest import (
+    J2,
     c2_blocks,
     conj_k,
     random_antiunitary,
@@ -89,6 +97,98 @@ class TestGenerate:
         for dim, seed in [(4, 0), (6, 1), (8, 2)]:
             H = generate_csa(c2_blocks(dim), seed)
             assert all(m % 2 == 0 for m in eigenvalue_multiplicities(H))
+
+
+def constraint_basis(C):
+    """Real orthonormal basis (rows ``[Re H, Im H]``) of the solutions of
+    ``A conj(H) = H* A``, from the nullspace of the 2n^2 x 2n^2 real
+    constraint matrix. O(n^6): an oracle for small n only."""
+    A = C.unitary_part
+    n = C.dim
+    columns = []
+    for unit in (1.0, 1.0j):
+        for p in range(n):
+            for q in range(n):
+                E = np.zeros((n, n), dtype=complex)
+                E[p, q] = unit
+                L = A @ np.conj(E) - E.conj().T @ A
+                columns.append(np.concatenate([L.real.ravel(), L.imag.ravel()]))
+    return nullspace(np.array(columns).T).T.real
+
+
+def mixed_square(seed):
+    """Haar-conjugated block C whose C^2 has eigenvalues +1, -1 and
+    e^{+-0.7i}, each twice."""
+    twist = np.array([[0.0, 1.0], [np.exp(0.7j), 0.0]])  # C^2 = diag(e^{-0.7i}, e^{0.7i})
+    blocks = [np.eye(2), J2, twist, twist]
+    A0 = np.zeros((8, 8), dtype=complex)
+    for k, block in enumerate(blocks):
+        A0[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = block
+    V = haar_unitary(8, np.random.default_rng(seed))
+    return AntiunitaryOp(V @ A0 @ V.T)
+
+
+def near_involutive(n, deviation, seed):
+    """``C = (V V^T) exp(i eps K)`` with ``||C^2 - I||_F`` about ``deviation``."""
+    rng = np.random.default_rng(seed)
+    V = haar_unitary(n, rng)
+    K = random_matrix(n, rng)
+    w, U = np.linalg.eigh(K + K.conj().T)
+
+    def unitary(eps):
+        return V @ V.T @ (U * np.exp(1j * eps * w)) @ U.conj().T
+
+    def square_deviation(eps):
+        A = unitary(eps)
+        return fro(A @ np.conj(A) - np.eye(n))
+
+    # the deviation is linear in eps at these sizes
+    return AntiunitaryOp(unitary(1e-3 * deviation / square_deviation(1e-3)))
+
+
+class TestGenerateOracle:
+    @pytest.mark.parametrize(
+        "C",
+        [
+            conj_k(5),
+            c2_blocks(6),
+            random_antiunitary(7, seed=3),
+            mixed_square(seed=5),
+            # as read back from 12-digit text: A is unitary, and the repeated
+            # eigenvalues of C^2 repeat, only to about 1e-12
+            AntiunitaryOp(np.round(mixed_square(seed=5).unitary_part, 12)),
+        ],
+        ids=["K", "c2_blocks", "haar", "mixed_square", "mixed_square_rounded"],
+    )
+    def test_spans_constraint_nullspace(self, C):
+        basis = constraint_basis(C)
+        dim = basis.shape[0]
+        samples = []
+        for seed in range(dim + 4):
+            H = generate_csa(C, seed)
+            samples.append(np.concatenate([H.real.ravel(), H.imag.ravel()]))
+        samples = np.array(samples)
+        sigma = np.linalg.svd(samples, compute_uv=False)
+        assert int(np.sum(sigma > 1e-8 * sigma[0])) == dim
+        outside = samples - (samples @ basis.T) @ basis
+        assert np.max(np.linalg.norm(outside, axis=1) / np.linalg.norm(samples, axis=1)) <= 1e-10
+
+    @pytest.mark.parametrize("deviation", [1e-9, 5e-9, 1e-8])
+    def test_near_involutive_passes_check(self, deviation):
+        # CLASSIFY_TOL calls these C involutive, but an H built as for
+        # C^2 = I misses the check by about deviation * ||H||; at 1e-9 the
+        # eigenvalues of C^2 also chain closer than C2_CLUSTER_GAP
+        C = near_involutive(16, deviation, seed=1)
+        assert fro(C.squared() - np.eye(16)) == pytest.approx(deviation, rel=0.1)
+        for seed in range(5):
+            assert check_c_selfadjoint(generate_csa(C, seed), C).is_csa
+
+
+def test_import_leaves_out_scipy():
+    # importing scipy.linalg costs a few tenths of a second at every CLI start
+    src = str(Path(csaop.__file__).resolve().parents[1])
+    code = "import sys, csaop; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], cwd=src, timeout=60).returncode == 0
 
 
 class TestEigenPairing:
