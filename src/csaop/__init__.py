@@ -50,7 +50,6 @@ from .errors import (
     HypothesisViolated,
     NonFinite,
     NotCsa,
-    NotHermitian,
     NotInvariant,
     NotInvolutive,
     NotUnitary,
@@ -63,9 +62,7 @@ from .linalg import (
     DEFAULT_TOL,
     Tolerance,
     haar_unitary,
-    hermitian_eig,
     nullspace,
-    svd,
 )
 
 __all__ = [
@@ -81,7 +78,6 @@ __all__ = [
     "InvolutionClass",
     "NonFinite",
     "NotCsa",
-    "NotHermitian",
     "NotInvariant",
     "NotInvolutive",
     "NotUnitary",
@@ -106,7 +102,6 @@ __all__ = [
     "fix_basis_involutive",
     "generate_csa",
     "haar_unitary",
-    "hermitian_eig",
     "kernel_pairing",
     "nullspace",
     "phase_fix",
@@ -114,5 +109,4 @@ __all__ = [
     "refined_polar",
     "refined_svd",
     "resolvent_norm",
-    "svd",
 ]

@@ -21,7 +21,7 @@ import numpy as np
 
 from .antiunitary import AntiunitaryOp
 from .csa import _require_csa
-from .decomp import SVD_CLUSTER_GAP, refined_svd
+from .decomp import SVD_CLUSTER_GAP, _expansion
 from .errors import NumericalFailure, ZInSpectrum
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, fro
 
@@ -86,9 +86,12 @@ def antilinear_eigensystem(
 ) -> AntilinearEigenSystem:
     """Solve ``(H - z I) psi = lambda C psi`` for a C-self-adjoint ``H``.
 
-    The resolvent is inverted through its SVD (robust near the spectrum),
-    verified to be C-self-adjoint, and expanded by :func:`refined_svd`;
-    the expansion is then transported back. Raises :class:`ZInSpectrum`
+    One SVD ``H - z I = W diag(s) V*`` serves twice: it inverts the
+    resolvent ``R = V diag(1/s) W*`` (robust near the spectrum), and read in
+    reverse it is the SVD of ``R``, which the refined SVD kernel expands
+    with all n singular values kept; the expansion is then transported
+    back. ``R`` is not checked again: ``C R C^{-1} = (H* - conj(z) I)^{-1}
+    = R*`` once ``H`` passes its own check. Raises :class:`ZInSpectrum`
     when ``z`` is numerically in the spectrum, and propagates
     :class:`UnsupportedDegeneracy` from the refined SVD when the resolvent
     has degenerate singular values and ``C`` is not involutive.
@@ -99,15 +102,16 @@ def antilinear_eigensystem(
     W, s, Vh = np.linalg.svd(M)
     if s[-1] <= SPECTRUM_CUTOFF * fro(M):
         raise ZInSpectrum(f"sigma_min(H - zI) = {s[-1]:.3e}; shift z = {z} is in the spectrum")
-    resolvent = (Vh.conj().T / s) @ W.conj().T
+    V = Vh.conj().T
+    resolvent = (V / s) @ W.conj().T
 
-    expansion = refined_svd(resolvent, C, tol)
+    n = H.shape[0]
+    expansion = _expansion(resolvent, V[:, ::-1], 1.0 / s[::-1], W[:, ::-1], n, C, tol)
     # sigma(R) descending makes lambda = 1/sigma ascending, pairs preserved
     lambdas = 1.0 / expansion.sigmas
     psis = expansion.etas
     system = AntilinearEigenSystem(z=z, lambdas=lambdas, psis=psis)
 
-    n = H.shape[0]
     # vectors inside a singular-value cluster of R may mix, which shifts
     # the matching lambda by at most the cluster's lambda spread
     sigma = expansion.sigmas

@@ -16,6 +16,13 @@ When a nonzero singular value is degenerate and ``C`` is not involutive,
 no such basis is guaranteed; for anti-involutive ``C`` it cannot exist at
 all (``J phi = phi`` with ``J^2 = -I`` forces ``phi = -phi``), and every
 nonzero singular value is even-fold degenerate instead.
+
+:func:`refined_svd` takes one SVD of ``H``. Eigenvectors of simple
+singular values are re-phased together in one :func:`phase_fix` call;
+degenerate clusters (involutive ``C`` only) are re-combined by
+:func:`fix_basis_involutive`; ``eta_j = C^{-1} phi_j`` is one matrix
+product. :func:`csaop.antieig.antilinear_eigensystem` feeds the same kernel
+with the reversed SVD of ``H - z I``, which is the SVD of its inverse.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from .antiunitary import (
 )
 from .csa import _require_csa
 from .errors import (
+    DimMismatch,
     NotInvariant,
     NotInvolutive,
     NumericalFailure,
@@ -43,9 +51,11 @@ from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector, cluster_indice
 #: Relative singular-value gap below which values count as one cluster.
 SVD_CLUSTER_GAP = 1e-6
 
-#: Fallback threshold in the fixed-basis construction: when ||psi + J psi||
-#: falls below this, i*psi is used instead (it is J-fixed in the limit).
-FIX_FALLBACK = 1e-8
+#: Gram-Schmidt residual at or below which :func:`fix_basis_involutive`
+#: drops a projected column. The 2m projected columns form a Parseval frame
+#: of the m-dimensional fixed space, so any cutoff below 1/sqrt(2m) keeps
+#: exactly m of them; this one does for every m up to 5e11.
+FIX_DROP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -85,16 +95,19 @@ class RefinedSVD:
         return (self.phis * self.sigmas) @ self.etas.conj().T
 
 
-def _polar_data(H, C: AntiunitaryOp, tol: Tolerance):
-    """Shared kernel: csa check, SVD, partial isometry U, |H| and J."""
+def _svd_data(H, C: AntiunitaryOp, tol: Tolerance):
+    """Csa check and SVD ``H = W diag(s) V*``; ``rank`` counts the values kept."""
     H = _require_csa(H, C, tol)
     W, s, Vh = np.linalg.svd(H)
-    V = Vh.conj().T
-    keep = s > rank_cutoff(s, tol)
-    U = W[:, keep] @ V[:, keep].conj().T
+    rank = int(np.count_nonzero(s > rank_cutoff(s, tol)))
+    return H, W, s, Vh.conj().T, rank
+
+
+def _polar_factors(C: AntiunitaryOp, W, s, V, rank: int):
+    """Partial isometry U, ``|H|`` and ``J = C o U`` from the SVD factors of H."""
+    U = W[:, :rank] @ V[:, :rank].conj().T
     absH = (V * s) @ V.conj().T
-    J = compose_antilinear(C, U)
-    return H, W, s, V, keep, U, absH, J
+    return U, absH, compose_antilinear(C, U)
 
 
 def refined_polar(H, C: AntiunitaryOp, tol: Tolerance = DEFAULT_TOL) -> RefinedPolar:
@@ -104,7 +117,8 @@ def refined_polar(H, C: AntiunitaryOp, tol: Tolerance = DEFAULT_TOL) -> RefinedP
     and :class:`NumericalFailure` when the computed factors do not satisfy
     the decomposition identities within tolerance.
     """
-    H, _, _, _, _, U, absH, J = _polar_data(H, C, tol)
+    H, W, s, V, rank = _svd_data(H, C, tol)
+    U, absH, J = _polar_factors(C, W, s, V, rank)
     bound = tol.bound(max(1.0, fro(H)))
     polar_res = fro(H - U @ absH)
     # J |H| = |H| J as antilinear maps: B conj(|H|) = |H| B
@@ -118,29 +132,39 @@ def refined_polar(H, C: AntiunitaryOp, tol: Tolerance = DEFAULT_TOL) -> RefinedP
 
 
 def phase_fix(J: AntilinearMap, psi, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Re-phase a unit vector spanning a J-invariant line so J fixes it.
+    """Re-phase unit vectors spanning J-invariant lines so J fixes them.
 
-    If ``J psi = exp(i a) psi`` then ``phi = exp(i a / 2) psi`` satisfies
-    ``J phi = phi``. Raises :class:`NotInvariant` when ``|<psi, J psi>|``
-    is not 1 within tolerance (the line is not J-invariant, or ``psi``
-    meets the kernel of a partial ``J``).
+    ``psi`` is one vector or an ``n x k`` matrix of such vectors as columns;
+    the result has the same shape. If ``J psi = exp(i a) psi`` then
+    ``phi = exp(i a / 2) psi`` satisfies ``J phi = phi``. Raises
+    :class:`NotInvariant` when some ``|<psi, J psi>|`` is not 1 within
+    tolerance (the line is not J-invariant, or ``psi`` meets the kernel of
+    a partial ``J``).
     """
-    psi = as_vector(psi)
-    phase = np.vdot(psi, J.apply(psi))
-    if abs(abs(phase) - 1.0) > tol.bound(1.0):
-        raise NotInvariant(f"|<psi, J psi>| = {abs(phase):.6f}, expected 1")
-    return np.exp(0.5j * np.angle(phase)) * psi
+    single = np.ndim(psi) != 2
+    cols = as_vector(psi)[:, None] if single else as_matrix(psi)
+    if cols.shape[0] != J.dim:
+        raise DimMismatch(f"vector of dim {cols.shape[0]} vs operator dim {J.dim}")
+    phases = np.sum(np.conj(cols) * (J.matrix @ np.conj(cols)), axis=0)
+    defect = np.abs(np.abs(phases) - 1.0)
+    if np.any(defect > tol.bound(1.0)):
+        worst = abs(phases[np.argmax(defect)])
+        raise NotInvariant(f"|<psi, J psi>| = {worst:.6f}, expected 1")
+    fixed = cols * np.exp(0.5j * np.angle(phases))
+    return fixed[:, 0] if single else fixed
 
 
 def fix_basis_involutive(J: AntilinearMap, E, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """J-fixed orthonormal basis of a J-invariant subspace, J involutive there.
 
-    ``E`` holds orthonormal columns spanning the subspace. The construction
-    is the classical greedy one: take the first remaining basis vector
-    ``psi``, use ``v = psi + J psi`` (or ``v = i psi`` when that nearly
-    vanishes; both are J-fixed), normalize, orthogonalize the rest against
-    it and repeat. Input order fixes the output, so results are
-    deterministic.
+    ``E`` holds m orthonormal columns spanning the subspace, on which J acts
+    in E-coordinates as ``x -> a conj(x)``. The projection
+    ``P x = (x + a conj(x)) / 2`` onto the fixed vectors maps the 2m real
+    directions ``e_1, i e_1, e_2, i e_2, ...`` to a Parseval frame of the
+    fixed space. Two-pass Gram-Schmidt over those columns, in that order,
+    dropping residuals at most ``FIX_DROP``, keeps exactly m of them. Fixed
+    vectors have real inner products, so the result stays fixed. Input
+    order fixes the output, so results are deterministic.
     """
     E = as_matrix(E)
     m = E.shape[1]
@@ -160,31 +184,21 @@ def fix_basis_involutive(J: AntilinearMap, E, tol: Tolerance = DEFAULT_TOL) -> n
     if involution > bound:
         raise NotInvolutive(f"J^2 deviates from identity on span(E) by {involution:.3e}")
 
-    fixed: list[np.ndarray] = []
-    remaining = [np.eye(m, dtype=complex)[:, j] for j in range(m)]
-    while remaining:
-        x = remaining[0]
-        v = x + a @ np.conj(x)
-        if np.linalg.norm(v) < FIX_FALLBACK:
-            v = 1j * x
-        phi = v / np.linalg.norm(v)
-        fixed.append(phi)
-        survivors: list[np.ndarray] = []
-        for cand in remaining:
-            w = cand - phi * np.vdot(phi, cand)
-            for s in survivors:
-                w = w - s * np.vdot(s, w)
-            # second pass stabilizes the Gram-Schmidt sweep
-            w = w - phi * np.vdot(phi, w)
-            for s in survivors:
-                w = w - s * np.vdot(s, w)
-            norm = np.linalg.norm(w)
-            if norm > 1e-6 and len(survivors) < len(remaining) - 1:
-                survivors.append(w / norm)
-        if len(survivors) != len(remaining) - 1:
-            raise NumericalFailure("lost rank while orthogonalizing the fixed basis")
-        remaining = survivors
-    return E @ np.column_stack(fixed)
+    frame = np.empty((m, 2 * m), dtype=complex)
+    frame[:, 0::2] = (np.eye(m) + a) / 2  # P e_j
+    frame[:, 1::2] = 0.5j * (np.eye(m) - a)  # P (i e_j)
+    Q = np.empty((m, 2 * m), dtype=complex)
+    k = 0
+    for w in frame.T:
+        for _ in range(2):  # the second pass restores orthogonality lost to rounding
+            w = w - Q[:, :k] @ (Q[:, :k].conj().T @ w)
+        norm = np.linalg.norm(w)
+        if norm > FIX_DROP:
+            Q[:, k] = w / norm
+            k += 1
+    if k != m:
+        raise NumericalFailure("lost rank while orthogonalizing the fixed basis")
+    return E @ Q[:, :m]
 
 
 def check_fixable_2d(J: AntilinearMap, psi1, psi2, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -217,40 +231,43 @@ def refined_svd(H, C: AntiunitaryOp, tol: Tolerance = DEFAULT_TOL) -> RefinedSVD
     values, so a simple nonzero singular value can only occur where
     ``C^2`` acts as the identity.
     """
-    H, _, s, V, keep, _, absH, J = _polar_data(H, C, tol)
-    kept = np.flatnonzero(keep)
+    return _expansion(*_svd_data(H, C, tol), C, tol)
+
+
+def _expansion(H, W, s, V, rank: int, C: AntiunitaryOp, tol: Tolerance) -> RefinedSVD:
+    """Refined SVD of a C-self-adjoint ``H = W diag(s) V*`` from its SVD
+    factors, keeping the leading ``rank`` singular values."""
+    _, absH, J = _polar_factors(C, W, s, V, rank)
+    sigmas = s[:rank]
     kind = classify(C)
     # the construction gates below only need to confirm structure, not
     # re-certify it at arithmetic precision
     gate = Tolerance(abs=max(tol.abs, 1e-8), rel=tol.rel)
 
-    phis_blocks: list[np.ndarray] = []
+    phis = V[:, :rank].copy()
+    simple: list[int] = []
     spread = 0.0  # widest cluster: mixing its vectors costs up to this much
-    if kept.size:
-        gap = SVD_CLUSTER_GAP * s[0]
-        for group in cluster_indices(s[kept], gap):
-            idx = kept[group]
-            E = V[:, idx]
-            spread = max(spread, float(s[idx[0]] - s[idx[-1]]))
-            if kind is InvolutionClass.INVOLUTIVE:
-                phis_blocks.append(fix_basis_involutive(J, E, gate))
-            elif len(idx) == 1:
-                phis_blocks.append(phase_fix(J, E[:, 0], gate)[:, None])
-            else:
-                detail = (
-                    "no J-fixed vector can exist for anti-involutive C"
-                    if kind is InvolutionClass.ANTI_INVOLUTIVE
-                    else "C is not involutive"
-                )
-                raise UnsupportedDegeneracy(
-                    f"singular value {s[idx[0]]:.6g} has multiplicity {len(idx)} and {detail}"
-                )
-    phis = np.column_stack(phis_blocks) if phis_blocks else np.zeros((H.shape[0], 0), complex)
-    sigmas = s[kept]
-    etas = np.column_stack([C.apply_inverse(phi) for phi in phis.T]) if kept.size else phis.copy()
+    groups = cluster_indices(sigmas, SVD_CLUSTER_GAP * s[0]) if rank else []
+    for idx in groups:
+        if len(idx) == 1:
+            simple.append(idx[0])
+        elif kind is InvolutionClass.INVOLUTIVE:
+            spread = max(spread, float(sigmas[idx[0]] - sigmas[idx[-1]]))
+            phis[:, idx] = fix_basis_involutive(J, phis[:, idx], gate)
+        else:
+            detail = (
+                "no J-fixed vector can exist for anti-involutive C"
+                if kind is InvolutionClass.ANTI_INVOLUTIVE
+                else "C is not involutive"
+            )
+            raise UnsupportedDegeneracy(
+                f"singular value {sigmas[idx[0]]:.6g} has multiplicity {len(idx)} and {detail}"
+            )
+    phis[:, simple] = phase_fix(J, phis[:, simple], gate)
+    etas = C.unitary_part.T @ np.conj(phis)  # C^{-1} phi_j
     result = RefinedSVD(sigmas=sigmas, phis=phis, etas=etas)
 
-    bound = tol.bound(max(1.0, fro(H))) + 2.0 * spread * np.sqrt(max(1, len(sigmas)))
+    bound = tol.bound(max(1.0, fro(H))) + 2.0 * spread * np.sqrt(max(1, rank))
     eig_res = fro(absH @ phis - phis * sigmas)
     fix_res = fro(J.matrix @ np.conj(phis) - phis)
     recon_res = fro(H - result.reconstruct())

@@ -18,10 +18,6 @@ class NonFinite(CsaopError):
     """Input contains NaN or infinite entries."""
 
 
-class NotHermitian(CsaopError):
-    """A Hermitian matrix was required but ``M != M*`` beyond tolerance."""
-
-
 class NotUnitary(CsaopError):
     """The matrix supplied as the unitary part of an antiunitary operator
     is not unitary within tolerance. Inputs are rejected rather than

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, NonFinite, NotHermitian
+from .errors import DimMismatch, NonFinite
 
 
 @dataclass(frozen=True)
@@ -69,36 +69,6 @@ def as_vector(v) -> np.ndarray:
     if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
         raise NonFinite("vector has non-finite entries")
     return v
-
-
-def svd(M) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular value decomposition ``M = U @ diag(sigma) @ V.conj().T``.
-
-    Returns
-    -------
-    U, sigma, V
-        ``U`` and ``V`` have orthonormal columns (economy size) and
-        ``sigma`` is real, nonnegative and nonincreasing. Note that ``V``
-        is returned, not ``V.conj().T`` as in ``numpy.linalg.svd``.
-    """
-    M = as_matrix(M)
-    U, s, Vh = np.linalg.svd(M, full_matrices=False)
-    return U, s, Vh.conj().T
-
-
-def hermitian_eig(M, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(values, vectors)`` with real eigenvalues in ascending order
-    and unitary ``vectors`` (eigenvectors as columns). Raises
-    :class:`NotHermitian` when ``M`` deviates from ``M*`` beyond ``tol``.
-    """
-    M = as_matrix(M, square=True)
-    dev = fro(M - M.conj().T)
-    if dev > tol.bound(fro(M)):
-        raise NotHermitian(f"matrix deviates from Hermitian by {dev:.3e}")
-    values, vectors = np.linalg.eigh(M)
-    return values, vectors
 
 
 def rank_cutoff(sigma: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:

@@ -46,6 +46,13 @@ class TestAntilinearEigensystem:
         rnorm = resolvent_norm(H, z)
         assert abs(rnorm - 1.0 / system.lambdas[0]) <= 1e-8 * rnorm
 
+    @pytest.mark.parametrize("small", [1e-10, 1e-11, 2e-12])
+    def test_shift_near_spectrum(self, small):
+        # sigma_min / sigma_max of H - zI is at most 1e-10, yet z is outside
+        # the spectrum: every singular value of the resolvent must be kept
+        system = antilinear_eigensystem(np.diag([1.0, small]), conj_k(2), 0.0)
+        np.testing.assert_allclose(system.lambdas, [small, 1.0], rtol=1e-10)
+
     def test_shift_in_spectrum_rejected(self):
         H = np.diag([1.0, 2.0])
         with pytest.raises(ZInSpectrum):

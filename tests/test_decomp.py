@@ -18,7 +18,7 @@ from csaop import (
     refined_svd,
 )
 from csaop.decomp import SVD_CLUSTER_GAP
-from csaop.linalg import cluster_indices, fro, rank_cutoff
+from csaop.linalg import cluster_indices, fro, haar_unitary, rank_cutoff
 from csaop.pauli import MINUS_I_SIGMA2
 
 from conftest import (
@@ -157,6 +157,28 @@ class TestPhaseFix:
             assert np.linalg.norm(C.apply(phi) - phi) <= 1e-10
 
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_columns_match_single_vectors(self, seed):
+        # C = U U^T o K fixes U x for real x; random phases unfix the lines
+        rng = np.random.default_rng(seed)
+        n, k = 12, 5
+        U = haar_unitary(n, rng)
+        C = AntiunitaryOp(U @ U.T)
+        X = U @ rng.standard_normal((n, k))
+        X = X / np.linalg.norm(X, axis=0) * np.exp(2j * np.pi * rng.uniform(size=k))
+        batch = phase_fix(C, X)
+        assert batch.shape == (n, k)
+        assert fro(C.unitary_part @ np.conj(batch) - batch) <= 1e-10
+        for j in range(k):
+            single = phase_fix(C, X[:, j])
+            np.testing.assert_allclose(batch[:, j], single, atol=1e-14)
+            # a one-column fixed basis is the phase fix: refined_svd relies on it
+            one = fix_basis_involutive(C, X[:, j : j + 1])
+            np.testing.assert_allclose(one[:, 0], single, atol=1e-12)
+        with pytest.raises(NotInvariant):
+            phase_fix(C, np.column_stack([X[:, 0], rng.standard_normal(n) / np.sqrt(n)]))
+
+
 class TestFixBasisInvolutive:
     def test_identity_basis_already_fixed(self):
         out = fix_basis_involutive(conj_k(2), np.eye(2))
@@ -186,15 +208,20 @@ class TestFixBasisInvolutive:
         with pytest.raises(NotInvariant):
             fix_basis_involutive(J, np.eye(3)[:, :1])
 
-    def test_random_invariant_subspaces(self, rng):
+    @pytest.mark.parametrize("n, m, haar", [(8, 3, False), (256, 64, True)], ids=["K", "haar"])
+    def test_random_invariant_subspaces(self, n, m, haar, rng):
         # span of {v_i, K v_i} is K-invariant; outputs must be fixed and orthonormal
-        n, m = 8, 3
         C = conj_k(n)
         V = np.linalg.qr(rng.standard_normal((n, m)) + 0j)[0]
+        if haar:
+            # C = U U^T o K fixes U x for real x; a unitary mix unfixes the columns
+            U = haar_unitary(n, rng)
+            C = AntiunitaryOp(U @ U.T)
+            V = U @ V @ haar_unitary(m, rng)
         out = fix_basis_involutive(C, V)
         assert out.shape == (n, m)
         assert fro(out.conj().T @ out - np.eye(m)) <= 1e-10
-        assert fro(np.conj(out) - out) <= 1e-10
+        assert fro(C.unitary_part @ np.conj(out) - out) <= 1e-10
         # same span
         assert fro(out @ out.conj().T - V @ V.conj().T) <= 1e-10
 

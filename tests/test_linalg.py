@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from csaop import NonFinite, NotHermitian, Tolerance, hermitian_eig, nullspace, svd
+from csaop import Tolerance, nullspace
 from csaop.linalg import cluster_indices, fro, haar_unitary
 
 from conftest import random_matrix
@@ -16,63 +16,6 @@ class TestTolerance:
     def test_rejects_bad_values(self, abs_, rel):
         with pytest.raises(ValueError):
             Tolerance(abs=abs_, rel=rel)
-
-
-class TestSvd:
-    def test_diagonal(self):
-        _, s, _ = svd(np.diag([3.0, 4.0]))
-        np.testing.assert_allclose(s, [4.0, 3.0])
-
-    def test_zero_matrix(self):
-        _, s, _ = svd(np.zeros((2, 2)))
-        np.testing.assert_allclose(s, [0.0, 0.0])
-
-    def test_swap_matrix(self):
-        # brute-force oracle: eigenvalues of M*M = I are (1, 1)
-        M = np.array([[0.0, 1.0], [1.0, 0.0]])
-        np.testing.assert_allclose(np.linalg.eigvalsh(M.conj().T @ M), [1.0, 1.0])
-        _, s, _ = svd(M)
-        np.testing.assert_allclose(s, [1.0, 1.0])
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(NonFinite):
-            svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-    @pytest.mark.parametrize("n", [2, 5, 17, 64])
-    def test_reconstruction_random(self, n, rng):
-        M = random_matrix(n, rng)
-        U, s, V = svd(M)
-        assert fro(M - (U * s) @ V.conj().T) <= 1e-10 * max(1.0, fro(M))
-        assert fro(U.conj().T @ U - np.eye(n)) <= 1e-10
-        assert fro(V.conj().T @ V - np.eye(n)) <= 1e-10
-        assert np.all(np.diff(s) <= 0) and np.all(s >= 0)
-
-
-class TestHermitianEig:
-    def test_diagonal(self):
-        values, _ = hermitian_eig(np.diag([2.0, 1.0]))
-        np.testing.assert_allclose(values, [1.0, 2.0])
-
-    def test_swap_matrix(self):
-        # characteristic polynomial x^2 - 1 by hand
-        values, vectors = hermitian_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        np.testing.assert_allclose(values, [-1.0, 1.0])
-        assert fro(vectors.conj().T @ vectors - np.eye(2)) <= 1e-10
-
-    def test_identity(self):
-        values, vectors = hermitian_eig(np.eye(3))
-        np.testing.assert_allclose(values, [1.0, 1.0, 1.0])
-        assert fro(vectors.conj().T @ vectors - np.eye(3)) <= 1e-10
-
-    def test_rejects_nonhermitian(self):
-        with pytest.raises(NotHermitian):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_residual_random(self, rng):
-        M = random_matrix(8, rng)
-        M = M + M.conj().T
-        values, vectors = hermitian_eig(M)
-        assert fro(M @ vectors - vectors * values) <= 1e-10 * max(1.0, fro(M))
 
 
 class TestNullspace:
