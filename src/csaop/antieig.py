@@ -11,6 +11,11 @@ with ``lambda_j = 1 / sigma_j(R(z))`` and ``psi_j = C^{-1} phi_j``. In
 particular ``||R(z)|| = 1 / lambda_1``, which drives the pseudospectrum
 scan: ``z`` belongs to the epsilon-pseudospectrum iff ``z`` is in the
 spectrum or ``||R(z)|| > 1 / epsilon`` (strict, per the definition).
+
+The scan splits ``H`` along its exact structural zeros into a direct sum
+of diagonal blocks (the spin toy model is one 2x2 momentum symbol per
+block), and ``sigma_min(H - z I)`` is the least ``sigma_min`` over the
+blocks. A dense ``H`` is a single block.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .antiunitary import AntiunitaryOp
 from .csa import _require_csa
 from .decomp import SVD_CLUSTER_GAP, _expansion
 from .errors import NumericalFailure, ZInSpectrum
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, fro
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, connected_components, fro
 
 #: sigma_min(H - z I) at or below this fraction of ||H - z I|| counts as
 #: "z in the spectrum".
@@ -139,8 +144,13 @@ def pseudospectrum(
 
     ``bounds = (re_min, re_max, im_min, im_max)``; ``resolution`` points
     per axis (so ``resolution**2`` grid points, imaginary part varying
-    slowest). Grid points are independent; they are evaluated in chunked
-    batches, and the result does not depend on the evaluation order.
+    slowest). The connected components of ``H != 0`` split ``H`` into
+    diagonal blocks; blocks of one size go through one batched SVD over
+    chunks of grid points (~64 MB each), and each point takes the least
+    ``sigma_min`` over all blocks, with ``||H - z I||_F`` summed from the
+    blocks for the spectrum cutoff. A dense ``H`` is one block, evaluated
+    as one n x n SVD per point. The result does not depend on the
+    evaluation order.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -152,19 +162,24 @@ def pseudospectrum(
     ims = np.linspace(im_min, im_max, resolution)
     zs = (res[None, :] + 1j * ims[:, None]).ravel()
 
-    n = H.shape[0]
-    eye = np.eye(n)
-    norms = np.empty(len(zs))
-    chunk = max(1, 2**22 // max(1, n * n))  # cap batch memory at ~64 MB
-    for start in range(0, len(zs), chunk):
-        block = zs[start : start + chunk]
-        shifted = H[None, :, :] - block[:, None, None] * eye[None, :, :]
-        s = np.linalg.svd(shifted, compute_uv=False)
-        smin = s[:, -1]
-        scale = np.linalg.norm(shifted, axis=(1, 2))
-        with np.errstate(divide="ignore"):
-            vals = np.where(smin <= SPECTRUM_CUTOFF * scale, np.inf, 1.0 / smin)
-        norms[start : start + len(block)] = vals
+    groups: dict[int, list[np.ndarray]] = {}
+    for component in connected_components(H != 0):
+        groups.setdefault(len(component), []).append(component)
+    smin = np.full(len(zs), np.inf)
+    sumsq = np.zeros(len(zs))
+    for m, members in groups.items():
+        index = np.array(members)
+        blocks = H[index[:, :, None], index[:, None, :]]
+        eye = np.eye(m)
+        chunk = max(1, 2**22 // (len(members) * m * m))  # cap batch memory at ~64 MB
+        for start in range(0, len(zs), chunk):
+            part = slice(start, start + chunk)
+            shifted = blocks[None] - zs[part, None, None, None] * eye
+            s = np.linalg.svd(shifted, compute_uv=False)
+            smin[part] = np.minimum(smin[part], s[..., -1].min(axis=1))
+            sumsq[part] += (shifted.conj() * shifted).real.sum(axis=(1, 2, 3))
+    with np.errstate(divide="ignore"):
+        norms = np.where(smin <= SPECTRUM_CUTOFF * np.sqrt(sumsq), np.inf, 1.0 / smin)
     mask = norms > 1.0 / epsilon
     return PseudospectrumGrid(
         epsilon=float(epsilon), zs=zs, resolvent_norms=norms, in_pseudospectrum=mask

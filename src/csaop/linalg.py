@@ -89,31 +89,42 @@ def nullspace(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return Vh.conj().T[:, rank:]
 
 
+def connected_components(linked) -> list[np.ndarray]:
+    """Connected components of the graph with adjacency matrix ``linked``.
+
+    ``linked`` is an ``n x n`` boolean matrix; ``i`` and ``j`` are adjacent
+    when ``linked[i, j]`` or ``linked[j, i]`` holds, so a one-sided link
+    joins them. Each component is grown breadth-first from its lowest
+    unseen index; returns sorted index arrays, ordered by first member.
+    """
+    linked = np.asarray(linked, dtype=bool)
+    linked = linked | linked.T
+    np.fill_diagonal(linked, False)
+    seen = ~linked.any(axis=1)  # isolated indices: no search needed
+    components = {i: np.array([i]) for i in np.flatnonzero(seen)}
+    for start in np.flatnonzero(~seen):
+        if seen[start]:
+            continue
+        seen[start] = True
+        members = frontier = np.array([start])
+        while frontier.size:
+            frontier = np.flatnonzero(linked[frontier].any(axis=0) & ~seen)
+            seen[frontier] = True
+            members = np.concatenate((members, frontier))
+        components[start] = np.sort(members)
+    return [components[i] for i in sorted(components)]
+
+
 def cluster_indices(values: np.ndarray, gap: float) -> list[list[int]]:
     """Group (possibly complex) values into clusters of mutual distance <= gap.
 
-    Single-linkage union by pairwise distance; returns index groups sorted
-    by the position of their first member, so the grouping of presorted
-    input is deterministic.
+    Single linkage: the connected components of ``|v_i - v_j| <= gap``.
+    Returns index groups sorted by the position of their first member, so
+    the grouping of presorted input is deterministic.
     """
     values = np.asarray(values)
-    n = len(values)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(values[i] - values[j]) <= gap:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return sorted(groups.values(), key=lambda g: g[0])
+    close = np.abs(values[:, None] - values[None, :]) <= gap
+    return [group.tolist() for group in connected_components(close)]
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

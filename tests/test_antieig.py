@@ -10,6 +10,7 @@ from csaop import (
 )
 from csaop.antiunitary import AntiunitaryOp
 from csaop.linalg import fro
+from csaop import pauli
 from csaop.pauli import MINUS_I_SIGMA2
 
 from conftest import conj_k, random_complex_symmetric
@@ -145,3 +146,64 @@ class TestPseudospectrum:
         grid = pseudospectrum(np.zeros((1, 1)), 0.5, (-1, 1, -1, 1), 3)
         z, r, member = grid.points[0]
         assert isinstance(z, complex) and isinstance(r, float) and isinstance(member, bool)
+
+
+def _direct_sum_fixture(rng):
+    """Block-diagonal H with dense blocks of sizes 1, 2, 3 and 5, a 2x2
+    zero block and a 2x2 Jordan block at 0, under a random permutation."""
+    blocks = [rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for m in (1, 2, 3, 5)]
+    blocks += [np.zeros((2, 2)), np.array([[0.0, 1.0], [0.0, 0.0]])]
+    n = sum(len(B) for B in blocks)
+    H = np.zeros((n, n), dtype=complex)
+    start = 0
+    for B in blocks:
+        H[start : start + len(B), start : start + len(B)] = B
+        start += len(B)
+    perm = rng.permutation(n)
+    return H[np.ix_(perm, perm)], perm
+
+
+class TestBlockScan:
+    """The scan runs per diagonal block; the oracle is one SVD of the
+    whole H - zI per point (``resolvent_norm``)."""
+
+    def _cases(self, rng):
+        H, _ = _direct_sum_fixture(rng)
+        toy, _, _ = pauli.discretize(-1.5, np.linspace(-3.0, 3.0, 20))
+        # an odd resolution puts z = 0, in the spectrum of H, on the grid
+        return [(H, 0.1, (-2.0, 2.0, -2.0, 2.0), 21, True), (toy, 0.1, (-1.0, 10.0, -4.5, 4.5), 16, False)]
+
+    def test_matches_full_svd(self, rng):
+        for H, eps, bounds, res, hits_spectrum in self._cases(rng):
+            grid = pseudospectrum(H, eps, bounds, res)
+            oracle = np.array([resolvent_norm(H, z) for z in grid.zs])
+            inf = np.isinf(oracle)
+            assert inf.any() == hits_spectrum
+            np.testing.assert_array_equal(np.isinf(grid.resolvent_norms), inf)
+            finite = grid.resolvent_norms[~inf]
+            assert np.max(np.abs(finite - oracle[~inf]) / oracle[~inf]) <= 1e-10
+            np.testing.assert_array_equal(grid.in_pseudospectrum, oracle > 1.0 / eps)
+
+    def test_spectrum_cutoff_sees_every_block(self):
+        # sigma_min(H) = 1e-7 falls below 1e-12 ||H||_F only through the
+        # norm of the other, large block
+        H = np.zeros((3, 3))
+        H[:2, :2] = [[1e6, 2e6], [0.0, 1e6]]
+        H[2, 2] = 1e-7
+        grid = pseudospectrum(H, 0.1, (-1.0, 1.0, -1.0, 1.0), 3)
+        oracle = [resolvent_norm(H, z) for z in grid.zs]
+        assert oracle[4] == np.inf
+        np.testing.assert_allclose(grid.resolvent_norms, oracle, rtol=1e-10)
+
+    def test_permutation_invariant(self, rng):
+        H, perm = _direct_sum_fixture(rng)
+        ordered = np.empty_like(H)
+        ordered[np.ix_(perm, perm)] = H  # undo the permutation: P H P^T
+        bounds = (-2.0, 2.0, -2.0, 2.0)
+        a = pseudospectrum(H, 0.1, bounds, 21)
+        b = pseudospectrum(ordered, 0.1, bounds, 21)
+        inf = np.isinf(a.resolvent_norms)
+        np.testing.assert_array_equal(np.isinf(b.resolvent_norms), inf)
+        rel = np.abs(a.resolvent_norms[~inf] - b.resolvent_norms[~inf]) / a.resolvent_norms[~inf]
+        assert np.max(rel) <= 1e-12
+        np.testing.assert_array_equal(a.in_pseudospectrum, b.in_pseudospectrum)

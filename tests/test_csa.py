@@ -191,6 +191,19 @@ def test_import_leaves_out_scipy():
     assert subprocess.run([sys.executable, "-c", code], cwd=src, timeout=60).returncode == 0
 
 
+def test_scan_and_clustering_leave_out_scipy():
+    # the pseudospectrum scan and the clustering stay numpy-only as well
+    src = str(Path(csaop.__file__).resolve().parents[1])
+    code = (
+        "import sys, numpy as np, csaop\n"
+        "from csaop.linalg import cluster_indices\n"
+        "csaop.pseudospectrum(np.diag([1.0, 2.0]), 0.1, (0.0, 3.0, -1.0, 1.0), 4)\n"
+        "cluster_indices(np.array([1.0, 1.0, 2.0 + 1j]), 1e-3)\n"
+        "sys.exit('scipy' in sys.modules)"
+    )
+    assert subprocess.run([sys.executable, "-c", code], cwd=src, timeout=60).returncode == 0
+
+
 class TestEigenPairing:
     def test_diagonal_complex_symmetric(self):
         pairs = eigen_pairing(np.diag([1 + 1j, 2.0]), conj_k(2))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from csaop import Tolerance, nullspace
-from csaop.linalg import cluster_indices, fro, haar_unitary
+from csaop.linalg import cluster_indices, connected_components, fro, haar_unitary
 
 from conftest import random_matrix
 
@@ -52,6 +52,93 @@ class TestNullspace:
 def test_cluster_indices_groups_close_values():
     groups = cluster_indices(np.array([1.0, 1.0000001, 2.0, 5.0, 5.0000001]), 1e-5)
     assert groups == [[0, 1], [2], [3, 4]]
+
+
+def _union_find_clusters(values, gap):
+    """Single linkage by an O(n^2) union-find loop: the oracle for
+    ``cluster_indices``."""
+    n = len(values)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(values[i] - values[j]) <= gap:
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(groups.values(), key=lambda g: g[0])
+
+
+class TestClusterIndicesOracle:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_complex(self, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(-1, 1, 80) + 1j * rng.uniform(-1, 1, 80)
+        for gap in (0.0, 0.05, 0.15, 0.4):
+            assert cluster_indices(values, gap) == _union_find_clusters(values, gap)
+
+    def test_sorted_reals_chain_at_the_gap(self):
+        # dyadic steps: neighbouring distances equal the gap exactly
+        values = np.array([0.0, 0.25, 0.5, 0.75, 2.0, 2.25, 5.0, 5.125, 5.375])
+        groups = cluster_indices(values, 0.25)
+        assert groups == [[0, 1, 2, 3], [4, 5], [6, 7, 8]]
+        assert groups == _union_find_clusters(values, 0.25)
+        assert cluster_indices(values, 0.125) == _union_find_clusters(values, 0.125)
+
+    def test_empty(self):
+        assert cluster_indices(np.array([]), 1.0) == []
+
+
+def _component_lists(linked):
+    return [c.tolist() for c in connected_components(linked)]
+
+
+class TestConnectedComponents:
+    def test_dense_is_one_component(self, rng):
+        assert _component_lists(random_matrix(7, rng) != 0) == [list(range(7))]
+
+    def test_diagonal_gives_singletons(self):
+        assert _component_lists(np.eye(5, dtype=bool)) == [[i] for i in range(5)]
+
+    def test_permuted_blocks_recovered(self, rng):
+        sizes = [3, 1, 4, 2, 5]
+        n = sum(sizes)
+        linked = np.zeros((n, n), dtype=bool)
+        blocks, start = [], 0
+        for m in sizes:
+            linked[start : start + m, start : start + m] = True
+            blocks.append(set(range(start, start + m)))
+            start += m
+        perm = rng.permutation(n)
+        # index i of the permuted matrix is index perm[i] of the original
+        expected = sorted(
+            (sorted(i for i in range(n) if perm[i] in block) for block in blocks),
+            key=lambda c: c[0],
+        )
+        assert _component_lists(linked[np.ix_(perm, perm)]) == expected
+
+    def test_one_sided_link_joins(self):
+        linked = np.zeros((3, 3), dtype=bool)
+        linked[0, 2] = True
+        assert _component_lists(linked) == [[0, 2], [1]]
+        assert _component_lists(linked.T) == [[0, 2], [1]]
+
+    def test_output_order(self):
+        # growing from 0 reaches 4 before 1; members come back sorted, and
+        # components come back ordered by first member
+        linked = np.zeros((6, 6), dtype=bool)
+        for i, j in [(0, 4), (4, 1), (2, 5)]:
+            linked[i, j] = True
+        components = connected_components(linked)
+        assert [c.tolist() for c in components] == [[0, 1, 4], [2, 5], [3]]
+        assert all(c.dtype.kind == "i" for c in components)
 
 
 def test_haar_unitary_is_unitary(rng):
