@@ -79,16 +79,17 @@ class AntilinearMap:
 class AntiunitaryOp(AntilinearMap):
     """Antiunitary operator ``C = A o K`` with ``A`` unitary.
 
-    The constructor validates unitarity (both ``A*A = I`` and ``AA* = I``)
-    and rejects non-unitary input instead of re-orthonormalizing it, since
-    silent projection would mask caller bugs.
+    The constructor validates unitarity and rejects non-unitary input
+    instead of re-orthonormalizing it, since silent projection would mask
+    caller bugs. One Gram product is enough: for square ``A`` with singular
+    values ``s_i``, ``||A*A - I||_F`` and ``||AA* - I||_F`` both equal
+    ``sqrt(sum (s_i^2 - 1)^2)``.
     """
 
     def __init__(self, unitary_part):
         super().__init__(unitary_part)
         A = self._matrix
-        eye = np.eye(self.dim)
-        dev = max(fro(A.conj().T @ A - eye), fro(A @ A.conj().T - eye))
+        dev = fro(A.conj().T @ A - np.eye(self.dim))
         if dev > UNITARITY_TOL:
             raise NotUnitary(f"unitary part deviates from unitarity by {dev:.3e}")
 

@@ -17,12 +17,15 @@ no such basis is guaranteed; for anti-involutive ``C`` it cannot exist at
 all (``J phi = phi`` with ``J^2 = -I`` forces ``phi = -phi``), and every
 nonzero singular value is even-fold degenerate instead.
 
-:func:`refined_svd` takes one SVD of ``H``. Eigenvectors of simple
-singular values are re-phased together in one :func:`phase_fix` call;
-degenerate clusters (involutive ``C`` only) are re-combined by
-:func:`fix_basis_involutive`; ``eta_j = C^{-1} phi_j`` is one matrix
-product. :func:`csaop.antieig.antilinear_eigensystem` feeds the same kernel
-with the reversed SVD of ``H - z I``, which is the SVD of its inverse.
+:func:`refined_svd` takes one SVD of ``H`` and clusters its sorted
+singular values in O(n). Only when a cluster is degenerate is the
+involution class of ``C`` read, and a ``C`` that is not involutive is
+rejected before ``J`` is built. Eigenvectors of simple singular values are
+re-phased together in one :func:`phase_fix` call; degenerate clusters are
+re-combined by :func:`fix_basis_involutive`; ``eta_j = C^{-1} phi_j`` is
+one matrix product. :func:`csaop.antieig.antilinear_eigensystem` feeds the
+same kernel with the reversed SVD of ``H - z I``, which is the SVD of its
+inverse.
 """
 
 from __future__ import annotations
@@ -236,25 +239,20 @@ def refined_svd(H, C: AntiunitaryOp, tol: Tolerance = DEFAULT_TOL) -> RefinedSVD
 
 def _expansion(H, W, s, V, rank: int, C: AntiunitaryOp, tol: Tolerance) -> RefinedSVD:
     """Refined SVD of a C-self-adjoint ``H = W diag(s) V*`` from its SVD
-    factors, keeping the leading ``rank`` singular values."""
-    _, absH, J = _polar_factors(C, W, s, V, rank)
-    sigmas = s[:rank]
-    kind = classify(C)
-    # the construction gates below only need to confirm structure, not
-    # re-certify it at arithmetic precision
-    gate = Tolerance(abs=max(tol.abs, 1e-8), rel=tol.rel)
+    factors, keeping the leading ``rank`` singular values.
 
-    phis = V[:, :rank].copy()
-    simple: list[int] = []
-    spread = 0.0  # widest cluster: mixing its vectors costs up to this much
+    The involution class of C is read only when some cluster is
+    degenerate, and a degeneracy that C cannot fix raises before J is
+    built. The adjoint expansion needs no residual of its own:
+    ``reconstruct_adjoint()`` is ``reconstruct()*`` and has the same norm.
+    """
+    sigmas = s[:rank]
     groups = cluster_indices(sigmas, SVD_CLUSTER_GAP * s[0]) if rank else []
-    for idx in groups:
-        if len(idx) == 1:
-            simple.append(idx[0])
-        elif kind is InvolutionClass.INVOLUTIVE:
-            spread = max(spread, float(sigmas[idx[0]] - sigmas[idx[-1]]))
-            phis[:, idx] = fix_basis_involutive(J, phis[:, idx], gate)
-        else:
+    degenerate = [idx for idx in groups if len(idx) > 1]
+    if degenerate:
+        kind = classify(C)
+        if kind is not InvolutionClass.INVOLUTIVE:
+            idx = degenerate[0]
             detail = (
                 "no J-fixed vector can exist for anti-involutive C"
                 if kind is InvolutionClass.ANTI_INVOLUTIVE
@@ -263,6 +261,17 @@ def _expansion(H, W, s, V, rank: int, C: AntiunitaryOp, tol: Tolerance) -> Refin
             raise UnsupportedDegeneracy(
                 f"singular value {sigmas[idx[0]]:.6g} has multiplicity {len(idx)} and {detail}"
             )
+    _, absH, J = _polar_factors(C, W, s, V, rank)
+    # the construction gates below only need to confirm structure, not
+    # re-certify it at arithmetic precision
+    gate = Tolerance(abs=max(tol.abs, 1e-8), rel=tol.rel)
+
+    phis = V[:, :rank].copy()
+    spread = 0.0  # widest cluster: mixing its vectors costs up to this much
+    for idx in degenerate:
+        spread = max(spread, float(sigmas[idx[0]] - sigmas[idx[-1]]))
+        phis[:, idx] = fix_basis_involutive(J, phis[:, idx], gate)
+    simple = [idx[0] for idx in groups if len(idx) == 1]
     phis[:, simple] = phase_fix(J, phis[:, simple], gate)
     etas = C.unitary_part.T @ np.conj(phis)  # C^{-1} phi_j
     result = RefinedSVD(sigmas=sigmas, phis=phis, etas=etas)
@@ -271,8 +280,7 @@ def _expansion(H, W, s, V, rank: int, C: AntiunitaryOp, tol: Tolerance) -> Refin
     eig_res = fro(absH @ phis - phis * sigmas)
     fix_res = fro(J.matrix @ np.conj(phis) - phis)
     recon_res = fro(H - result.reconstruct())
-    adj_res = fro(H.conj().T - result.reconstruct_adjoint())
-    worst = max(eig_res, fix_res, recon_res, adj_res)
+    worst = max(eig_res, fix_res, recon_res)
     if worst > bound:
         raise NumericalFailure(
             f"refined SVD residual {worst:.3e} exceeds bound {bound:.3e}"

@@ -121,8 +121,20 @@ def cluster_indices(values: np.ndarray, gap: float) -> list[list[int]]:
     Single linkage: the connected components of ``|v_i - v_j| <= gap``.
     Returns index groups sorted by the position of their first member, so
     the grouping of presorted input is deterministic.
+
+    Real values sorted either way (singular values) are split in O(n)
+    time and memory wherever ``|v_{i+1} - v_i| > gap``: rounding is
+    monotone, so no farther pair is closer than a neighbouring one. Other
+    input goes through :func:`connected_components` on the n x n
+    distance test.
     """
     values = np.asarray(values)
+    if np.isrealobj(values) and values.size:
+        steps = np.diff(values)
+        if np.all(steps >= 0) or np.all(steps <= 0):
+            cuts = [0, *(np.flatnonzero(np.abs(steps) > gap) + 1).tolist(), values.size]
+            index = list(range(values.size))
+            return [index[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
     close = np.abs(values[:, None] - values[None, :]) <= gap
     return [group.tolist() for group in connected_components(close)]
 

@@ -14,7 +14,7 @@ from csaop import (
     conjugate_linear_map,
     conjugation_k,
 )
-from csaop.linalg import fro
+from csaop.linalg import fro, haar_unitary
 from csaop.pauli import MINUS_I_SIGMA2
 
 from conftest import random_antiunitary, random_matrix, random_vector
@@ -182,3 +182,24 @@ def test_matrix_is_immutable():
     C = conjugation_k(2)
     with pytest.raises(ValueError):
         C.unitary_part[0, 0] = 5.0
+
+
+class TestUnitarityCheck:
+    @pytest.mark.parametrize("n", [2, 7, 64])
+    def test_gram_deviations_agree(self, n, rng):
+        # both equal sqrt(sum (s_i^2 - 1)^2) over the singular values of A,
+        # so the constructor computes only the first
+        A = random_matrix(n, rng) / np.sqrt(n)
+        left = fro(A.conj().T @ A - np.eye(n))
+        right = fro(A @ A.conj().T - np.eye(n))
+        assert abs(left - right) <= 1e-12 * left
+
+    @pytest.mark.parametrize("scale, unitary", [(1 + 1e-9, False), (1 + 1e-12, True)])
+    def test_scaled_column(self, scale, unitary, rng):
+        A = haar_unitary(16, rng)
+        A[:, 5] *= scale
+        if unitary:
+            assert isinstance(AntiunitaryOp(A), AntiunitaryOp)
+        else:
+            with pytest.raises(NotUnitary, match="deviates from unitarity by 2.000e-09"):
+                AntiunitaryOp(A)

@@ -17,6 +17,7 @@ from csaop import (
     refined_polar,
     refined_svd,
 )
+from csaop import decomp
 from csaop.decomp import SVD_CLUSTER_GAP
 from csaop.linalg import cluster_indices, fro, haar_unitary, rank_cutoff
 from csaop.pauli import MINUS_I_SIGMA2
@@ -360,3 +361,69 @@ class TestRefinedSvd:
         assert out.sigmas.shape == (0,)
         assert out.phis.shape == (3, 0)
         np.testing.assert_allclose(out.reconstruct(), np.zeros((3, 3)))
+
+
+def _haar_conjugated(H, C, seed):
+    """``(V H V*, (V A V^T) o K)`` for a Haar V: the same pair in a generic basis."""
+    V = haar_unitary(H.shape[0], np.random.default_rng(seed))
+    return V @ H @ V.conj().T, AntiunitaryOp(V @ C.unitary_part @ V.T)
+
+
+class TestExpansionGates:
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"classify": 0, "polar_factors": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(decomp, "classify", counted("classify", decomp.classify))
+        monkeypatch.setattr(decomp, "_polar_factors", counted("polar_factors", decomp._polar_factors))
+        return counts
+
+    @pytest.mark.parametrize("n_kernel, n_range, seed", [(2, 3, 0), (2, 6, 2)])
+    def test_simple_spectrum_never_classifies(self, counts, n_kernel, n_range, seed):
+        # C^2 differs from I only on ker H, so C is "neither", yet every
+        # nonzero singular value is simple
+        H, C = _haar_conjugated(*neither_simple_case(n_kernel, n_range, seed), seed=40 + seed)
+        assert classify(C) is InvolutionClass.NEITHER
+        out = refined_svd(H, C)
+        assert counts["classify"] == 0
+        assert len(out.sigmas) == n_range
+        assert fro(H - out.reconstruct()) <= 1e-8 * max(1.0, fro(H))
+
+    def test_involutive_clusters_classify_once(self, counts, rng):
+        # two degenerate clusters under a Haar involutive C
+        n = 24
+        Q = haar_unitary(n, rng)
+        sig = np.concatenate([np.full(6, 3.0), np.full(4, 2.0), rng.uniform(0.1, 1.5, n - 10)])
+        H, C = _haar_conjugated(Q @ np.diag(sig) @ Q.T, conj_k(n), seed=41)
+        assert classify(C) is InvolutionClass.INVOLUTIVE
+        out = refined_svd(H, C)
+        assert counts == {"classify": 1, "polar_factors": 1}
+        assert fro(H - out.reconstruct()) <= 1e-8 * fro(H)
+
+    def test_anti_involutive_raises_before_building_j(self, counts):
+        H, C = _haar_conjugated(generate_csa(c2_blocks(8), 5), c2_blocks(8), seed=42)
+        message = r"multiplicity 2 and no J-fixed vector can exist for anti-involutive C"
+        with pytest.raises(UnsupportedDegeneracy, match=message):
+            refined_svd(H, C)
+        assert counts == {"classify": 1, "polar_factors": 0}
+
+
+def _expandable_pairs():
+    pairs = [(H, C) for H, C, kind in corpus() if kind is InvolutionClass.INVOLUTIVE]
+    return pairs + [neither_simple_case(*args) for args in [(2, 3, 0), (3, 4, 1), (2, 6, 2)]]
+
+
+@pytest.mark.parametrize("case", range(8))
+def test_reconstruct_adjoint_is_conjugate_transpose(case):
+    # why the expansion checks only one reconstruction residual:
+    # reconstruct_adjoint() is reconstruct()* and has the same norm
+    H, C = _expandable_pairs()[case]
+    out = refined_svd(H, C)
+    assert fro(out.reconstruct_adjoint() - out.reconstruct().conj().T) <= 1e-14 * fro(H)

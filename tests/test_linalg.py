@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,54 @@ class TestClusterIndicesOracle:
 
     def test_empty(self):
         assert cluster_indices(np.array([]), 1.0) == []
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_descending_sigma_like(self, seed):
+        # singular values as the SVD returns them: descending, with tight
+        # clusters at the relative gap used by the refined SVD
+        rng = np.random.default_rng(seed)
+        base = rng.uniform(0.1, 10.0, 40)
+        values = np.sort(np.concatenate([base, base[:10] * (1 + 1e-9), base[:3] * (1 - 1e-8)]))[::-1]
+        gap = 1e-6 * values[0]
+        groups = cluster_indices(values, gap)
+        assert groups == _union_find_clusters(values, gap)
+        assert any(len(g) > 1 for g in groups) and any(len(g) == 1 for g in groups)
+
+    def test_ascending_ties_and_chains_at_the_gap(self):
+        values = np.array([0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 1.5, 3.0, 3.0, 7.0, 7.5, 8.0])
+        for gap in (0.0, 0.25, 0.5, 1.5, 10.0):
+            assert cluster_indices(values, gap) == _union_find_clusters(values, gap)
+        assert cluster_indices(values, 0.5) == [[0, 1, 2, 3, 4, 5, 6], [7, 8], [9, 10, 11]]
+        assert cluster_indices(values, 0.0) == [[0, 1, 2], [3], [4, 5], [6], [7, 8], [9], [10], [11]]
+
+    def test_unsorted_reals(self):
+        values = np.array([5.0, 0.0, 5.25, 2.0, 0.25, 9.0, 2.0, 5.5])
+        for gap in (0.0, 0.25, 1.0, 3.0):
+            assert cluster_indices(values, gap) == _union_find_clusters(values, gap)
+        assert cluster_indices(values, 0.25) == [[0, 2, 7], [1, 4], [3, 6], [5]]
+
+    def test_complex_input(self):
+        # sorted real parts with zero imaginary parts, and a genuinely
+        # complex set whose real parts are sorted
+        values = np.array([0.0, 0.25, 1.0, 1.25, 3.0], dtype=complex)
+        assert cluster_indices(values, 0.25) == _union_find_clusters(values, 0.25)
+        values = np.array([0.0, 0.1 + 1.0j, 0.2, 0.3 + 1.05j, 0.4])
+        assert cluster_indices(values, 0.25) == _union_find_clusters(values, 0.25)
+        assert cluster_indices(values, 0.25) == [[0, 2, 4], [1, 3]]
+
+    def test_sorted_reals_use_linear_memory(self):
+        # an n x n distance matrix at n = 4000 alone would take 128 MB
+        rng = np.random.default_rng(0)
+        values = np.sort(rng.uniform(0.0, 1.0, 4000))[::-1]
+        values[100:140] = values[100]  # one 40-fold cluster
+        tracemalloc.start()
+        try:
+            groups = cluster_indices(values, 1e-9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert len(groups) == 4000 - 39 and groups[100] == list(range(100, 140))
 
 
 def _component_lists(linked):
