@@ -152,8 +152,8 @@ def pseudospectrum(
     as one n x n SVD per point. The result does not depend on the
     evaluation order.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ValueError("epsilon must be positive and finite")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     H = as_matrix(H, square=True)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .antiunitary import AntiunitaryOp, conjugate_linear_map
 from .errors import DimMismatch, NotCsa
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, cluster_indices, fro, nullspace
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, cayley, cluster_indices, fro, nullspace
 
 #: Absolute eigenvalue clustering gap, relative to ||H||. Eigenvalues of
 #: non-normal matrices are only accurate to roughly sqrt(machine epsilon).
@@ -73,21 +73,10 @@ def _require_csa(H, C, tol) -> np.ndarray:
 
 
 def _commutant_projection(W: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of ``G`` onto the commutant of the unitary ``W``.
-
-    ``W``, rotated so that its widest spectral gap (placed from ``+-arccos``
-    of the spectrum of ``(W + W*) / 2``) sits at -1, has the Hermitian Cayley
-    transform ``e^{i psi} -> tan(psi / 2)``. That keeps the eigenvalue order
-    and at most halves distances, so its ``eigh`` basis diagonalises ``W`` to
-    rounding even inside clusters, where ``eig`` then ``qr`` does not.
-    """
+    """Orthogonal projection of ``G`` onto the commutant of the unitary ``W``,
+    in the ``eigh`` basis of its :func:`~csaop.linalg.cayley` transform."""
     n = W.shape[0]
-    half = np.arccos(np.clip(np.linalg.eigvalsh((W + W.conj().T) / 2), -1.0, 1.0))
-    angles = np.sort(np.concatenate([half, -half]))
-    gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
-    V = -np.exp(-1j * (angles + gaps / 2)[np.argmax(gaps)]) * W
-    eye = np.eye(n)
-    t, Q = np.linalg.eigh(1j * np.linalg.solve(eye + V, eye - V))  # Hermitian to rounding
+    t, Q = np.linalg.eigh(cayley(W))
     # label each angle by the first one of its cluster; a cluster spans at
     # most the gap, so a chain of close eigenvalues cannot widen it
     labels, start = np.zeros(n, dtype=int), -np.inf

@@ -21,11 +21,11 @@ nonzero singular value is even-fold degenerate instead.
 singular values in O(n). Only when a cluster is degenerate is the
 involution class of ``C`` read, and a ``C`` that is not involutive is
 rejected before ``J`` is built. Eigenvectors of simple singular values are
-re-phased together in one :func:`phase_fix` call; degenerate clusters are
-re-combined by :func:`fix_basis_involutive`; ``eta_j = C^{-1} phi_j`` is
-one matrix product. :func:`csaop.antieig.antilinear_eigensystem` feeds the
-same kernel with the reversed SVD of ``H - z I``, which is the SVD of its
-inverse.
+re-phased together in one :func:`phase_fix` call; degenerate clusters get
+a closed-form fixed basis from :func:`fix_basis_involutive`;
+``eta_j = C^{-1} phi_j`` is one matrix product.
+:func:`csaop.antieig.antilinear_eigensystem` feeds the same kernel with the
+reversed SVD of ``H - z I``, which is the SVD of its inverse.
 """
 
 from __future__ import annotations
@@ -46,19 +46,16 @@ from .errors import (
     DimMismatch,
     NotInvariant,
     NotInvolutive,
+    NotUnitary,
     NumericalFailure,
     UnsupportedDegeneracy,
 )
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, as_vector, cluster_indices, fro, rank_cutoff
+from .linalg import (
+    DEFAULT_TOL, Tolerance, as_matrix, as_vector, cayley, cluster_indices, fro, rank_cutoff
+)
 
 #: Relative singular-value gap below which values count as one cluster.
 SVD_CLUSTER_GAP = 1e-6
-
-#: Gram-Schmidt residual at or below which :func:`fix_basis_involutive`
-#: drops a projected column. The 2m projected columns form a Parseval frame
-#: of the m-dimensional fixed space, so any cutoff below 1/sqrt(2m) keeps
-#: exactly m of them; this one does for every m up to 5e11.
-FIX_DROP = 1e-6
 
 
 @dataclass(frozen=True)
@@ -157,69 +154,59 @@ def phase_fix(J: AntilinearMap, psi, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
     return fixed[:, 0] if single else fixed
 
 
+def _restriction(J: AntilinearMap, E: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """``a = E* J conj(E)``, so J acts on span(E) as ``x -> a conj(x)`` in
+    E-coordinates; checks that E is orthonormal and span(E) J-invariant."""
+    m = E.shape[1]
+    gram_dev = fro(E.conj().T @ E - np.eye(m))
+    if gram_dev > 1e-8:
+        raise ValueError(f"basis columns not orthonormal (deviation {gram_dev:.3e})")
+    image = J.matrix @ np.conj(E)
+    a = E.conj().T @ image
+    invariance = fro(image - E @ a)
+    if invariance > tol.bound(1.0):
+        raise NotInvariant(f"J maps span(E) out of itself by {invariance:.3e}")
+    return a
+
+
 def fix_basis_involutive(J: AntilinearMap, E, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """J-fixed orthonormal basis of a J-invariant subspace, J involutive there.
+    """J-fixed orthonormal basis of a J-invariant subspace, J an antiunitary
+    involution there.
 
     ``E`` holds m orthonormal columns spanning the subspace, on which J acts
-    in E-coordinates as ``x -> a conj(x)``. The projection
-    ``P x = (x + a conj(x)) / 2`` onto the fixed vectors maps the 2m real
-    directions ``e_1, i e_1, e_2, i e_2, ...`` to a Parseval frame of the
-    fixed space. Two-pass Gram-Schmidt over those columns, in that order,
-    dropping residuals at most ``FIX_DROP``, keeps exactly m of them. Fixed
-    vectors have real inner products, so the result stays fixed. Input
-    order fixes the output, so results are deterministic.
+    as ``x -> a conj(x)`` in E-coordinates. A fixed basis exists exactly when
+    ``a = O diag(e^{i psi}) O^T`` is a symmetric unitary (``O`` real
+    orthogonal). ``O`` is the ``eigh`` basis of the real :func:`cayley`
+    transform of ``a``, each column's largest-magnitude entry made positive
+    so that LAPACK's signs do not leak, and :func:`phase_fix` turns ``E O``
+    into the fixed basis. Raises :class:`NotInvolutive` or
+    :class:`NotUnitary` when ``a conj(a)`` or ``a a*`` is not the identity.
     """
     E = as_matrix(E)
     m = E.shape[1]
     if m == 0:
         return E.copy()
-    gram_dev = fro(E.conj().T @ E - np.eye(m))
-    if gram_dev > 1e-8:
-        raise ValueError(f"basis columns not orthonormal (deviation {gram_dev:.3e})")
-    # restriction of J to span(E) in E-coordinates: x -> a @ conj(x)
-    image = J.matrix @ np.conj(E)
-    a = E.conj().T @ image
+    a = _restriction(J, E, tol)
     bound = tol.bound(1.0)
-    invariance = fro(image - E @ a)
-    if invariance > bound:
-        raise NotInvariant(f"J maps span(E) out of itself by {invariance:.3e}")
     involution = fro(a @ np.conj(a) - np.eye(m))
     if involution > bound:
         raise NotInvolutive(f"J^2 deviates from identity on span(E) by {involution:.3e}")
-
-    frame = np.empty((m, 2 * m), dtype=complex)
-    frame[:, 0::2] = (np.eye(m) + a) / 2  # P e_j
-    frame[:, 1::2] = 0.5j * (np.eye(m) - a)  # P (i e_j)
-    Q = np.empty((m, 2 * m), dtype=complex)
-    k = 0
-    for w in frame.T:
-        for _ in range(2):  # the second pass restores orthogonality lost to rounding
-            w = w - Q[:, :k] @ (Q[:, :k].conj().T @ w)
-        norm = np.linalg.norm(w)
-        if norm > FIX_DROP:
-            Q[:, k] = w / norm
-            k += 1
-    if k != m:
-        raise NumericalFailure("lost rank while orthogonalizing the fixed basis")
-    return E @ Q[:, :m]
+    unitarity = fro(a @ a.conj().T - np.eye(m))
+    if unitarity > bound:
+        raise NotUnitary(f"J is not antiunitary on span(E): deviation {unitarity:.3e}")
+    _, O = np.linalg.eigh(cayley(a).real)
+    O *= np.sign(O[np.argmax(np.abs(O), axis=0), np.arange(m)])
+    return phase_fix(J, E @ O, tol)
 
 
 def check_fixable_2d(J: AntilinearMap, psi1, psi2, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Necessary condition for a J-fixed basis of a 2-d J-invariant span.
-
-    With ``a_jk = <psi_j, J psi_k>``, a fixed orthonormal basis can only
-    exist when ``a_12 = a_21``; that always holds for involutive ``J`` but
-    can fail otherwise. Only necessity is tested; the condition being true
-    does not by itself guarantee a fixed basis.
+    """Whether the J-invariant span of orthonormal ``psi1, psi2`` has a
+    J-fixed orthonormal basis: exactly when ``a_jk = <psi_j, J psi_k>`` is a
+    symmetric unitary (see :func:`fix_basis_involutive`).
     """
-    psi1, psi2 = as_vector(psi1), as_vector(psi2)
-    E = np.column_stack([psi1, psi2])
-    image = J.matrix @ np.conj(E)
-    a = E.conj().T @ image
+    a = _restriction(J, np.column_stack([as_vector(psi1), as_vector(psi2)]), tol)
     bound = tol.bound(1.0)
-    if fro(image - E @ a) > bound:
-        raise NotInvariant("span(psi1, psi2) is not J-invariant")
-    return bool(abs(a[0, 1] - a[1, 0]) <= bound)
+    return bool(abs(a[0, 1] - a[1, 0]) <= bound and fro(a @ a.conj().T - np.eye(2)) <= bound)
 
 
 def refined_svd(H, C: AntiunitaryOp, tol: Tolerance = DEFAULT_TOL) -> RefinedSVD:

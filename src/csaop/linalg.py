@@ -28,8 +28,8 @@ class Tolerance:
     rel: float = 1e-10
 
     def __post_init__(self):
-        if self.abs < 0 or self.rel < 0:
-            raise ValueError("tolerances must be nonnegative")
+        if not (0 <= self.abs < np.inf and 0 <= self.rel < np.inf):
+            raise ValueError("tolerances must be finite and nonnegative")
         if self.abs == 0 and self.rel == 0:
             raise ValueError("abs and rel tolerance cannot both be zero")
 
@@ -137,6 +137,25 @@ def cluster_indices(values: np.ndarray, gap: float) -> list[list[int]]:
             return [index[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
     close = np.abs(values[:, None] - values[None, :]) <= gap
     return [group.tolist() for group in connected_components(close)]
+
+
+def cayley(W: np.ndarray) -> np.ndarray:
+    """Hermitian Cayley transform of the unitary ``W``, cut at its widest gap.
+
+    ``W`` is rotated so that its widest spectral gap (placed from ``+-arccos``
+    of the spectrum of ``(W + W*) / 2``) sits at -1, then mapped by
+    ``e^{i psi} -> tan(psi / 2)``. That keeps the eigenvalue order and at
+    most halves distances, so an ``eigh`` basis of the result diagonalises
+    ``W`` to rounding even inside clusters, where ``eig`` then ``qr`` does
+    not. A symmetric unitary ``W`` gives a real symmetric result.
+    """
+    n = W.shape[0]
+    half = np.arccos(np.clip(np.linalg.eigvalsh((W + W.conj().T) / 2), -1.0, 1.0))
+    angles = np.sort(np.concatenate([half, -half]))
+    gaps = np.diff(angles, append=angles[0] + 2 * np.pi)
+    V = -np.exp(-1j * (angles + gaps / 2)[np.argmax(gaps)]) * W
+    eye = np.eye(n)
+    return 1j * np.linalg.solve(eye + V, eye - V)  # Hermitian to rounding
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

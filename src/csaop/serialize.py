@@ -33,11 +33,11 @@ def matrix_to_json(M) -> dict:
 def matrix_from_json(obj) -> np.ndarray:
     try:
         rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
+        values = np.array([complex(re, im) for re, im in data], dtype=complex)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not a matrix object: {exc}") from exc
     if len(data) != rows * cols:
         raise ValueError(f"matrix data length {len(data)} != rows*cols = {rows * cols}")
-    values = np.array([complex(re, im) for re, im in data], dtype=complex)
     return values.reshape(rows, cols)
 
 
@@ -62,10 +62,9 @@ def symbol_to_json(phi: dict) -> dict:
 
 def symbol_from_json(obj) -> dict:
     try:
-        items = obj["fourier"].items()
+        return {int(n): complex(re, im) for n, (re, im) in obj["fourier"].items()}
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"not a symbol object: {exc}") from exc
-    return {int(n): complex(re, im) for n, (re, im) in items}
 
 
 def polar_to_json(polar: RefinedPolar) -> dict:

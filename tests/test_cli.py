@@ -72,8 +72,20 @@ class TestCheck:
         bad.write_text("{not json")
         assert main(["check", "--H", str(bad), "--C", str(bad)]) == 2
 
-    def test_wrong_schema_is_parse_error(self, tmp_path):
-        dump_json({"rows": 1}, tmp_path / "h.json")
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"rows": 1},
+            {"rows": 1, "cols": 1, "data": [["a", "b"]]},
+            {"rows": 1, "cols": 1, "data": 5},
+            {"rows": 1, "cols": 1, "data": [None]},
+            {"rows": 1, "cols": 1, "data": [[[1], [2]]]},
+            {"rows": -1, "cols": -1, "data": [0]},
+        ],
+        ids=["rows-only", "strings", "scalar-data", "null-entry", "nested-lists", "negative-dims"],
+    )
+    def test_wrong_schema_is_parse_error(self, obj, tmp_path):
+        dump_json(obj, tmp_path / "h.json")
         dump_json(antiunitary_to_json(conj_k(1)), tmp_path / "c.json")
         assert main(["check", "--H", str(tmp_path / "h.json"), "--C", str(tmp_path / "c.json")]) == 2
 
@@ -122,6 +134,11 @@ class TestDecompositions:
         dump_json(matrix_to_json(np.array([[0.0, 1.0], [0.0, 0.0]])), tmp_path / "h.json")
         dump_json(antiunitary_to_json(conj_k(2)), tmp_path / "c.json")
         assert main(["polar", "--H", str(tmp_path / "h.json"), "--C", str(tmp_path / "c.json")]) == 1
+
+    @pytest.mark.parametrize("flag, value", [("--tol-abs", "nan"), ("--tol-rel", "inf")])
+    def test_non_finite_tolerance_is_parse_error(self, fixture_pair, flag, value):
+        h_path, c_path = fixture_pair
+        assert main(["polar", "--H", str(h_path), "--C", str(c_path), flag, value]) == 2
 
 
 class TestAntiEig:
@@ -194,10 +211,11 @@ class TestPseudospec:
         main(args + ["--out", str(tmp_path / "b.csv")])
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    def test_bad_epsilon_is_parse_error(self, tmp_path):
+    @pytest.mark.parametrize("epsilon", ["-1", "nan", "inf"])
+    def test_bad_epsilon_is_parse_error(self, epsilon, tmp_path):
         dump_json(matrix_to_json(np.eye(2)), tmp_path / "h.json")
         code = main(
-            ["pseudospec", "--H", str(tmp_path / "h.json"), "--epsilon", "-1",
+            ["pseudospec", "--H", str(tmp_path / "h.json"), "--epsilon", epsilon,
              "--grid", "-1,1,-1,1", "--res", "5"]
         )
         assert code == 2
@@ -249,6 +267,11 @@ class TestModelSpace:
 
     def test_toeplitz_needs_symbols(self):
         assert main(["model-space", "--toeplitz"]) == 2
+
+    def test_malformed_symbol_is_parse_error(self, tmp_path):
+        dump_json({"fourier": {"1": 5}}, tmp_path / "p.json")
+        path = str(tmp_path / "p.json")
+        assert main(["model-space", "--toeplitz", "--phi1", path, "--phi2", path, "--N", "4"]) == 2
 
 
 def test_unknown_flag_exits_two():

@@ -8,6 +8,7 @@ from csaop import (
     NotCsa,
     NotInvariant,
     NotInvolutive,
+    NotUnitary,
     UnsupportedDegeneracy,
     check_fixable_2d,
     classify,
@@ -173,7 +174,7 @@ class TestPhaseFix:
         for j in range(k):
             single = phase_fix(C, X[:, j])
             np.testing.assert_allclose(batch[:, j], single, atol=1e-14)
-            # a one-column fixed basis is the phase fix: refined_svd relies on it
+            # a one-column fixed basis is the phase fix of that column
             one = fix_basis_involutive(C, X[:, j : j + 1])
             np.testing.assert_allclose(one[:, 0], single, atol=1e-12)
         with pytest.raises(NotInvariant):
@@ -209,7 +210,14 @@ class TestFixBasisInvolutive:
         with pytest.raises(NotInvariant):
             fix_basis_involutive(J, np.eye(3)[:, :1])
 
-    @pytest.mark.parametrize("n, m, haar", [(8, 3, False), (256, 64, True)], ids=["K", "haar"])
+    def test_rejects_involution_that_is_not_antiunitary(self):
+        # a conj(a) = I, but J stretches e_2 by 2 and shrinks e_1 by 1/2
+        with pytest.raises(NotUnitary):
+            fix_basis_involutive(AntilinearMap(np.array([[0.0, 2.0], [0.5, 0.0]])), np.eye(2))
+
+    @pytest.mark.parametrize(
+        "n, m, haar", [(8, 3, False), (256, 64, True), (480, 240, True)], ids=["K", "haar", "haar-480"]
+    )
     def test_random_invariant_subspaces(self, n, m, haar, rng):
         # span of {v_i, K v_i} is K-invariant; outputs must be fixed and orthonormal
         C = conj_k(n)
@@ -238,6 +246,13 @@ class TestCheckFixable2d:
 
     def test_plain_conjugation(self):
         assert check_fixable_2d(conj_k(2), np.eye(2)[:, 0], np.eye(2)[:, 1])
+
+    def test_partial_j_not_fixable(self):
+        # diag(1, 0) o K is symmetric on the plane but kills e_2, so J^2 != I there
+        J = AntilinearMap(np.diag([1.0, 0.0]))
+        assert not check_fixable_2d(J, np.eye(2)[:, 0], np.eye(2)[:, 1])
+        with pytest.raises(NotInvolutive):
+            fix_basis_involutive(J, np.eye(2))
 
     def test_non_invariant_rejected(self):
         J = AntilinearMap(np.fliplr(np.eye(4)))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from csaop import Tolerance, nullspace
-from csaop.linalg import cluster_indices, connected_components, fro, haar_unitary
+from csaop.linalg import cayley, cluster_indices, connected_components, fro, haar_unitary
 
 from conftest import random_matrix
 
@@ -14,7 +14,9 @@ class TestTolerance:
         tol = Tolerance(abs=1e-10, rel=1e-8)
         assert tol.bound(10.0) == pytest.approx(1e-10 + 1e-7)
 
-    @pytest.mark.parametrize("abs_, rel", [(-1.0, 1e-10), (1e-10, -1.0), (0.0, 0.0)])
+    @pytest.mark.parametrize(
+        "abs_, rel", [(-1.0, 1e-10), (1e-10, -1.0), (0.0, 0.0), (np.nan, 1e-10), (1e-10, np.inf)]
+    )
     def test_rejects_bad_values(self, abs_, rel):
         with pytest.raises(ValueError):
             Tolerance(abs=abs_, rel=rel)
@@ -189,6 +191,29 @@ class TestConnectedComponents:
         components = connected_components(linked)
         assert [c.tolist() for c in components] == [[0, 1, 4], [2, 5], [3]]
         assert all(c.dtype.kind == "i" for c in components)
+
+
+class TestCayley:
+    # eigenvalue -1 (no plain Cayley transform) and a cluster 1e-9 wide
+    ANGLES = np.array([np.pi, 0.3, 0.3 + 1e-9, 0.3 - 1e-9, -2.0, 1.0, 1.0])
+
+    def test_eigh_basis_diagonalises_clustered_unitary(self, rng):
+        n = len(self.ANGLES)
+        Q = haar_unitary(n, rng)
+        W = (Q * np.exp(1j * self.ANGLES)) @ Q.conj().T
+        T = cayley(W)
+        assert fro(T - T.conj().T) <= 1e-12 * fro(T)
+        _, P = np.linalg.eigh(T)
+        D = P.conj().T @ W @ P
+        assert fro(D - np.diag(np.diag(D))) <= 1e-12
+        assert fro(np.sort(np.angle(np.diag(D))) - np.sort(np.angle(np.exp(1j * self.ANGLES)))) <= 1e-12
+
+    def test_symmetric_unitary_gives_real_symmetric(self, rng):
+        n = len(self.ANGLES)
+        O = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        T = cayley((O * np.exp(1j * self.ANGLES)) @ O.T)
+        assert fro(T.imag) <= 1e-12 * fro(T)
+        assert fro(T - T.T) <= 1e-12 * fro(T)
 
 
 def test_haar_unitary_is_unitary(rng):
