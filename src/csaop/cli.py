@@ -155,8 +155,7 @@ def _cmd_polar(args) -> int:
     C = _load_antiunitary(args.C)
     tol = _tolerance(args)
     polar = decomp.refined_polar(H, C, tol)
-    recon = fro(H - polar.U @ polar.absH)
-    commute = fro(polar.J.matrix @ np.conj(polar.absH) - polar.absH @ polar.J.matrix)
+    recon, commute = polar.residuals["polar"], polar.residuals["commutation"]
     # U is a partial isometry, so ||U||_F^2 is its rank
     print(f"polar residual={recon:.6e} commutation={commute:.6e} rank={round(fro(polar.U) ** 2)}")
     if args.out:
@@ -169,7 +168,7 @@ def _cmd_refined_svd(args) -> int:
     C = _load_antiunitary(args.C)
     tol = _tolerance(args)
     expansion = decomp.refined_svd(H, C, tol)
-    recon = fro(H - expansion.reconstruct())
+    recon = expansion.residuals["reconstruction"]
     print(f"refined-svd count={len(expansion.sigmas)} reconstruction={recon:.6e}")
     if args.out:
         serialize.dump_json(serialize.refined_svd_to_json(expansion), args.out)

@@ -41,7 +41,6 @@ class CsaReport:
 
     residual: float
     is_csa: bool
-    tol_used: Tolerance
 
     def to_json(self) -> dict:
         return {"residual": self.residual, "is_csa": self.is_csa}
@@ -49,7 +48,7 @@ class CsaReport:
 
 def _check(H, C: AntiunitaryOp, target: np.ndarray, tol: Tolerance) -> CsaReport:
     residual = fro(conjugate_linear_map(C, H) - target)
-    return CsaReport(residual=residual, is_csa=residual <= tol.bound(fro(H)), tol_used=tol)
+    return CsaReport(residual=residual, is_csa=residual <= tol.bound(fro(H)))
 
 
 def check_c_selfadjoint(H, C: AntiunitaryOp, tol: Tolerance = DEFAULT_TOL) -> CsaReport:

@@ -25,12 +25,19 @@ re-phased together in one :func:`phase_fix` call; degenerate clusters get
 a closed-form fixed basis from :func:`fix_basis_involutive`;
 ``eta_j = C^{-1} phi_j`` is one matrix product.
 :func:`csaop.antieig.antilinear_eigensystem` feeds the same kernel with the
-reversed SVD of ``H - z I``, which is the SVD of its inverse.
+reversed SVD of ``H - z I``, which is the SVD of its inverse, and reuses
+its singular-value clusters for its own bound.
+
+Each result is certified before it is returned: ``_certify`` checks the
+identity residuals (Frobenius norms) against one bound and raises
+:class:`NumericalFailure` naming every one that fails. The result keeps
+them in ``residuals`` (name -> value), so callers read them, not
+recompute them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -65,12 +72,14 @@ class RefinedPolar:
     ``U`` is the partial isometry of the classical polar decomposition
     (zero on ``ker H``) and ``J = C o U`` is antilinear, partially
     antiunitary with initial and final set ``range(|H|)``, and commutes
-    with ``|H|``.
+    with ``|H|``. ``residuals`` holds the certified ``polar``
+    (``||H - U |H|||``) and ``commutation`` (``||J |H| - |H| J||``) norms.
     """
 
     absH: np.ndarray
     U: np.ndarray
     J: AntilinearMap
+    residuals: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -79,12 +88,16 @@ class RefinedSVD:
 
     ``phis[:, j]`` is a unit eigenvector of ``|H|`` for ``sigmas[j]`` with
     ``J phi_j = phi_j``; ``etas[:, j] = C^{-1} phi_j`` is the matching
-    eigenvector of ``|H*|``.
+    eigenvector of ``|H*|``. ``residuals`` holds the certified ``eigen``
+    (``|||H| phi - phi sigma||``), ``fixed`` (``||J phi - phi||``) and
+    ``reconstruction`` (``||H - reconstruct()||``) norms; it is empty for
+    a result built by hand.
     """
 
     sigmas: np.ndarray
     phis: np.ndarray
     etas: np.ndarray
+    residuals: dict[str, float] = field(default_factory=dict)
 
     def reconstruct(self) -> np.ndarray:
         """``sum_j sigma_j eta_j phi_j*``, which reproduces ``H``."""
@@ -93,6 +106,15 @@ class RefinedSVD:
     def reconstruct_adjoint(self) -> np.ndarray:
         """``sum_j sigma_j phi_j eta_j*``, which reproduces ``H*``."""
         return (self.phis * self.sigmas) @ self.etas.conj().T
+
+
+def _certify(what: str, bound: float, **residuals: float) -> dict[str, float]:
+    """The residuals, when each one is ``<= bound``; otherwise raises
+    :class:`NumericalFailure` naming every one that is not (NaN is not)."""
+    failed = ", ".join(f"{name} {r:.3e}" for name, r in residuals.items() if not r <= bound)
+    if failed:
+        raise NumericalFailure(f"{what} residuals exceed bound {bound:.3e}: {failed}")
+    return residuals
 
 
 def _svd_data(H, C: AntiunitaryOp, tol: Tolerance):
@@ -119,16 +141,13 @@ def refined_polar(H, C: AntiunitaryOp, tol: Tolerance = DEFAULT_TOL) -> RefinedP
     """
     H, W, s, V, rank = _svd_data(H, C, tol)
     U, absH, J = _polar_factors(C, W, s, V, rank)
-    bound = tol.bound(max(1.0, fro(H)))
-    polar_res = fro(H - U @ absH)
-    # J |H| = |H| J as antilinear maps: B conj(|H|) = |H| B
-    commute_res = fro(J.matrix @ np.conj(absH) - absH @ J.matrix)
-    if polar_res > bound or commute_res > bound:
-        raise NumericalFailure(
-            f"polar residual {polar_res:.3e} / commutation residual {commute_res:.3e} "
-            f"exceed bound {bound:.3e}"
-        )
-    return RefinedPolar(absH=absH, U=U, J=J)
+    residuals = _certify(
+        "refined polar", tol.bound(max(1.0, fro(H))),
+        polar=fro(H - U @ absH),
+        # J |H| = |H| J as antilinear maps: B conj(|H|) = |H| B
+        commutation=fro(J.matrix @ np.conj(absH) - absH @ J.matrix),
+    )
+    return RefinedPolar(absH=absH, U=U, J=J, residuals=residuals)
 
 
 def phase_fix(J: AntilinearMap, psi, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -221,12 +240,13 @@ def refined_svd(H, C: AntiunitaryOp, tol: Tolerance = DEFAULT_TOL) -> RefinedSVD
     values, so a simple nonzero singular value can only occur where
     ``C^2`` acts as the identity.
     """
-    return _expansion(*_svd_data(H, C, tol), C, tol)
+    return _expansion(*_svd_data(H, C, tol), C, tol)[0]
 
 
-def _expansion(H, W, s, V, rank: int, C: AntiunitaryOp, tol: Tolerance) -> RefinedSVD:
+def _expansion(H, W, s, V, rank: int, C: AntiunitaryOp, tol: Tolerance) -> tuple[RefinedSVD, list]:
     """Refined SVD of a C-self-adjoint ``H = W diag(s) V*`` from its SVD
-    factors, keeping the leading ``rank`` singular values.
+    factors, keeping the leading ``rank`` singular values, and the index
+    groups of its singular-value clusters.
 
     The involution class of C is read only when some cluster is
     degenerate, and a degeneracy that C cannot fix raises before J is
@@ -262,14 +282,11 @@ def _expansion(H, W, s, V, rank: int, C: AntiunitaryOp, tol: Tolerance) -> Refin
     phis[:, simple] = phase_fix(J, phis[:, simple], gate)
     etas = C.unitary_part.T @ np.conj(phis)  # C^{-1} phi_j
     result = RefinedSVD(sigmas=sigmas, phis=phis, etas=etas)
-
-    bound = tol.bound(max(1.0, fro(H))) + 2.0 * spread * np.sqrt(max(1, rank))
-    eig_res = fro(absH @ phis - phis * sigmas)
-    fix_res = fro(J.matrix @ np.conj(phis) - phis)
-    recon_res = fro(H - result.reconstruct())
-    worst = max(eig_res, fix_res, recon_res)
-    if worst > bound:
-        raise NumericalFailure(
-            f"refined SVD residual {worst:.3e} exceeds bound {bound:.3e}"
-        )
-    return result
+    residuals = _certify(
+        "refined SVD",
+        tol.bound(max(1.0, fro(H))) + 2.0 * spread * np.sqrt(max(1, rank)),
+        eigen=fro(absH @ phis - phis * sigmas),
+        fixed=fro(J.matrix @ np.conj(phis) - phis),
+        reconstruction=fro(H - result.reconstruct()),
+    )
+    return replace(result, residuals=residuals), groups

@@ -32,10 +32,12 @@ def matrix_to_json(M) -> dict:
 
 def matrix_from_json(obj) -> np.ndarray:
     try:
-        rows, cols, data = int(obj["rows"]), int(obj["cols"]), obj["data"]
+        rows, cols, data = obj["rows"], obj["cols"], obj["data"]
         values = np.array([complex(re, im) for re, im in data], dtype=complex)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not a matrix object: {exc}") from exc
+    if not all(type(d) is int and d >= 0 for d in (rows, cols)):  # bool is not a dimension
+        raise ValueError(f"matrix dimensions must be non-negative integers, got {rows!r}, {cols!r}")
     if len(data) != rows * cols:
         raise ValueError(f"matrix data length {len(data)} != rows*cols = {rows * cols}")
     return values.reshape(rows, cols)

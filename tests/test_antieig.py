@@ -5,11 +5,14 @@ from csaop import (
     UnsupportedDegeneracy,
     ZInSpectrum,
     antilinear_eigensystem,
+    generate_csa,
     pseudospectrum,
     resolvent_norm,
 )
+from csaop import antieig, decomp
 from csaop.antiunitary import AntiunitaryOp
-from csaop.linalg import fro
+from csaop.decomp import SVD_CLUSTER_GAP
+from csaop.linalg import DEFAULT_TOL, fro
 from csaop import pauli
 from csaop.pauli import MINUS_I_SIGMA2
 
@@ -63,6 +66,66 @@ class TestAntilinearEigensystem:
         C = AntiunitaryOp(MINUS_I_SIGMA2)
         with pytest.raises(UnsupportedDegeneracy):
             antilinear_eigensystem(2.0 * np.eye(2), C, 5.0)
+
+
+class TestResiduals:
+    @pytest.mark.parametrize("H, z", [
+        (np.diag([1.0, 4.0]), 0.0),
+        (np.diag([1.0, 1.0 + 1e-9, 1.0 - 1e-9, 4.0, 4.0 + 1e-10]), 0.5j),  # clusters in R(z)
+        (generate_csa(conj_k(16), 4), 0.3 + 0.2j),
+    ])
+    def test_are_the_certified_expressions(self, H, z, monkeypatch):
+        bounds = {}
+
+        def spy(what, bound, **residuals):
+            bounds.update(dict.fromkeys(residuals, bound))
+            return decomp._certify(what, bound, **residuals)
+
+        monkeypatch.setattr(antieig, "_certify", spy)
+        H = np.asarray(H, dtype=complex)
+        n = H.shape[0]
+        C = conj_k(n)
+        system = antilinear_eigensystem(H, C, z)
+        lambdas, psis = system.lambdas, system.psis
+        M = H - z * np.eye(n)
+        assert system.residuals == {
+            "expansion": fro(M @ psis - (C.unitary_part @ np.conj(psis)) * lambdas),
+            "completeness": fro(psis @ psis.conj().T - np.eye(n)),
+        }
+        # the lambda slack, clustered here independently of the library
+        sigma = 1.0 / lambdas
+        close = np.abs(np.diff(sigma)) <= SVD_CLUSTER_GAP * sigma[0]
+        slack = float(np.max(np.abs(np.diff(lambdas))[close], initial=0.0))
+        bound = DEFAULT_TOL.bound(max(1.0, fro(H)) + lambdas[-1]) + 2.0 * slack * np.sqrt(n)
+        assert bounds == {"expansion": bound, "completeness": DEFAULT_TOL.bound(1.0)}
+        assert all(system.residuals[name] <= bounds[name] for name in bounds)
+
+
+class TestHugeNorms:
+    """At t = 1e160, ||H - zI||_F^2 overflows; results must scale with t."""
+
+    t = 1e160
+
+    def test_eigensystem(self):
+        G, K = generate_csa(conj_k(4), 3), conj_k(4)
+        system = antilinear_eigensystem(self.t * G, K, self.t * 0.5j)
+        reference = antilinear_eigensystem(G, K, 0.5j)
+        np.testing.assert_allclose(system.lambdas / self.t, reference.lambdas, rtol=1e-12)
+        assert system.residuals["completeness"] <= DEFAULT_TOL.bound(1.0)
+
+    def test_resolvent_norm(self):
+        G = generate_csa(conj_k(4), 3)
+        huge = resolvent_norm(self.t * G, self.t * 0.5j)
+        assert huge * self.t == pytest.approx(resolvent_norm(G, 0.5j), rel=1e-12)
+
+    def test_pseudospectrum(self):
+        G = generate_csa(conj_k(4), 3)
+        t = self.t
+        grid = pseudospectrum(t * G, 0.5 * t, (-2 * t, 2 * t, -2 * t, 2 * t), 4)
+        reference = pseudospectrum(G, 0.5, (-2, 2, -2, 2), 4)
+        assert np.all(np.isfinite(reference.resolvent_norms))
+        np.testing.assert_allclose(grid.resolvent_norms * t, reference.resolvent_norms, rtol=1e-12)
+        np.testing.assert_array_equal(grid.in_pseudospectrum, reference.in_pseudospectrum)
 
 
 class TestResolventNorm:
@@ -141,6 +204,9 @@ class TestPseudospectrum:
             pseudospectrum(np.eye(2), -1.0, (-1, 1, -1, 1), 10)
         with pytest.raises(ValueError):
             pseudospectrum(np.eye(2), 0.1, (-1, 1, -1, 1), 1)
+        for bounds in [(np.nan, 1, -1, 1), (-1, 1, -1, np.inf)]:
+            with pytest.raises(ValueError, match="bounds must be finite"):
+                pseudospectrum(np.eye(2), 0.1, bounds, 10)
 
     def test_points_property(self):
         grid = pseudospectrum(np.zeros((1, 1)), 0.5, (-1, 1, -1, 1), 3)

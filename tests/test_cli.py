@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from csaop import AntiunitaryOp, decomp, generate_csa
 from csaop.cli import main
 from csaop.modelspaces import example2_conjugation, example2_matrix
 from csaop.serialize import (
@@ -81,8 +83,14 @@ class TestCheck:
             {"rows": 1, "cols": 1, "data": [None]},
             {"rows": 1, "cols": 1, "data": [[[1], [2]]]},
             {"rows": -1, "cols": -1, "data": [0]},
+            {"rows": 1.9, "cols": 1, "data": [[1, 0]]},
+            {"rows": True, "cols": True, "data": [[1, 0]]},
+            {"rows": "1", "cols": 1, "data": [[1, 0]]},
         ],
-        ids=["rows-only", "strings", "scalar-data", "null-entry", "nested-lists", "negative-dims"],
+        ids=[
+            "rows-only", "strings", "scalar-data", "null-entry", "nested-lists", "negative-dims",
+            "float-dims", "bool-dims", "string-dims",
+        ],
     )
     def test_wrong_schema_is_parse_error(self, obj, tmp_path):
         dump_json(obj, tmp_path / "h.json")
@@ -134,6 +142,24 @@ class TestDecompositions:
         dump_json(matrix_to_json(np.array([[0.0, 1.0], [0.0, 0.0]])), tmp_path / "h.json")
         dump_json(antiunitary_to_json(conj_k(2)), tmp_path / "c.json")
         assert main(["polar", "--H", str(tmp_path / "h.json"), "--C", str(tmp_path / "c.json")]) == 1
+
+    def test_prints_the_certified_residuals(self, tmp_path, capsys, monkeypatch):
+        # the CLI reports what the library certified instead of recomputing it
+        C = random_antiunitary(6, seed=2)
+        C = AntiunitaryOp(C.unitary_part @ C.unitary_part.T)  # involutive
+        h_path, c_path = tmp_path / "h.json", tmp_path / "c.json"
+        dump_json(matrix_to_json(generate_csa(C, 1)), h_path)
+        dump_json(antiunitary_to_json(C), c_path)
+        marked = {"polar": 1.5e-3, "commutation": 2.5e-4, "reconstruction": 3.5e-5}
+        for name in ("refined_polar", "refined_svd"):
+            run = getattr(decomp, name)
+            monkeypatch.setattr(
+                decomp, name, lambda *a, run=run: dataclasses.replace(run(*a), residuals=marked)
+            )
+        assert main(["polar", "--H", str(h_path), "--C", str(c_path)]) == 0
+        assert "polar residual=1.500000e-03 commutation=2.500000e-04 rank=6" in capsys.readouterr().out
+        assert main(["refined-svd", "--H", str(h_path), "--C", str(c_path)]) == 0
+        assert "reconstruction=3.500000e-05" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag, value", [("--tol-abs", "nan"), ("--tol-rel", "inf")])
     def test_non_finite_tolerance_is_parse_error(self, fixture_pair, flag, value):
@@ -219,6 +245,16 @@ class TestPseudospec:
              "--grid", "-1,1,-1,1", "--res", "5"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("grid", ["nan,1,-1,1", "-1,1,-1,inf"])
+    def test_non_finite_grid_is_parse_error(self, grid, tmp_path, capsys):
+        dump_json(matrix_to_json(np.eye(2)), tmp_path / "h.json")
+        code = main(
+            ["pseudospec", "--H", str(tmp_path / "h.json"), "--epsilon", "0.1",
+             "--grid", grid, "--res", "5"]
+        )
+        assert code == 2
+        assert "bounds must be finite" in capsys.readouterr().err
 
 
 class TestPauliSpectrum:

@@ -16,6 +16,7 @@ from csaop import (
     generate_csa,
     haar_unitary,
     kernel_pairing,
+    refined_polar,
 )
 from csaop.linalg import fro, nullspace
 
@@ -39,6 +40,15 @@ class TestChecks:
         report = check_c_selfadjoint(np.array([[0.0, 1.0], [0.0, 0.0]]), conj_k(2))
         assert not report.is_csa
         assert report.residual == pytest.approx(np.sqrt(2))
+
+    def test_huge_nilpotent_with_conjugation(self):
+        # the same residual at 1e160, where ||H||_F^2 overflows
+        H = 1e160 * np.array([[0.0, 1.0], [0.0, 0.0]])
+        report = check_c_selfadjoint(H, conj_k(2))
+        assert not report.is_csa
+        assert report.residual == pytest.approx(1e160 * np.sqrt(2))
+        with pytest.raises(NotCsa):
+            refined_polar(H, conj_k(2))
 
     def test_real_matrix_is_k_real(self, rng):
         report = check_c_real(rng.standard_normal((4, 4)), conj_k(4))

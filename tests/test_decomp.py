@@ -9,6 +9,7 @@ from csaop import (
     NotInvariant,
     NotInvolutive,
     NotUnitary,
+    NumericalFailure,
     UnsupportedDegeneracy,
     check_fixable_2d,
     classify,
@@ -20,7 +21,7 @@ from csaop import (
 )
 from csaop import decomp
 from csaop.decomp import SVD_CLUSTER_GAP
-from csaop.linalg import cluster_indices, fro, haar_unitary, rank_cutoff
+from csaop.linalg import DEFAULT_TOL, cluster_indices, fro, haar_unitary, rank_cutoff
 from csaop.pauli import MINUS_I_SIGMA2
 
 from conftest import (
@@ -442,3 +443,61 @@ def test_reconstruct_adjoint_is_conjugate_transpose(case):
     H, C = _expandable_pairs()[case]
     out = refined_svd(H, C)
     assert fro(out.reconstruct_adjoint() - out.reconstruct().conj().T) <= 1e-14 * fro(H)
+
+
+class TestResiduals:
+    """Each result carries the residuals its decomposition certified."""
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_polar_residuals(self, case):
+        H, C, _ = corpus()[case]
+        H = np.asarray(H, dtype=complex)
+        polar = refined_polar(H, C)
+        absH, B = polar.absH, polar.J.matrix
+        assert polar.residuals == {
+            "polar": fro(H - polar.U @ absH),
+            "commutation": fro(B @ np.conj(absH) - absH @ B),
+        }
+        bound = DEFAULT_TOL.bound(max(1.0, fro(H)))
+        assert all(r <= bound for r in polar.residuals.values())
+
+    @pytest.mark.parametrize("case", range(8))
+    def test_svd_residuals(self, case):
+        H, C = _expandable_pairs()[case]
+        H = np.asarray(H, dtype=complex)
+        out = refined_svd(H, C)
+        polar = refined_polar(H, C)  # the same J and |H| as the expansion's
+        assert out.residuals == {
+            "eigen": fro(polar.absH @ out.phis - out.phis * out.sigmas),
+            "fixed": fro(polar.J.matrix @ np.conj(out.phis) - out.phis),
+            "reconstruction": fro(H - out.reconstruct()),
+        }
+        groups = cluster_indices(out.sigmas, SVD_CLUSTER_GAP * out.sigmas[0])
+        spread = max(out.sigmas[g[0]] - out.sigmas[g[-1]] for g in groups)
+        bound = DEFAULT_TOL.bound(max(1.0, fro(H))) + 2.0 * spread * np.sqrt(len(out.sigmas))
+        assert all(r <= bound for r in out.residuals.values())
+
+    def test_hand_built_result_has_none(self):
+        assert decomp.RefinedSVD(np.ones(1), np.ones((1, 1)), np.ones((1, 1))).residuals == {}
+
+    def test_certify_passes_at_the_bound(self):
+        assert decomp._certify("test", 1.0, a=1.0, b=0.0) == {"a": 1.0, "b": 0.0}
+
+    def test_certify_names_nan_and_excess(self):
+        with pytest.raises(NumericalFailure, match=r"bound 1\.000e\+00: a nan, c 2\.000e\+00$"):
+            decomp._certify("test", 1.0, a=float("nan"), b=0.5, c=2.0)
+
+
+def test_huge_norm_matches_unscaled():
+    # at this scale ||H||_F^2 overflows; the bounds must stay finite and
+    # still accept the correct factors
+    t = 1e160
+    C = random_antiunitary(8, seed=3)
+    C = AntiunitaryOp(C.unitary_part @ C.unitary_part.T)  # involutive
+    H = generate_csa(C, 5)
+    polar, ref_polar = refined_polar(t * H, C), refined_polar(H, C)
+    np.testing.assert_allclose(polar.absH / t, ref_polar.absH, rtol=0, atol=1e-12 * fro(H))
+    out, ref = refined_svd(t * H, C), refined_svd(H, C)
+    np.testing.assert_allclose(out.sigmas / t, ref.sigmas, rtol=1e-12)
+    bound = DEFAULT_TOL.bound(fro(t * H))
+    assert all(r <= bound for r in {**polar.residuals, **out.residuals}.values())

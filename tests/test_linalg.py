@@ -22,6 +22,21 @@ class TestTolerance:
             Tolerance(abs=abs_, rel=rel)
 
 
+class TestFro:
+    def test_plain_norm_when_it_fits(self, rng):
+        for M in (random_matrix(7, rng), 1e150 * random_matrix(3, rng), np.zeros((2, 0))):
+            assert fro(M) == float(np.linalg.norm(M))
+
+    @pytest.mark.parametrize("t", [1e160, 1e300])
+    def test_rescales_when_squares_overflow(self, t, rng):
+        M = random_matrix(6, rng)
+        assert fro(t * M) == pytest.approx(t * fro(M), rel=1e-15)
+
+    def test_unrepresentable_norm_is_inf(self):
+        assert fro(np.full((3, 3), 1e308 + 1e308j)) == np.inf
+        assert fro(np.array([[np.inf, 1.0]])) == np.inf
+
+
 class TestNullspace:
     def test_rank_one_projector(self):
         kernel = nullspace(np.diag([1.0, 0.0]))
