@@ -79,13 +79,16 @@ class PseudospectrumGrid:
 
 
 def _shifted(H: np.ndarray, z: complex) -> np.ndarray:
+    if not np.isfinite(z):
+        raise ValueError("z must be finite")
     return H - z * np.eye(H.shape[0])
 
 
 def resolvent_norm(H, z: complex) -> float:
     """Operator norm ``||(H - z I)^{-1}|| = 1 / sigma_min(H - z I)``.
 
-    Returns ``inf`` when ``z`` is numerically in the spectrum.
+    Returns ``inf`` when ``z`` is numerically in the spectrum; raises
+    ``ValueError`` for a non-finite ``z``.
     """
     M = _shifted(as_matrix(H, square=True), z)
     s = np.linalg.svd(M, compute_uv=False)
@@ -106,7 +109,8 @@ def antilinear_eigensystem(
     with all n singular values kept; the expansion is then transported
     back. ``R`` is not checked again: ``C R C^{-1} = (H* - conj(z) I)^{-1}
     = R*`` once ``H`` passes its own check. Raises :class:`ZInSpectrum`
-    when ``z`` is numerically in the spectrum, and propagates
+    when ``z`` is numerically in the spectrum, ``ValueError`` when ``z`` is
+    not finite, and propagates
     :class:`UnsupportedDegeneracy` from the refined SVD when the resolvent
     has degenerate singular values and ``C`` is not involutive.
     """

@@ -202,6 +202,8 @@ def _cmd_pseudospec(args) -> int:
 def _cmd_pauli_spectrum(args) -> int:
     if args.n < 1:
         raise ValueError("--n must be at least 1")
+    if not np.isfinite(args.kmax):
+        raise ValueError("--kmax must be finite")  # before linspace turns it into nan
     k_grid = np.linspace(-args.kmax, args.kmax, args.n)
     sample = pauli.spectrum_sample(args.alpha, k_grid)
     lam_min = sample.eigenvalues.real.min()
@@ -213,7 +215,7 @@ def _cmd_pauli_spectrum(args) -> int:
 
 def _cmd_model_space(args) -> int:
     if args.toeplitz:
-        if not (args.phi1 and args.phi2 and args.N):
+        if not (args.phi1 and args.phi2) or args.N is None:
             raise ValueError("--toeplitz needs --phi1, --phi2 and --N")
         phi1 = serialize.symbol_from_json(serialize.load_json(args.phi1))
         phi2 = serialize.symbol_from_json(serialize.load_json(args.phi2))

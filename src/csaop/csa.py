@@ -115,13 +115,9 @@ def eigen_pairing(
     """
     H = _require_csa(H, C, tol)
     values, vectors = np.linalg.eig(H)
-    Hs = H.conj().T
-    out = []
-    for lam, psi in zip(values, vectors.T):
-        mapped = C.apply(psi)
-        residual = float(np.linalg.norm(Hs @ mapped - np.conj(lam) * mapped))
-        out.append((complex(lam), psi, residual))
-    return out
+    mapped = C.unitary_part @ np.conj(vectors)
+    residuals = np.linalg.norm(H.conj().T @ mapped - np.conj(values) * mapped, axis=0)
+    return [(complex(lam), psi, float(r)) for lam, psi, r in zip(values, vectors.T, residuals)]
 
 
 def eigenvalue_multiplicities(H, gap: float | None = None) -> list[int]:
@@ -158,7 +154,6 @@ def kernel_pairing(
     ker = nullspace(shifted, tol)
     ker_adj = nullspace(shifted_adj, tol)
     bound = tol.bound(fro(H))
-    mapped_ok = all(
-        np.linalg.norm(shifted_adj @ C.apply(f)) <= bound for f in ker.T
-    )
+    mapped = shifted_adj @ (C.unitary_part @ np.conj(ker))
+    mapped_ok = bool(np.all(np.linalg.norm(mapped, axis=0) <= bound))
     return ker.shape[1], ker_adj.shape[1], mapped_ok

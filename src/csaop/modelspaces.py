@@ -144,15 +144,16 @@ def build_T(phi1: Symbol, phi2: Symbol, N: int) -> np.ndarray:
     ``phi2`` to the odd part, then projects back to the analytic side;
     acting on the monomial basis this selects the symbol by column parity:
     ``T[m, n] = phi1[m - n]`` for even ``n``, ``phi2[m - n]`` for odd ``n``.
+    Both symbols are tabulated once over the offsets ``1 - N ... N - 1``,
+    and ``T`` is read from that ``(2, 2N - 1)`` table by column parity and
+    offset.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
-    T = np.zeros((N, N), dtype=complex)
-    for n in range(N):
-        phi = phi1 if n % 2 == 0 else phi2
-        for m in range(N):
-            T[m, n] = phi.get(m - n, 0.0)
-    return T
+    offsets = range(1 - N, N)
+    table = np.array([[phi.get(d, 0.0) for d in offsets] for phi in (phi1, phi2)], dtype=complex)
+    m, n = np.indices((N, N))
+    return table[n % 2, m - n + N - 1]
 
 
 def check_condition_and(phi1: Symbol, phi2: Symbol, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -217,36 +218,24 @@ def block_antiunitary_check(
 ) -> tuple[bool, bool]:
     """Blockwise antiunitarity and anti-involutivity residuals.
 
-    Checks the six block identities equivalent to ``C C* = I = C* C`` and,
-    for the second flag, the six identities equivalent to ``C* = -C``
-    together with ``C^2 = -I``. Returns ``(antiunitary, anti_involutive)``.
+    With ``M`` the assembled matrix, the six block identities equivalent to
+    ``C C* = I = C* C`` are the 2x2 blocks of ``M M^dag - I`` and
+    ``M^T conj(M) - I``; for the second flag, the six identities equivalent
+    to ``C* = -C`` together with ``C^2 = -I`` are the blocks of ``M + M^T``
+    and ``M conj(M) + I``. Each flag compares the largest block Frobenius
+    norm with the bound. Returns ``(antiunitary, anti_involutive)``.
     """
-    b1, b2 = B.d11.matrix, B.d12.matrix
-    b3, b4 = B.d21.matrix, B.d22.matrix
-    eye = np.eye(B.d11.dim)
+    M = B.assembled().matrix
+    n = B.d11.dim
+    eye = np.eye(2 * n)
 
-    # composition rules for D = B o K: D_i D_j* -> B_i B_j^dag,
-    # D_i* D_j -> B_i^T conj(B_j), D_i D_j -> B_i conj(B_j)
-    unitary_residuals = [
-        fro(b1 @ b1.conj().T + b2 @ b2.conj().T - eye),
-        fro(b3 @ b3.conj().T + b4 @ b4.conj().T - eye),
-        fro(b1 @ b3.conj().T + b2 @ b4.conj().T),
-        fro(b1.T @ np.conj(b1) + b3.T @ np.conj(b3) - eye),
-        fro(b2.T @ np.conj(b2) + b4.T @ np.conj(b4) - eye),
-        fro(b1.T @ np.conj(b2) + b3.T @ np.conj(b4)),
-    ]
-    anti_residuals = [
-        fro(b1 + b1.T),
-        fro(b4 + b4.T),
-        fro(b3 + b2.T),
-        fro(b2 @ b2.conj().T - b1 @ np.conj(b1) - eye),
-        fro(b2.T @ np.conj(b2) - b4 @ np.conj(b4) - eye),
-        fro(b1 @ np.conj(b2) + b2 @ np.conj(b4)),
-    ]
+    def worst(*products):
+        return np.linalg.norm(np.stack(products).reshape(-1, 2, n, 2, n), axis=(2, 4)).max()
+
     bound = tol.bound(1.0)
     return (
-        bool(max(unitary_residuals) <= bound),
-        bool(max(anti_residuals) <= bound),
+        bool(worst(M @ M.conj().T - eye, M.T @ np.conj(M) - eye) <= bound),
+        bool(worst(M + M.T, M @ np.conj(M) + eye) <= bound),
     )
 
 

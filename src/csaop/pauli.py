@@ -67,6 +67,8 @@ def spectrum_sample(alpha: float, k_grid) -> SpectrumSample:
     come from the characteristic polynomial ``(k^2 - l)^2 = alpha k^2``.
     """
     k_grid = np.asarray(k_grid, dtype=float)
+    if not (np.isfinite(alpha) and np.isfinite(k_grid).all()):
+        raise ValueError("alpha and k_grid must be finite")
     w = np.sqrt(complex(alpha)) * np.abs(k_grid)
     plus = k_grid**2 + w
     minus = k_grid**2 - w
@@ -117,22 +119,23 @@ def distance_to_closed_form(alpha: float, lam: complex) -> float:
 def reflection_permutation(k_grid) -> np.ndarray:
     """Permutation matrix pairing each grid momentum with its negative.
 
-    Raises :class:`AsymmetricGrid` unless the map ``k -> -k`` is a
-    bijection of the grid (zero may pair with itself).
+    The matrix is the boolean match ``|k_i + k_j| <= 1e-12 max(1, |k_j|)``
+    itself. Raises :class:`AsymmetricGrid` unless every column has exactly
+    one match (zero may pair with itself) and the matrix is symmetric; with
+    one entry per column, symmetric is the same as squaring to the identity.
     """
     k_grid = np.asarray(k_grid, dtype=float)
-    n = len(k_grid)
-    R = np.zeros((n, n))
-    for j, k in enumerate(k_grid):
-        matches = np.flatnonzero(np.abs(k_grid + k) <= 1e-12 * max(1.0, abs(k)))
-        if len(matches) != 1:
-            raise AsymmetricGrid(
-                f"momentum {k} has {len(matches)} partners under k -> -k; need exactly 1"
-            )
-        R[matches[0], j] = 1.0
-    if not np.allclose(R @ R, np.eye(n)):
+    match = np.abs(k_grid[:, None] + k_grid) <= 1e-12 * np.maximum(1.0, np.abs(k_grid))
+    partners = match.sum(axis=0)
+    unpaired = np.flatnonzero(partners != 1)
+    if len(unpaired):
+        j = unpaired[0]
+        raise AsymmetricGrid(
+            f"momentum {k_grid[j]} has {partners[j]} partners under k -> -k; need exactly 1"
+        )
+    if not np.array_equal(match, match.T):
         raise AsymmetricGrid("reflection pairing is not an involution")
-    return R
+    return match.astype(float)
 
 
 def lift_conjugation(matrix_part, k_grid) -> AntiunitaryOp:
@@ -157,8 +160,10 @@ def discretize(alpha: float, k_grid) -> tuple[np.ndarray, AntiunitaryOp, np.ndar
     k_grid = np.asarray(k_grid, dtype=float)
     n = len(k_grid)
     H = np.zeros((2 * n, 2 * n), dtype=complex)
-    for j, k in enumerate(k_grid):
-        H[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = symbol(alpha, k)
+    even = 2 * np.arange(n)
+    H[even, even] = H[even + 1, even + 1] = k_grid * k_grid
+    H[even, even + 1] = k_grid
+    H[even + 1, even] = alpha * k_grid
     C2 = lift_conjugation(MINUS_I_SIGMA2, k_grid)
     P = np.kron(np.eye(n), SIGMA1)
     return H, C2, P

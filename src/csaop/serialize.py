@@ -26,7 +26,7 @@ def matrix_to_json(M) -> dict:
     return {
         "rows": int(M.shape[0]),
         "cols": int(M.shape[1]),
-        "data": [[float(x.real), float(x.imag)] for x in flat],
+        "data": np.column_stack((flat.real, flat.imag)).tolist(),
     }
 
 
@@ -34,7 +34,7 @@ def matrix_from_json(obj) -> np.ndarray:
     try:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
         values = np.array([complex(re, im) for re, im in data], dtype=complex)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"not a matrix object: {exc}") from exc
     if not all(type(d) is int and d >= 0 for d in (rows, cols)):  # bool is not a dimension
         raise ValueError(f"matrix dimensions must be non-negative integers, got {rows!r}, {cols!r}")
@@ -93,21 +93,20 @@ def eigensystem_to_json(system: AntilinearEigenSystem) -> dict:
     }
 
 
+def _csv(header: str, *columns) -> str:
+    rows = zip(*(column.tolist() for column in columns))
+    return "\n".join([header, *(",".join(map(repr, row)) for row in rows)]) + "\n"
+
+
 def pseudospectrum_csv(grid: PseudospectrumGrid) -> str:
-    lines = ["re,im,resolvent_norm,in_pseudospectrum"]
-    for z, r, m in zip(grid.zs, grid.resolvent_norms, grid.in_pseudospectrum):
-        lines.append(f"{float(z.real)!r},{float(z.imag)!r},{float(r)!r},{int(m)}")
-    return "\n".join(lines) + "\n"
+    columns = grid.zs.real, grid.zs.imag, grid.resolvent_norms, grid.in_pseudospectrum.astype(int)
+    return _csv("re,im,resolvent_norm,in_pseudospectrum", *columns)
 
 
 def pauli_spectrum_csv(sample: SpectrumSample) -> str:
-    lines = ["k,re_plus,im_plus,re_minus,im_minus"]
-    for k, (plus, minus) in zip(sample.k_grid, sample.eigenvalues):
-        lines.append(
-            f"{float(k)!r},{float(plus.real)!r},{float(plus.imag)!r},"
-            f"{float(minus.real)!r},{float(minus.imag)!r}"
-        )
-    return "\n".join(lines) + "\n"
+    plus, minus = sample.eigenvalues.T
+    columns = sample.k_grid, plus.real, plus.imag, minus.real, minus.imag
+    return _csv("k,re_plus,im_plus,re_minus,im_minus", *columns)
 
 
 def load_json(path) -> object:

@@ -62,6 +62,11 @@ class TestAntilinearEigensystem:
         with pytest.raises(ZInSpectrum):
             antilinear_eigensystem(H, conj_k(2), 1.0)
 
+    @pytest.mark.parametrize("z", [complex(np.nan, 0), complex(np.inf, 0), complex(0, -np.inf)])
+    def test_non_finite_shift_rejected(self, z):
+        with pytest.raises(ValueError, match="z must be finite"):
+            antilinear_eigensystem(np.diag([1.0, 4.0]), conj_k(2), z)
+
     def test_degeneracy_propagates(self):
         C = AntiunitaryOp(MINUS_I_SIGMA2)
         with pytest.raises(UnsupportedDegeneracy):
@@ -144,6 +149,11 @@ class TestResolventNorm:
 
     def test_infinity_on_spectrum(self):
         assert resolvent_norm(np.diag([1.0, 2.0]), 2.0) == np.inf
+
+    @pytest.mark.parametrize("z", [np.nan, np.inf, complex(0, np.nan)])
+    def test_non_finite_shift_rejected(self, z):
+        with pytest.raises(ValueError, match="z must be finite"):
+            resolvent_norm(np.diag([1.0, 2.0]), z)
 
 
 class TestPseudospectrum:

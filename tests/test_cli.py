@@ -86,10 +86,11 @@ class TestCheck:
             {"rows": 1.9, "cols": 1, "data": [[1, 0]]},
             {"rows": True, "cols": True, "data": [[1, 0]]},
             {"rows": "1", "cols": 1, "data": [[1, 0]]},
+            {"rows": 1, "cols": 1, "data": [[10**400, 0]]},
         ],
         ids=[
             "rows-only", "strings", "scalar-data", "null-entry", "nested-lists", "negative-dims",
-            "float-dims", "bool-dims", "string-dims",
+            "float-dims", "bool-dims", "string-dims", "huge-int",
         ],
     )
     def test_wrong_schema_is_parse_error(self, obj, tmp_path):
@@ -194,6 +195,16 @@ class TestAntiEig:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("z", ["nan,0", "inf,0", "0,-inf"])
+    def test_non_finite_shift_is_parse_error(self, z, tmp_path, capsys):
+        dump_json(matrix_to_json(np.diag([1.0, 4.0])), tmp_path / "h.json")
+        dump_json(antiunitary_to_json(conj_k(2)), tmp_path / "c.json")
+        code = main(
+            ["anti-eig", "--H", str(tmp_path / "h.json"), "--C", str(tmp_path / "c.json"), "--z", z]
+        )
+        assert code == 2
+        assert "z must be finite" in capsys.readouterr().err
+
 
 class TestPseudospec:
     def test_csv_row_count(self, tmp_path, capsys):
@@ -274,6 +285,15 @@ class TestPauliSpectrum:
         out = capsys.readouterr().out
         assert float(out.split("min_re=")[1]) == pytest.approx(-1.0, abs=1e-4)
 
+    @pytest.mark.parametrize(
+        "alpha, kmax", [("nan", "3"), ("inf", "3"), ("1", "inf"), ("1", "nan")]
+    )
+    def test_non_finite_input_is_parse_error(self, alpha, kmax, capsys):
+        assert main(["pauli-spectrum", "--alpha", alpha, "--kmax", kmax, "--n", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be finite" in captured.err
+
 
 class TestModelSpace:
     def test_example_fixture(self, tmp_path, capsys):
@@ -303,6 +323,15 @@ class TestModelSpace:
 
     def test_toeplitz_needs_symbols(self):
         assert main(["model-space", "--toeplitz"]) == 2
+
+    def test_toeplitz_zero_dimension_is_reported(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        dump_json(symbol_to_json({0: 1.0}), path)
+        code = main(
+            ["model-space", "--toeplitz", "--phi1", str(path), "--phi2", str(path), "--N", "0"]
+        )
+        assert code == 2
+        assert "N must be at least 1" in capsys.readouterr().err
 
     def test_malformed_symbol_is_parse_error(self, tmp_path):
         dump_json({"fourier": {"1": 5}}, tmp_path / "p.json")

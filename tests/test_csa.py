@@ -241,6 +241,21 @@ class TestEigenPairing:
         assert np.max(np.abs(eigs - adj)) <= 1e-6 * max(1.0, fro(H))
 
 
+    @pytest.mark.parametrize("n", [1, 4, 16])
+    def test_matches_per_vector_reference(self, n):
+        C = random_antiunitary(n, seed=n)
+        H = generate_csa(C, n)
+        values, vectors = np.linalg.eig(H)
+        pairs = eigen_pairing(H, C)
+        assert len(pairs) == n
+        for (lam, psi, residual), ref_lam, ref_psi in zip(pairs, values, vectors.T):
+            assert lam == ref_lam
+            np.testing.assert_array_equal(psi, ref_psi)
+            mapped = C.apply(ref_psi)
+            ref = np.linalg.norm(H.conj().T @ mapped - np.conj(ref_lam) * mapped)
+            assert abs(residual - ref) <= 1e-14 * fro(H)
+
+
 class TestKernelPairing:
     def test_rank_deficient_diagonal(self):
         assert kernel_pairing(np.diag([0.0, 1.0]), conj_k(2), 0.0) == (1, 1, True)

@@ -8,9 +8,10 @@ from csaop import (
     check_c_selfadjoint,
     classify,
     conjugation_k,
+    haar_unitary,
 )
 from csaop.antiunitary import AntiunitaryOp
-from csaop.linalg import fro
+from csaop.linalg import DEFAULT_TOL, fro
 from csaop.modelspaces import (
     BlockAntilinear,
     block_antiunitary_check,
@@ -192,7 +193,51 @@ class TestThetaCondition:
             assert theta_condition_check(theta) == sampled
 
 
+def build_T_by_entry(phi1, phi2, N):
+    """Reference for build_T: one dictionary lookup per matrix entry."""
+    T = np.zeros((N, N), dtype=complex)
+    for n in range(N):
+        phi = phi1 if n % 2 == 0 else phi2
+        for m in range(N):
+            T[m, n] = phi.get(m - n, 0.0)
+    return T
+
+
+def block_check_by_identity(B, tol=DEFAULT_TOL):
+    """Reference for block_antiunitary_check: the twelve block identities
+    written out, with D = B o K composing as D_i D_j* -> B_i B_j^dag,
+    D_i* D_j -> B_i^T conj(B_j), D_i D_j -> B_i conj(B_j)."""
+    b1, b2 = B.d11.matrix, B.d12.matrix
+    b3, b4 = B.d21.matrix, B.d22.matrix
+    eye = np.eye(B.d11.dim)
+    unitary_residuals = [
+        fro(b1 @ b1.conj().T + b2 @ b2.conj().T - eye),
+        fro(b3 @ b3.conj().T + b4 @ b4.conj().T - eye),
+        fro(b1 @ b3.conj().T + b2 @ b4.conj().T),
+        fro(b1.T @ np.conj(b1) + b3.T @ np.conj(b3) - eye),
+        fro(b2.T @ np.conj(b2) + b4.T @ np.conj(b4) - eye),
+        fro(b1.T @ np.conj(b2) + b3.T @ np.conj(b4)),
+    ]
+    anti_residuals = [
+        fro(b1 + b1.T),
+        fro(b4 + b4.T),
+        fro(b3 + b2.T),
+        fro(b2 @ b2.conj().T - b1 @ np.conj(b1) - eye),
+        fro(b2.T @ np.conj(b2) - b4 @ np.conj(b4) - eye),
+        fro(b1 @ np.conj(b2) + b2 @ np.conj(b4)),
+    ]
+    bound = tol.bound(1.0)
+    return max(unitary_residuals) <= bound, max(anti_residuals) <= bound
+
+
 class TestBuildT:
+    @pytest.mark.parametrize("N", [1, 5, 8])
+    @pytest.mark.parametrize("density", [1.0, 0.3, 0.0])
+    def test_matches_entrywise_reference(self, N, density, rng):
+        phi1 = random_symbol(rng, range(-9, 10), density)
+        phi2 = random_symbol(rng, range(-2, 3), density)
+        np.testing.assert_array_equal(build_T(phi1, phi2, N), build_T_by_entry(phi1, phi2, N))
+
     def test_equal_symbols_give_toeplitz(self, rng):
         phi = random_symbol(rng, range(-3, 4))
         T = build_T(phi, phi, 6)
@@ -337,6 +382,30 @@ class TestBlockAntilinear:
         eye = np.eye(2)
         B = BlockAntilinear.from_matrices(eye, 0 * eye, 0 * eye, eye)
         assert block_antiunitary_check(B) == (True, False)
+
+    def test_bound_applies_to_whole_blocks(self):
+        # each 3x3 block of M M* - I has norm sqrt(3 / 2.5) = 1.10 times the
+        # bound; one entry taken across all four blocks, sqrt(2 / 2.5) = 0.89
+        eye = np.eye(3)
+        s = np.sqrt(1 + DEFAULT_TOL.bound(1.0) / np.sqrt(2.5))
+        B = BlockAntilinear.from_matrices(0 * eye, s * eye, -s * eye, 0 * eye)
+        assert block_antiunitary_check(B) == block_check_by_identity(B) == (False, False)
+
+    @pytest.mark.parametrize("kind", ["unitary", "anti-involutive", "involutive", "gaussian"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_twelve_identities(self, kind, n, rng):
+        U = haar_unitary(2 * n, rng)
+        G = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))
+        M = {
+            "unitary": U,
+            "anti-involutive": U @ np.kron(np.eye(n), MINUS_I_SIGMA2) @ U.T,
+            "involutive": U @ U.T,
+            "gaussian": G,
+        }[kind]
+        for scale in (1.0, 1.0 + 1e-9):
+            blocks = (scale * M[:n, :n], scale * M[:n, n:], scale * M[n:, :n], scale * M[n:, n:])
+            B = BlockAntilinear.from_matrices(*blocks)
+            assert block_antiunitary_check(B) == block_check_by_identity(B)
 
 
 class TestProp11:

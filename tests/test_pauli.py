@@ -5,6 +5,7 @@ from csaop import AsymmetricGrid, check_c_real, check_c_selfadjoint
 from csaop.antiunitary import AntiunitaryOp
 from csaop.linalg import fro
 from csaop.pauli import (
+    MINUS_I_SIGMA2,
     SIGMA1,
     SIGMA3,
     constant_conjugation_residual,
@@ -12,6 +13,7 @@ from csaop.pauli import (
     discretize,
     distance_to_closed_form,
     lift_conjugation,
+    reflection_permutation,
     spectrum_sample,
     symbol,
 )
@@ -67,6 +69,15 @@ class TestSpectrumSample:
                 assert diff <= scale
 
 
+    @pytest.mark.parametrize(
+        "alpha, k_grid",
+        [(np.nan, [0.0, 1.0]), (np.inf, [0.0, 1.0]), (1.0, [0.0, np.nan]), (1.0, [-np.inf, 0.0])],
+    )
+    def test_rejects_non_finite_input(self, alpha, k_grid):
+        with pytest.raises(ValueError, match="must be finite"):
+            spectrum_sample(alpha, k_grid)
+
+
 class TestDistanceToClosedForm:
     def test_left_endpoint(self):
         assert distance_to_closed_form(4.0, -1.0) <= 1e-12
@@ -93,7 +104,52 @@ class TestDistanceToClosedForm:
         assert distance_to_closed_form(4.0, 3.0 + 2.0j) == pytest.approx(2.0, abs=1e-10)
 
 
+def discretize_by_momentum(alpha, k_grid):
+    """Reference for discretize and reflection_permutation: one symbol
+    block and one partner search per momentum."""
+    k_grid = np.asarray(k_grid, dtype=float)
+    n = len(k_grid)
+    H = np.zeros((2 * n, 2 * n), dtype=complex)
+    R = np.zeros((n, n))
+    for j, k in enumerate(k_grid):
+        H[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = symbol(alpha, k)
+        matches = np.flatnonzero(np.abs(k_grid + k) <= 1e-12 * max(1.0, abs(k)))
+        if len(matches) != 1:
+            raise AsymmetricGrid(
+                f"momentum {k} has {len(matches)} partners under k -> -k; need exactly 1"
+            )
+        R[matches[0], j] = 1.0
+    if not np.allclose(R @ R, np.eye(n)):
+        raise AsymmetricGrid("reflection pairing is not an involution")
+    return H, R
+
+
 class TestDiscretize:
+    @pytest.mark.parametrize("alpha", [-1.5, 0.5, 2.0])
+    @pytest.mark.parametrize(
+        "k_grid",
+        [[0.0], [-1.0, 1.0], [1.0, 0.0, -1.0], np.linspace(-3, 3, 80), np.linspace(-3, 3, 601)],
+        ids=["zero", "pair", "unsorted", "80", "601"],
+    )
+    def test_matches_per_momentum_reference(self, alpha, k_grid):
+        H, C2, P = discretize(alpha, k_grid)
+        H_ref, R_ref = discretize_by_momentum(alpha, k_grid)
+        np.testing.assert_array_equal(H, H_ref)
+        np.testing.assert_array_equal(reflection_permutation(k_grid), R_ref)
+        np.testing.assert_array_equal(C2.unitary_part, np.kron(R_ref, MINUS_I_SIGMA2))
+        np.testing.assert_array_equal(P, np.kron(np.eye(len(k_grid)), SIGMA1))
+
+    @pytest.mark.parametrize(
+        "k_grid", [[-1.0, 0.5], [1.0, 1.0, -1.0], [0.0, 2.0, 0.0, -2.0]],
+        ids=["no-partner", "two-partners", "double-zero"],
+    )
+    def test_asymmetric_grid_message_matches_reference(self, k_grid):
+        with pytest.raises(AsymmetricGrid) as expected:
+            discretize_by_momentum(1.0, k_grid)
+        with pytest.raises(AsymmetricGrid) as got:
+            reflection_permutation(k_grid)
+        assert str(got.value) == str(expected.value)
+
     def test_c2_selfadjoint_small_grid(self):
         H, C2, _ = discretize(2.0, [-1.0, 1.0])
         assert H.shape == (4, 4)

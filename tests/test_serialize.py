@@ -69,3 +69,49 @@ def test_pauli_csv_layout():
     assert lines[0] == "k,re_plus,im_plus,re_minus,im_minus"
     assert lines[1] == "0.0,0.0,0.0,0.0,0.0"
     assert lines[2] == "1.0,1.0,1.0,1.0,-1.0"
+
+
+def pseudospectrum_csv_by_row(grid):
+    """Reference for pseudospectrum_csv: one formatted line per grid point."""
+    lines = ["re,im,resolvent_norm,in_pseudospectrum"]
+    for z, r, m in zip(grid.zs, grid.resolvent_norms, grid.in_pseudospectrum):
+        lines.append(f"{float(z.real)!r},{float(z.imag)!r},{float(r)!r},{int(m)}")
+    return "\n".join(lines) + "\n"
+
+
+def pauli_spectrum_csv_by_row(sample):
+    """Reference for pauli_spectrum_csv: one formatted line per momentum."""
+    lines = ["k,re_plus,im_plus,re_minus,im_minus"]
+    for k, (plus, minus) in zip(sample.k_grid, sample.eigenvalues):
+        lines.append(
+            f"{float(k)!r},{float(plus.real)!r},{float(plus.imag)!r},"
+            f"{float(minus.real)!r},{float(minus.imag)!r}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "H", [np.zeros((1, 1)), np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([1.0, 1j])]
+)
+def test_pseudospectrum_csv_matches_row_reference(H):
+    grid = pseudospectrum(H, 0.3, (-2, 2, -1.5, 1.5), 9)
+    assert pseudospectrum_csv(grid) == pseudospectrum_csv_by_row(grid)
+
+
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, 0.5])
+@pytest.mark.parametrize(
+    "k_grid", [[], [0.0], np.linspace(-3, 3, 601)], ids=["empty", "zero", "601"]
+)
+def test_pauli_csv_matches_row_reference(alpha, k_grid):
+    sample = spectrum_sample(alpha, k_grid)
+    assert pauli_spectrum_csv(sample) == pauli_spectrum_csv_by_row(sample)
+
+
+def test_matrix_json_data_matches_entrywise_floats(rng):
+    M = random_matrix(5, rng)
+    M[0, 0] = complex(-0.0, 1e-300)
+    expected = [[float(x.real), float(x.imag)] for x in M.ravel()]
+    data = matrix_to_json(M)["data"]
+    assert data == expected
+    assert all(type(v) is float for row in data for v in row)
+    assert str(data) == str(expected)  # keeps the sign of -0.0
