@@ -1,21 +1,21 @@
-"""Antilinear eigenvalue problems via the resolvent, and pseudospectra.
+"""Antilinear eigenvalue problems and pseudospectra.
 
-For a C-self-adjoint ``H`` and a shift ``z`` in the resolvent set, the
-resolvent ``R(z) = (H - z I)^{-1}`` is again C-self-adjoint, and its
-refined singular-value expansion turns into a complete orthonormal family
-of solutions of the antilinear eigenvalue problem
+For a C-self-adjoint ``H`` and a shift ``z`` in the resolvent set,
+``M = H - z I`` is again C-self-adjoint, and one SVD of M gives a complete
+orthonormal family of solutions of the antilinear eigenvalue problem
 
     (H - z I) psi_j = lambda_j C psi_j,      lambda_j > 0 ascending,
 
-with ``lambda_j = 1 / sigma_j(R(z))`` and ``psi_j = C^{-1} phi_j``. In
-particular ``||R(z)|| = 1 / lambda_1``, which drives the pseudospectrum
+with ``lambda_j`` the singular values of M. The ``psi_j`` are ``C^{-1}``
+of the J-fixed vectors of the resolvent ``R(z) = M^{-1}``, found without
+forming ``R(z)``; ``||R(z)|| = 1 / lambda_1`` drives the pseudospectrum
 scan: ``z`` belongs to the epsilon-pseudospectrum iff ``z`` is in the
 spectrum or ``||R(z)|| > 1 / epsilon`` (strict, per the definition).
 
 The eigensystem keeps the residuals it was certified with: the expansion
 and the completeness of the ``psi_j``. Vectors inside one singular-value
-cluster of ``R(z)`` may mix; the clusters are the ones the refined SVD
-kernel formed, and their lambda steps widen the expansion bound.
+cluster of M may mix, and the cluster's lambda steps widen the expansion
+bound.
 
 The scan splits ``H`` along its exact structural zeros into a direct sum
 of diagonal blocks (the spin toy model is one 2x2 momentum symbol per
@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .antiunitary import AntiunitaryOp
+from .antiunitary import AntilinearMap, AntiunitaryOp
 from .csa import _require_csa
-from .decomp import _certify, _expansion
+from .decomp import SVD_CLUSTER_GAP, _certify, _clusters, _fixed_basis
 from .errors import ZInSpectrum
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, connected_components, fro
 
@@ -103,16 +103,16 @@ def antilinear_eigensystem(
 ) -> AntilinearEigenSystem:
     """Solve ``(H - z I) psi = lambda C psi`` for a C-self-adjoint ``H``.
 
-    One SVD ``H - z I = W diag(s) V*`` serves twice: it inverts the
-    resolvent ``R = V diag(1/s) W*`` (robust near the spectrum), and read in
-    reverse it is the SVD of ``R``, which the refined SVD kernel expands
-    with all n singular values kept; the expansion is then transported
-    back. ``R`` is not checked again: ``C R C^{-1} = (H* - conj(z) I)^{-1}
-    = R*`` once ``H`` passes its own check. Raises :class:`ZInSpectrum`
-    when ``z`` is numerically in the spectrum, ``ValueError`` when ``z`` is
-    not finite, and propagates
-    :class:`UnsupportedDegeneracy` from the refined SVD when the resolvent
-    has degenerate singular values and ``C`` is not involutive.
+    From one SVD ``M = H - z I = W diag(s) V*``: ``lambda_j = s_j`` ascending
+    and ``psi_j`` the fixed vectors of the antiunitary involution ``U* o C``
+    (matrix ``V W* A``, ``U = W V*``) in M's singular subspaces, so
+    ``M psi = U |M| psi = lambda U psi = lambda C psi``. Raises
+    :class:`ZInSpectrum` when ``z`` is numerically in the spectrum,
+    ``ValueError`` when ``z`` is not finite, and
+    :class:`UnsupportedDegeneracy` when a cluster of M's singular values
+    (gap ``SVD_CLUSTER_GAP * s[0]``, as in :func:`refined_svd`) is
+    degenerate and ``C`` is not involutive: for a C that is neither, two
+    lambdas within ``1e-6 ||M||_2`` of each other suffice.
     """
     H = _require_csa(H, C, tol)
     z = complex(z)
@@ -120,22 +120,18 @@ def antilinear_eigensystem(
     W, s, Vh = np.linalg.svd(M)
     if s[-1] <= SPECTRUM_CUTOFF * fro(M):
         raise ZInSpectrum(f"sigma_min(H - zI) = {s[-1]:.3e}; shift z = {z} is in the spectrum")
+    groups = _clusters(s, SVD_CLUSTER_GAP * s[0], C)
+    A = C.unitary_part
     V = Vh.conj().T
-    resolvent = (V / s) @ W.conj().T
+    psis = _fixed_basis(AntilinearMap(V @ (W.conj().T @ A)), V, groups, tol)[:, ::-1]
+    lambdas = s[::-1]
 
     n = H.shape[0]
-    expansion, groups = _expansion(resolvent, V[:, ::-1], 1.0 / s[::-1], W[:, ::-1], n, C, tol)
-    # sigma(R) descending makes lambda = 1/sigma ascending, pairs preserved
-    lambdas = 1.0 / expansion.sigmas
-    psis = expansion.etas
-
-    # vectors inside a singular-value cluster of R may mix, which shifts
-    # the matching lambda by at most the cluster's lambda spread
-    slack = max((np.diff(lambdas[g]).max() for g in groups if len(g) > 1), default=0.0)
+    slack = max((float(np.abs(np.diff(s[g])).max()) for g in groups if len(g) > 1), default=0.0)
     residuals = _certify(
         "antilinear expansion",
         tol.bound(max(1.0, fro(H)) + float(lambdas[-1])) + 2.0 * slack * np.sqrt(n),
-        expansion=fro(M @ psis - (C.unitary_part @ np.conj(psis)) * lambdas),
+        expansion=fro(M @ psis - (A @ np.conj(psis)) * lambdas),
     )
     residuals |= _certify("basis", tol.bound(1.0), completeness=fro(psis @ psis.conj().T - np.eye(n)))
     return AntilinearEigenSystem(z=z, lambdas=lambdas, psis=psis, residuals=residuals)

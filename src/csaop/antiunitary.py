@@ -101,8 +101,6 @@ class AntiunitaryOp(AntilinearMap):
         """Adjoint ``C*``, which for an antiunitary coincides with ``C^{-1}``."""
         return AntiunitaryOp(self._matrix.T)
 
-    inverse = adjoint
-
     def apply_inverse(self, psi) -> np.ndarray:
         """``C^{-1} psi = A.T @ conj(psi)`` without building a new operator."""
         psi = as_vector(psi)

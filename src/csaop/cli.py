@@ -204,7 +204,9 @@ def _cmd_pauli_spectrum(args) -> int:
         raise ValueError("--n must be at least 1")
     if not np.isfinite(args.kmax):
         raise ValueError("--kmax must be finite")  # before linspace turns it into nan
-    k_grid = np.linspace(-args.kmax, args.kmax, args.n)
+    # near |kmax| = 1e308 the grid overflows quietly; spectrum_sample rejects it
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_grid = np.linspace(-args.kmax, args.kmax, args.n)
     sample = pauli.spectrum_sample(args.alpha, k_grid)
     lam_min = sample.eigenvalues.real.min()
     print(f"pauli-spectrum alpha={args.alpha} points={args.n} min_re={lam_min:.6e}")

@@ -18,15 +18,15 @@ all (``J phi = phi`` with ``J^2 = -I`` forces ``phi = -phi``), and every
 nonzero singular value is even-fold degenerate instead.
 
 :func:`refined_svd` takes one SVD of ``H`` and clusters its sorted
-singular values in O(n). Only when a cluster is degenerate is the
-involution class of ``C`` read, and a ``C`` that is not involutive is
-rejected before ``J`` is built. Eigenvectors of simple singular values are
-re-phased together in one :func:`phase_fix` call; degenerate clusters get
-a closed-form fixed basis from :func:`fix_basis_involutive`;
-``eta_j = C^{-1} phi_j`` is one matrix product.
-:func:`csaop.antieig.antilinear_eigensystem` feeds the same kernel with the
-reversed SVD of ``H - z I``, which is the SVD of its inverse, and reuses
-its singular-value clusters for its own bound.
+singular values in O(n) at ``SVD_CLUSTER_GAP`` times the largest. Only
+when a cluster is degenerate is the involution class of ``C`` read, and a
+``C`` that is not involutive is rejected before ``J`` is built
+(``_clusters``). Eigenvectors of simple singular values are re-phased
+together in one :func:`phase_fix` call; degenerate clusters get a
+closed-form fixed basis from :func:`fix_basis_involutive`
+(``_fixed_basis``); ``eta_j = C^{-1} phi_j`` is one matrix product.
+:func:`csaop.antieig.antilinear_eigensystem` runs the same two steps on
+the SVD of ``H - z I``, with its own antiunitary in place of ``J``.
 
 Each result is certified before it is returned: ``_certify`` checks the
 identity residuals (Frobenius norms) against one bound and raises
@@ -63,6 +63,12 @@ from .linalg import (
 
 #: Relative singular-value gap below which values count as one cluster.
 SVD_CLUSTER_GAP = 1e-6
+
+#: Least absolute tolerance of the structural gates of the fixed-basis
+#: construction (orthonormality of a cluster basis, J-invariance,
+#: involution, phases): they only confirm structure, while the certified
+#: residuals judge the result at arithmetic precision.
+GATE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -178,7 +184,7 @@ def _restriction(J: AntilinearMap, E: np.ndarray, tol: Tolerance) -> np.ndarray:
     E-coordinates; checks that E is orthonormal and span(E) J-invariant."""
     m = E.shape[1]
     gram_dev = fro(E.conj().T @ E - np.eye(m))
-    if gram_dev > 1e-8:
+    if gram_dev > GATE_TOL:
         raise ValueError(f"basis columns not orthonormal (deviation {gram_dev:.3e})")
     image = J.matrix @ np.conj(E)
     a = E.conj().T @ image
@@ -240,53 +246,50 @@ def refined_svd(H, C: AntiunitaryOp, tol: Tolerance = DEFAULT_TOL) -> RefinedSVD
     values, so a simple nonzero singular value can only occur where
     ``C^2`` acts as the identity.
     """
-    return _expansion(*_svd_data(H, C, tol), C, tol)[0]
-
-
-def _expansion(H, W, s, V, rank: int, C: AntiunitaryOp, tol: Tolerance) -> tuple[RefinedSVD, list]:
-    """Refined SVD of a C-self-adjoint ``H = W diag(s) V*`` from its SVD
-    factors, keeping the leading ``rank`` singular values, and the index
-    groups of its singular-value clusters.
-
-    The involution class of C is read only when some cluster is
-    degenerate, and a degeneracy that C cannot fix raises before J is
-    built. The adjoint expansion needs no residual of its own:
-    ``reconstruct_adjoint()`` is ``reconstruct()*`` and has the same norm.
-    """
+    H, W, s, V, rank = _svd_data(H, C, tol)
     sigmas = s[:rank]
-    groups = cluster_indices(sigmas, SVD_CLUSTER_GAP * s[0]) if rank else []
-    degenerate = [idx for idx in groups if len(idx) > 1]
-    if degenerate:
-        kind = classify(C)
-        if kind is not InvolutionClass.INVOLUTIVE:
-            idx = degenerate[0]
-            detail = (
-                "no J-fixed vector can exist for anti-involutive C"
-                if kind is InvolutionClass.ANTI_INVOLUTIVE
-                else "C is not involutive"
-            )
-            raise UnsupportedDegeneracy(
-                f"singular value {sigmas[idx[0]]:.6g} has multiplicity {len(idx)} and {detail}"
-            )
+    groups = _clusters(sigmas, SVD_CLUSTER_GAP * s[0], C)
     _, absH, J = _polar_factors(C, W, s, V, rank)
-    # the construction gates below only need to confirm structure, not
-    # re-certify it at arithmetic precision
-    gate = Tolerance(abs=max(tol.abs, 1e-8), rel=tol.rel)
-
-    phis = V[:, :rank].copy()
-    spread = 0.0  # widest cluster: mixing its vectors costs up to this much
-    for idx in degenerate:
-        spread = max(spread, float(sigmas[idx[0]] - sigmas[idx[-1]]))
-        phis[:, idx] = fix_basis_involutive(J, phis[:, idx], gate)
-    simple = [idx[0] for idx in groups if len(idx) == 1]
-    phis[:, simple] = phase_fix(J, phis[:, simple], gate)
+    phis = _fixed_basis(J, V[:, :rank], groups, tol)
     etas = C.unitary_part.T @ np.conj(phis)  # C^{-1} phi_j
     result = RefinedSVD(sigmas=sigmas, phis=phis, etas=etas)
+    # mixing the vectors of a cluster costs up to its width; the adjoint
+    # expansion needs no residual: reconstruct_adjoint() = reconstruct()*
+    spread = max((sigmas[idx[0]] - sigmas[idx[-1]] for idx in groups), default=0.0)
     residuals = _certify(
         "refined SVD",
-        tol.bound(max(1.0, fro(H))) + 2.0 * spread * np.sqrt(max(1, rank)),
+        tol.bound(max(1.0, fro(H))) + 2.0 * float(spread) * np.sqrt(max(1, rank)),
         eigen=fro(absH @ phis - phis * sigmas),
         fixed=fro(J.matrix @ np.conj(phis) - phis),
         reconstruction=fro(H - result.reconstruct()),
     )
-    return replace(result, residuals=residuals), groups
+    return replace(result, residuals=residuals)
+
+
+def _clusters(values: np.ndarray, gap: float, C: AntiunitaryOp) -> list[list[int]]:
+    """Index groups of the sorted singular ``values`` at ``gap``. C's involution
+    class is read only for a degenerate group, and a degeneracy C cannot fix
+    raises :class:`UnsupportedDegeneracy` here, before any J is built."""
+    groups = cluster_indices(values, gap) if len(values) else []
+    idx = next((idx for idx in groups if len(idx) > 1), None)
+    if idx is not None and (kind := classify(C)) is not InvolutionClass.INVOLUTIVE:
+        anti = kind is InvolutionClass.ANTI_INVOLUTIVE
+        detail = "no J-fixed vector can exist for anti-involutive C" if anti else "C is not involutive"
+        raise UnsupportedDegeneracy(
+            f"singular value {values[idx[0]]:.6g} has multiplicity {len(idx)} and {detail}"
+        )
+    return groups
+
+
+def _fixed_basis(J: AntilinearMap, E: np.ndarray, groups, tol: Tolerance) -> np.ndarray:
+    """J-fixed columns spanning each group of columns of ``E``: one
+    :func:`phase_fix` call re-phases the simple groups and
+    :func:`fix_basis_involutive` re-combines each degenerate one."""
+    gate = Tolerance(abs=max(tol.abs, GATE_TOL), rel=tol.rel)
+    phis = E.copy()
+    for idx in groups:
+        if len(idx) > 1:
+            phis[:, idx] = fix_basis_involutive(J, E[:, idx], gate)
+    simple = [idx[0] for idx in groups if len(idx) == 1]
+    phis[:, simple] = phase_fix(J, E[:, simple], gate)
+    return phis

@@ -65,16 +65,18 @@ def spectrum_sample(alpha: float, k_grid) -> SpectrumSample:
 
     The union over a dense grid approximates the full spectrum; the roots
     come from the characteristic polynomial ``(k^2 - l)^2 = alpha k^2``.
+    Raises ``ValueError`` for non-finite input and for finite momenta whose
+    eigenvalues overflow (``|k|`` beyond about 1e154).
     """
     k_grid = np.asarray(k_grid, dtype=float)
     if not (np.isfinite(alpha) and np.isfinite(k_grid).all()):
         raise ValueError("alpha and k_grid must be finite")
-    w = np.sqrt(complex(alpha)) * np.abs(k_grid)
-    plus = k_grid**2 + w
-    minus = k_grid**2 - w
-    return SpectrumSample(
-        alpha=float(alpha), k_grid=k_grid, eigenvalues=np.column_stack([plus, minus])
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.sqrt(complex(alpha)) * np.abs(k_grid)
+        eigenvalues = np.column_stack([k_grid**2 + w, k_grid**2 - w])
+    if not np.isfinite(eigenvalues).all():
+        raise ValueError(f"symbol eigenvalues overflow for momenta up to {np.abs(k_grid).max():.3e}")
+    return SpectrumSample(alpha=float(alpha), k_grid=k_grid, eigenvalues=eigenvalues)
 
 
 def distance_to_closed_form(alpha: float, lam: complex) -> float:

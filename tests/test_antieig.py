@@ -6,6 +6,7 @@ from csaop import (
     ZInSpectrum,
     antilinear_eigensystem,
     generate_csa,
+    haar_unitary,
     pseudospectrum,
     resolvent_norm,
 )
@@ -16,7 +17,7 @@ from csaop.linalg import DEFAULT_TOL, fro
 from csaop import pauli
 from csaop.pauli import MINUS_I_SIGMA2
 
-from conftest import conj_k, random_complex_symmetric
+from conftest import c2_blocks, conj_k, neither_simple_case, random_complex_symmetric
 
 
 class TestAntilinearEigensystem:
@@ -73,11 +74,126 @@ class TestAntilinearEigensystem:
             antilinear_eigensystem(2.0 * np.eye(2), C, 5.0)
 
 
+def _takagi_pair(sigmas, seed):
+    """Involutive ``C = (V V^T) o K`` and ``H = V Q diag(sigmas) Q^T V*`` for
+    Haar V, Q: H is C-self-adjoint with singular values ``sigmas``."""
+    rng = np.random.default_rng(seed)
+    n = len(sigmas)
+    V, Q = haar_unitary(n, rng), haar_unitary(n, rng)
+    return V @ (Q * sigmas) @ Q.T @ V.conj().T, AntiunitaryOp(V @ V.T)
+
+
+class TestNearSpectrum:
+    """Shifts a distance delta from an eigenvalue, sigma_min(H - zI) ~ delta,
+    far above ``SPECTRUM_CUTOFF``: clustering 1 / lambda at a gap relative to
+    its largest value 1 / sigma_min lumps the large lambdas together."""
+
+    @pytest.mark.parametrize("delta", [1e-4, 1e-7])
+    @pytest.mark.parametrize("cluster", [0, 8])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_expansion_at_arithmetic_precision(self, seed, cluster, delta):
+        n = 64
+        simple = 1.0 + (np.arange(n - cluster) + 0.5) / (n - cluster)
+        H, C = _takagi_pair(np.concatenate([np.full(cluster, 1.5), simple]), seed)
+        eigenvalues = np.linalg.eigvals(H)
+        z = eigenvalues[np.argmin(np.abs(eigenvalues - 1.2))] + delta * (1 + 1j)
+        M = H - z * np.eye(n)
+        s = np.linalg.svd(M, compute_uv=False)
+        assert 0.1 * delta <= s[-1] <= 10 * delta
+        system = antilinear_eigensystem(H, C, z)
+        np.testing.assert_allclose(system.lambdas, s[::-1], rtol=1e-12, atol=0)
+        A = C.unitary_part
+        assert fro(M @ system.psis - (A @ np.conj(system.psis)) * system.lambdas) <= 1e-12 * fro(M)
+        assert system.residuals["expansion"] <= 1e-12 * fro(M)
+
+
+def _resolvent_route(H, C, z):
+    """The eigensystem from the refined SVD of ``R(z) = (H - zI)^{-1}``:
+    ``lambda = 1 / sigma(R)``, ascending as sigma(R) descends, and
+    ``psi = C^{-1} phi``."""
+    expansion = decomp.refined_svd(np.linalg.inv(H - z * np.eye(len(H))), C)
+    return 1.0 / expansion.sigmas, expansion.etas
+
+
+_FAR_SHIFTS = [3j, -3.0, 3.0 * np.exp(0.25j * np.pi)]
+
+
+class TestResolventOracle:
+    """At shifts with |z| = 3, away from the spectrum, the one-SVD
+    eigensystem reproduces the resolvent route it replaced."""
+
+    @pytest.mark.parametrize("z", _FAR_SHIFTS)
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_involutive_simple(self, seed, z):
+        H, C = _takagi_pair(1.0 + np.arange(24) / 24, seed)
+        lambdas, psis = _resolvent_route(H, C, z)
+        system = antilinear_eigensystem(H, C, z)
+        np.testing.assert_allclose(system.lambdas, lambdas, rtol=1e-12)
+        overlaps = np.abs(np.sum(np.conj(psis) * system.psis, axis=0))
+        np.testing.assert_allclose(overlaps, 1.0, atol=1e-10)
+
+    @pytest.mark.parametrize("z", _FAR_SHIFTS)
+    def test_involutive_clusters(self, z, rng):
+        # normal H = O diag(d) O^T with real orthogonal O and eigenvalues
+        # of multiplicity 4 and 3: H - zI has singular values of the same
+        # multiplicities, where only the cluster's subspace is determined
+        n = 12
+        O = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        d = np.concatenate([np.full(4, 1.0 + 0.5j), np.full(3, -0.5), rng.uniform(-1, 1, 5) + 0.3j])
+        H = O @ np.diag(d) @ O.T
+        lambdas, psis = _resolvent_route(H, conj_k(n), z)
+        system = antilinear_eigensystem(H, conj_k(n), z)
+        np.testing.assert_allclose(system.lambdas, lambdas, rtol=1e-12)
+        for value in (1.0 + 0.5j, -0.5):
+            cluster = np.abs(lambdas - abs(value - z)) <= 1e-12
+            assert np.count_nonzero(cluster) == np.count_nonzero(d == value)
+            old, new = psis[:, cluster], system.psis[:, cluster]
+            assert fro(old @ old.conj().T - new @ new.conj().T) <= 1e-10
+
+    @pytest.mark.parametrize("z", _FAR_SHIFTS)
+    @pytest.mark.parametrize("make", [
+        lambda: neither_simple_case(2, 6, 2),  # C^2 is not I on ker H
+        lambda: (generate_csa(c2_blocks(8), 5), c2_blocks(8)),
+    ])
+    def test_non_involutive_rejected_by_both(self, make, z):
+        # H - zI commutes with C^2 != I, which pairs its singular values
+        H, C = make()
+        with pytest.raises(UnsupportedDegeneracy):
+            _resolvent_route(H, C, z)
+        with pytest.raises(UnsupportedDegeneracy):
+            antilinear_eigensystem(H, C, z)
+
+
+class TestOneSvd:
+    def test_no_polar_factors_no_composition(self, monkeypatch):
+        counts = {"svd": 0, "polar_factors": 0, "compose_antilinear": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        H, C = _takagi_pair(np.concatenate([np.full(4, 1.5), 1.0 + np.arange(12) / 12]), 5)
+        monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+        monkeypatch.setattr(decomp, "_polar_factors", counted("polar_factors", decomp._polar_factors))
+        monkeypatch.setattr(
+            decomp, "compose_antilinear", counted("compose_antilinear", decomp.compose_antilinear)
+        )
+        system = antilinear_eigensystem(H, C, 0.5j)
+        assert counts == {"svd": 1, "polar_factors": 0, "compose_antilinear": 0}
+        assert set(system.residuals) == {"expansion", "completeness"}
+
+
 class TestResiduals:
     @pytest.mark.parametrize("H, z", [
         (np.diag([1.0, 4.0]), 0.0),
         (np.diag([1.0, 1.0 + 1e-9, 1.0 - 1e-9, 4.0, 4.0 + 1e-10]), 0.5j),  # clusters in R(z)
         (generate_csa(conj_k(16), 4), 0.3 + 0.2j),
+        # near the spectrum: lambdas 1e-3 and 1e-3 + 1e-6 share a cluster
+        # of H - zI, while 1 / lambda would split them
+        (np.diag([0.0, 1e-3, 1e-3 + 1e-6, 5.0]), 1e-5j),
     ])
     def test_are_the_certified_expressions(self, H, z, monkeypatch):
         bounds = {}
@@ -98,8 +214,7 @@ class TestResiduals:
             "completeness": fro(psis @ psis.conj().T - np.eye(n)),
         }
         # the lambda slack, clustered here independently of the library
-        sigma = 1.0 / lambdas
-        close = np.abs(np.diff(sigma)) <= SVD_CLUSTER_GAP * sigma[0]
+        close = np.abs(np.diff(lambdas)) <= SVD_CLUSTER_GAP * lambdas[-1]
         slack = float(np.max(np.abs(np.diff(lambdas))[close], initial=0.0))
         bound = DEFAULT_TOL.bound(max(1.0, fro(H)) + lambdas[-1]) + 2.0 * slack * np.sqrt(n)
         assert bounds == {"expansion": bound, "completeness": DEFAULT_TOL.bound(1.0)}

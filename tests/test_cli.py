@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -293,6 +294,15 @@ class TestPauliSpectrum:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "must be finite" in captured.err
+
+    @pytest.mark.parametrize("kmax", ["1e200", "1e308"])
+    def test_overflowing_momenta_are_parse_errors(self, kmax, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["pauli-spectrum", "--alpha", "1", "--kmax", kmax, "--n", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
 
 class TestModelSpace:

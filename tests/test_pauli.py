@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,18 @@ class TestSpectrumSample:
     def test_rejects_non_finite_input(self, alpha, k_grid):
         with pytest.raises(ValueError, match="must be finite"):
             spectrum_sample(alpha, k_grid)
+
+    @pytest.mark.parametrize("alpha, kmax", [(1.0, 1e200), (1.0, 1.4e154), (1.7e308, 1.3e154)])
+    def test_rejects_overflowing_eigenvalues(self, alpha, kmax):
+        # finite input whose k^2, or k^2 + sqrt(alpha)|k|, overflows: an error, not inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow"):
+                spectrum_sample(alpha, [-kmax, 0.0, kmax])
+
+    def test_largest_representable_momenta_accepted(self):
+        sample = spectrum_sample(1.0, [-1e154, 0.0, 1e154])
+        assert np.isfinite(sample.eigenvalues).all()
 
 
 class TestDistanceToClosedForm:
