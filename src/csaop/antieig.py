@@ -17,10 +17,12 @@ and the completeness of the ``psi_j``. Vectors inside one singular-value
 cluster of M may mix, and the cluster's lambda steps widen the expansion
 bound.
 
-The scan splits ``H`` along its exact structural zeros into a direct sum
-of diagonal blocks (the spin toy model is one 2x2 momentum symbol per
-block), and ``sigma_min(H - z I)`` is the least ``sigma_min`` over the
-blocks. A dense ``H`` is a single block.
+:func:`resolvent_norm` and the :func:`pseudospectrum` scan share one
+kernel. It splits ``H`` along its exact structural zeros into a direct
+sum of diagonal blocks (the spin toy model is one 2x2 momentum symbol per
+block); ``sigma_min(H - z I)`` is the least ``sigma_min`` over the blocks,
+and ``||H - z I||_F``, which sets the spectrum cutoff, is the norm of all
+their singular values. A dense ``H`` is a single block.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 from .antiunitary import AntilinearMap, AntiunitaryOp
 from .csa import _require_csa
 from .decomp import SVD_CLUSTER_GAP, _certify, _clusters, _fixed_basis
-from .errors import ZInSpectrum
+from .errors import DimMismatch, ZInSpectrum
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, connected_components, fro
 
 #: sigma_min(H - z I) at or below this fraction of ||H - z I|| counts as
@@ -78,24 +80,50 @@ class PseudospectrumGrid:
         ]
 
 
-def _shifted(H: np.ndarray, z: complex) -> np.ndarray:
-    if not np.isfinite(z):
-        raise ValueError("z must be finite")
-    return H - z * np.eye(H.shape[0])
+def _resolvent_norms(H: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """``1 / sigma_min(H - z I)`` at each shift in ``zs``, ``inf`` where
+    ``sigma_min <= SPECTRUM_CUTOFF * ||H - z I||_F``.
+
+    The connected components of ``H != 0`` split ``H`` into diagonal
+    blocks, and blocks of one size go through one batched SVD per chunk
+    of shifts (~64 MB). ``sigma_min`` is the least over all blocks and
+    ``||H - z I||_F`` the ``hypot`` of all their singular values, which
+    does not overflow or underflow where the norm is representable. A
+    0 x 0 ``H`` is the zero map, of norm 0. No shift's value depends on
+    the others.
+    """
+    groups: dict[int, list[np.ndarray]] = {}
+    for component in connected_components(H != 0):
+        groups.setdefault(len(component), []).append(component)
+    smin = np.full(len(zs), np.inf)
+    frobenius = np.zeros(len(zs))
+    for m, members in groups.items():
+        index = np.array(members)
+        blocks = H[index[:, :, None], index[:, None, :]]
+        eye = np.eye(m)
+        chunk = max(1, 2**22 // (len(members) * m * m))  # cap batch memory at ~64 MB
+        for start in range(0, len(zs), chunk):
+            part = slice(start, start + chunk)
+            s = np.linalg.svd(blocks[None] - zs[part, None, None, None] * eye, compute_uv=False)
+            smin[part] = np.minimum(smin[part], s[..., -1].min(axis=1))
+            stack_norm = np.hypot.reduce(s.reshape(len(s), -1), axis=1)
+            frobenius[part] = np.hypot(frobenius[part], stack_norm)
+    with np.errstate(divide="ignore"):
+        return np.where(smin <= SPECTRUM_CUTOFF * frobenius, np.inf, 1.0 / smin)
 
 
 def resolvent_norm(H, z: complex) -> float:
     """Operator norm ``||(H - z I)^{-1}|| = 1 / sigma_min(H - z I)``.
 
     Returns ``inf`` when ``z`` is numerically in the spectrum; raises
-    ``ValueError`` for a non-finite ``z``.
+    ``ValueError`` for a non-finite ``z``. This is the block scan of
+    :func:`pseudospectrum` at the one point ``z``, so the two agree
+    exactly.
     """
-    M = _shifted(as_matrix(H, square=True), z)
-    s = np.linalg.svd(M, compute_uv=False)
-    smin = float(s[-1]) if len(s) else 0.0
-    if smin <= SPECTRUM_CUTOFF * fro(M):
-        return float("inf")
-    return 1.0 / smin
+    H, z = as_matrix(H, square=True), complex(z)
+    if not np.isfinite(z):
+        raise ValueError("z must be finite")
+    return float(_resolvent_norms(H, np.array([z]))[0])
 
 
 def antilinear_eigensystem(
@@ -108,15 +136,20 @@ def antilinear_eigensystem(
     (matrix ``V W* A``, ``U = W V*``) in M's singular subspaces, so
     ``M psi = U |M| psi = lambda U psi = lambda C psi``. Raises
     :class:`ZInSpectrum` when ``z`` is numerically in the spectrum,
-    ``ValueError`` when ``z`` is not finite, and
-    :class:`UnsupportedDegeneracy` when a cluster of M's singular values
-    (gap ``SVD_CLUSTER_GAP * s[0]``, as in :func:`refined_svd`) is
-    degenerate and ``C`` is not involutive: for a C that is neither, two
-    lambdas within ``1e-6 ||M||_2`` of each other suffice.
+    ``ValueError`` when ``z`` is not finite, :class:`DimMismatch` for a
+    0 x 0 ``H`` (no lambda_1), and :class:`UnsupportedDegeneracy` when a
+    cluster of M's singular values (gap ``SVD_CLUSTER_GAP * s[0]``, as in
+    :func:`refined_svd`) is degenerate and ``C`` is not involutive: for a C
+    that is neither, two lambdas within ``1e-6 ||M||_2`` of each other
+    suffice.
     """
     H = _require_csa(H, C, tol)
-    z = complex(z)
-    M = _shifted(H, z)
+    z, n = complex(z), H.shape[0]
+    if not np.isfinite(z):
+        raise ValueError("z must be finite")
+    if n == 0:
+        raise DimMismatch("a 0 x 0 H has no antilinear eigenvalues")
+    M = H - z * np.eye(n)
     W, s, Vh = np.linalg.svd(M)
     if s[-1] <= SPECTRUM_CUTOFF * fro(M):
         raise ZInSpectrum(f"sigma_min(H - zI) = {s[-1]:.3e}; shift z = {z} is in the spectrum")
@@ -126,7 +159,6 @@ def antilinear_eigensystem(
     psis = _fixed_basis(AntilinearMap(V @ (W.conj().T @ A)), V, groups, tol)[:, ::-1]
     lambdas = s[::-1]
 
-    n = H.shape[0]
     slack = max((float(np.abs(np.diff(s[g])).max()) for g in groups if len(g) > 1), default=0.0)
     residuals = _certify(
         "antilinear expansion",
@@ -147,14 +179,10 @@ def pseudospectrum(
 
     ``bounds = (re_min, re_max, im_min, im_max)``; ``resolution`` points
     per axis (so ``resolution**2`` grid points, imaginary part varying
-    slowest). The connected components of ``H != 0`` split ``H`` into
-    diagonal blocks; blocks of one size go through one batched SVD over
-    chunks of grid points (~64 MB each), and each point takes the least
-    ``sigma_min`` over all blocks, with ``||H - z I||_F`` summed from the
-    blocks for the spectrum cutoff (taken again with :func:`fro` at a point
-    where the sum overflows). A dense ``H`` is one block, evaluated
-    as one n x n SVD per point. The result does not depend on the
-    evaluation order.
+    slowest). All points go through the block kernel of
+    :func:`resolvent_norm`, one batched SVD per block size of ``H``'s
+    direct-sum split (a dense ``H`` is one n x n SVD per point), so each
+    norm equals ``resolvent_norm(H, z)`` exactly.
     """
     if not 0 < epsilon < np.inf:
         raise ValueError("epsilon must be positive and finite")
@@ -168,28 +196,7 @@ def pseudospectrum(
     ims = np.linspace(im_min, im_max, resolution)
     zs = (res[None, :] + 1j * ims[:, None]).ravel()
 
-    groups: dict[int, list[np.ndarray]] = {}
-    for component in connected_components(H != 0):
-        groups.setdefault(len(component), []).append(component)
-    smin = np.full(len(zs), np.inf)
-    sumsq = np.zeros(len(zs))
-    for m, members in groups.items():
-        index = np.array(members)
-        blocks = H[index[:, :, None], index[:, None, :]]
-        eye = np.eye(m)
-        chunk = max(1, 2**22 // (len(members) * m * m))  # cap batch memory at ~64 MB
-        for start in range(0, len(zs), chunk):
-            part = slice(start, start + chunk)
-            shifted = blocks[None] - zs[part, None, None, None] * eye
-            s = np.linalg.svd(shifted, compute_uv=False)
-            smin[part] = np.minimum(smin[part], s[..., -1].min(axis=1))
-            with np.errstate(over="ignore", invalid="ignore"):
-                sumsq[part] += (shifted.conj() * shifted).real.sum(axis=(1, 2, 3))
-    frobenius = np.sqrt(sumsq)
-    for i in np.flatnonzero(sumsq == np.inf):  # the squares overflowed: rescale, as fro does
-        frobenius[i] = fro(_shifted(H, zs[i]))
-    with np.errstate(divide="ignore"):
-        norms = np.where(smin <= SPECTRUM_CUTOFF * frobenius, np.inf, 1.0 / smin)
+    norms = _resolvent_norms(H, zs)
     mask = norms > 1.0 / epsilon
     return PseudospectrumGrid(
         epsilon=float(epsilon), zs=zs, resolvent_norms=norms, in_pseudospectrum=mask

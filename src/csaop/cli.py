@@ -48,8 +48,8 @@ def _write_text(path, text: str) -> None:
 
 
 def _add_tol_flags(parser):
-    parser.add_argument("--tol-abs", type=float, default=None, help="absolute tolerance")
-    parser.add_argument("--tol-rel", type=float, default=None, help="relative tolerance")
+    parser.add_argument("--tol-abs", type=float, help="absolute tolerance, times s at scale s < 1")
+    parser.add_argument("--tol-rel", type=float, help="relative tolerance")
 
 
 def _add_hc_flags(parser, need_c=True):

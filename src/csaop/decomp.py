@@ -248,7 +248,7 @@ def refined_svd(H, C: AntiunitaryOp, tol: Tolerance = DEFAULT_TOL) -> RefinedSVD
     """
     H, W, s, V, rank = _svd_data(H, C, tol)
     sigmas = s[:rank]
-    groups = _clusters(sigmas, SVD_CLUSTER_GAP * s[0], C)
+    groups = _clusters(sigmas, SVD_CLUSTER_GAP * s.max(initial=0.0), C)  # s[0], if any
     _, absH, J = _polar_factors(C, W, s, V, rank)
     phis = _fixed_basis(J, V[:, :rank], groups, tol)
     etas = C.unitary_part.T @ np.conj(phis)  # C^{-1} phi_j

@@ -21,7 +21,12 @@ from .errors import DimMismatch, NonFinite
 class Tolerance:
     """Absolute/relative tolerance pair used by all residual checks.
 
-    A residual ``r`` at scale ``s`` passes when ``r <= abs + rel * s``.
+    A residual ``r`` at scale ``s`` passes when
+    ``r <= abs * min(1, s) + rel * s``. From ``s = 1`` up this is
+    ``abs + rel * s``; below 1 the absolute part shrinks with the scale, so
+    a check scaled by ``||H||`` judges a tiny ``H`` by its own size, and
+    the bound at scale 0 is 0. Checks of unit-size quantities (unit
+    vectors, unitarity) use ``s = 1``; certificates use ``max(1, ||H||)``.
     """
 
     abs: float = 1e-10
@@ -35,7 +40,7 @@ class Tolerance:
 
     def bound(self, scale: float) -> float:
         """Largest residual accepted at the given scale."""
-        return self.abs + self.rel * float(scale)
+        return self.abs * min(1.0, float(scale)) + self.rel * float(scale)
 
 
 DEFAULT_TOL = Tolerance()

@@ -115,6 +115,11 @@ def evaluate_symbol(phi: Symbol, z) -> np.ndarray:
     return out
 
 
+def _magnitude(*symbols: Symbol) -> float:
+    """Largest coefficient magnitude over the symbols (0 if all are empty)."""
+    return max((abs(complex(c)) for phi in symbols for c in phi.values()), default=0.0)
+
+
 def max_support(phi: Symbol) -> int:
     """Largest absolute Fourier index carried by the symbol (0 if empty)."""
     return max((abs(int(n)) for n, c in phi.items() if c != 0), default=0)
@@ -125,14 +130,17 @@ def theta_condition_check(theta: Symbol) -> bool:
     ``theta(conj(z)) = theta(-conj(z)) = conj(theta(z))``.
 
     At the coefficient level this says: all coefficients real, supported
-    on even indices. Requires nonnegative support (analytic symbols only).
+    on even indices, with imaginary parts zero up to ``1e-12`` times the
+    largest coefficient magnitude capped at 1 (a small symbol is judged at
+    its own scale). Requires nonnegative support (analytic symbols only).
     """
     if any(int(n) < 0 and c != 0 for n, c in theta.items()):
         raise ValueError("theta must be supported on nonnegative indices")
+    bound = 1e-12 * min(1.0, _magnitude(theta))
     for n, c in theta.items():
         if c == 0:
             continue
-        if int(n) % 2 != 0 or abs(complex(c).imag) > 1e-12:
+        if int(n) % 2 != 0 or abs(complex(c).imag) > bound:
             return False
     return True
 
@@ -166,7 +174,9 @@ def check_condition_and(phi1: Symbol, phi2: Symbol, tol: Tolerance = DEFAULT_TOL
     Both sides are trigonometric polynomials with frequencies within
     ``max support + 1``, so sampling ``2 * max support + 4`` equispaced
     points is exact (two extra points over the frequency span avoid an
-    aliasing cancellation between the two extreme frequencies).
+    aliasing cancellation between the two extreme frequencies). The bound
+    is ``tol.bound`` at the largest coefficient magnitude capped at 1, so a
+    small symbol is judged at its own scale.
     """
     s = max(max_support(phi1), max_support(phi2))
     M = 2 * s + 4
@@ -177,7 +187,7 @@ def check_condition_and(phi1: Symbol, phi2: Symbol, tol: Tolerance = DEFAULT_TOL
     p1nb, p2nb = evaluate_symbol(phi1, -zb), evaluate_symbol(phi2, -zb)
     first = (-zb * p1 + z * p2) - (z * p1b - zb * p2b)
     second = (zb * p1 + z * p2) - (z * p1nb + zb * p2nb)
-    bound = tol.bound(1.0)
+    bound = tol.bound(min(1.0, _magnitude(phi1, phi2)))
     return bool(np.all(np.abs(first) <= bound) and np.all(np.abs(second) <= bound))
 
 

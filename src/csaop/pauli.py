@@ -21,8 +21,10 @@ The relevant antiunitary symmetries, lifted to a symmetric momentum grid
   explaining the real spectrum at alpha >= 0;
 * ``K`` and ``sigma3 o K`` work only at alpha = -1 and alpha = +1, and
   ``sigma1 o K`` never does. In fact no constant-matrix involutive
-  antiunitary works unless |alpha| = 1, which
-  :func:`constant_conjugation_search` decides constructively.
+  antiunitary works unless |alpha| = 1: involutivity makes its matrix
+  symmetric, and the intertwining relation then forces it onto the line
+  ``diag(-alpha, 1)``, so :func:`constant_conjugation_search` is a closed
+  form with a certified witness.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antiunitary import AntiunitaryOp
-from .errors import AsymmetricGrid, NumericalFailure
-from .linalg import DEFAULT_TOL, Tolerance, nullspace
+from .errors import AsymmetricGrid
+from .linalg import DEFAULT_TOL, Tolerance
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -171,25 +173,18 @@ def discretize(alpha: float, k_grid) -> tuple[np.ndarray, AntiunitaryOp, np.ndar
     return H, C2, P
 
 
-def _intertwining_coefficients(alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """First-order momentum coefficients of h(k)* A = A conj(h(-k)).
-
-    The k^2 parts are scalar and drop out; what remains is the linear
-    constraint ``M1 @ A = A @ M2`` with the matrices returned here.
-    """
-    M1 = np.array([[0.0, alpha], [1.0, 0.0]], dtype=complex)
-    M2 = np.array([[0.0, -1.0], [-alpha, 0.0]], dtype=complex)
-    return M1, M2
-
-
 def constant_conjugation_residual(alpha: float, A) -> float:
     """Direct residual of a candidate constant involutive conjugation.
 
     Returns the largest of the intertwining, unitarity, and involutivity
     residuals of ``C = A o K`` against the model with coupling ``alpha``.
+    The k^2 parts of ``h(k)* A = A conj(h(-k))`` are scalar and drop out;
+    the first-order parts leave ``M1 A = A M2`` with
+    ``M1 = [[0, alpha], [1, 0]]`` and ``M2 = [[0, -1], [-alpha, 0]]``.
     """
     A = np.asarray(A, dtype=complex)
-    M1, M2 = _intertwining_coefficients(alpha)
+    M1 = np.array([[0.0, alpha], [1.0, 0.0]], dtype=complex)
+    M2 = np.array([[0.0, -1.0], [-alpha, 0.0]], dtype=complex)
     eye = np.eye(2)
     return float(
         max(
@@ -206,40 +201,21 @@ def constant_conjugation_search(
 ) -> tuple[bool, np.ndarray | None]:
     """Find a constant 2x2 involutive antiunitary intertwining the model.
 
-    Matches momentum powers in ``h(k)* A = A conj(h(-k))`` (a complex
-    linear system) intersected with the symmetry ``A = A.T`` forced by
-    unitarity plus involutivity, then asks whether the resulting line of
-    matrices contains a unitary. Solvable exactly when ``|alpha| = 1``;
-    the returned witness is phase-normalized (first significant entry
-    positive real), giving ``sigma3`` at ``alpha = 1`` and the identity at
-    ``alpha = -1``.
+    In closed form: an involutive antiunitary ``C = A o K`` has
+    ``A conj(A) = I = A A*``, so ``A = A^T = [[a, b], [b, d]]``. Matching
+    momentum powers in ``h(k)* A = A conj(h(-k))`` leaves the linear
+    constraint ``M1 A = A M2``, which reads ``alpha b = 0``, ``b = 0`` and
+    ``a = -alpha d``: ``A = d diag(-alpha, 1)``. That is unitary exactly
+    when ``|d| = 1`` and ``|alpha| = 1``, so the search is the check
+    ``|alpha| = 1``, made by certifying the phase-normalized witness
+    ``diag(1, -sign alpha)`` (``sigma3`` at ``alpha = 1``, the identity at
+    ``alpha = -1``) with :func:`constant_conjugation_residual`. That
+    residual is ``sqrt(2) ||alpha| - 1|``, or at least 1 when alpha is 0.
+    Raises ``ValueError`` for a non-finite ``alpha``.
     """
-    M1, M2 = _intertwining_coefficients(alpha)
-    columns = []
-    for p in range(2):
-        for q in range(2):
-            E = np.zeros((2, 2), dtype=complex)
-            E[p, q] = 1.0
-            columns.append(
-                np.concatenate([(M1 @ E - E @ M2).ravel(), (E - E.T).ravel()])
-            )
-    system = np.array(columns).T
-    basis = nullspace(system)
-    if basis.shape[1] == 0:
-        return False, None
-    if basis.shape[1] > 1:
-        raise NumericalFailure(
-            f"intertwining solution space has dimension {basis.shape[1]}, expected <= 1"
-        )
-    B = basis[:, 0].reshape(2, 2)
-    s = np.linalg.svd(B, compute_uv=False)
-    # the line C*B contains a unitary iff B is a multiple of a unitary
-    if s[0] <= tol.abs or (s[0] - s[1]) > tol.bound(1.0) * s[0]:
-        return False, None
-    A = B / s.mean()
-    flat = A.ravel()
-    lead = flat[np.argmax(np.abs(flat) > 0.5 * np.abs(flat).max())]
-    A = A * (np.abs(lead) / lead)
+    if not np.isfinite(alpha):
+        raise ValueError("alpha must be finite")
+    A = np.diag([1.0, -np.sign(alpha)]).astype(complex)
     if constant_conjugation_residual(alpha, A) > tol.bound(1.0):
         return False, None
     return True, A

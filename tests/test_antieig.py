@@ -10,7 +10,8 @@ from csaop import (
     pseudospectrum,
     resolvent_norm,
 )
-from csaop import antieig, decomp
+from csaop import DimMismatch, antieig, decomp
+from csaop.antieig import SPECTRUM_CUTOFF
 from csaop.antiunitary import AntiunitaryOp
 from csaop.decomp import SVD_CLUSTER_GAP
 from csaop.linalg import DEFAULT_TOL, fro
@@ -21,6 +22,11 @@ from conftest import c2_blocks, conj_k, neither_simple_case, random_complex_symm
 
 
 class TestAntilinearEigensystem:
+    def test_empty_matrix_is_dim_mismatch(self):
+        # a 0x0 H has no lambda_1
+        with pytest.raises(DimMismatch):
+            antilinear_eigensystem(np.zeros((0, 0)), AntiunitaryOp(np.zeros((0, 0))), 1.0)
+
     def test_scalar_case(self):
         system = antilinear_eigensystem(np.array([[3.0]]), conj_k(1), 1.0)
         np.testing.assert_allclose(system.lambdas, [2.0])
@@ -354,9 +360,19 @@ def _direct_sum_fixture(rng):
     return H[np.ix_(perm, perm)], perm
 
 
+def dense_resolvent_norm(H, z):
+    """Reference for the block kernel: one SVD of the whole H - zI."""
+    M = H - z * np.eye(H.shape[0])
+    s = np.linalg.svd(M, compute_uv=False)
+    smin = float(s[-1]) if len(s) else 0.0
+    if smin <= SPECTRUM_CUTOFF * fro(M):
+        return float("inf")
+    return 1.0 / smin
+
+
 class TestBlockScan:
     """The scan runs per diagonal block; the oracle is one SVD of the
-    whole H - zI per point (``resolvent_norm``)."""
+    whole H - zI per point (``dense_resolvent_norm``)."""
 
     def _cases(self, rng):
         H, _ = _direct_sum_fixture(rng)
@@ -367,7 +383,7 @@ class TestBlockScan:
     def test_matches_full_svd(self, rng):
         for H, eps, bounds, res, hits_spectrum in self._cases(rng):
             grid = pseudospectrum(H, eps, bounds, res)
-            oracle = np.array([resolvent_norm(H, z) for z in grid.zs])
+            oracle = np.array([dense_resolvent_norm(H, z) for z in grid.zs])
             inf = np.isinf(oracle)
             assert inf.any() == hits_spectrum
             np.testing.assert_array_equal(np.isinf(grid.resolvent_norms), inf)
@@ -382,7 +398,7 @@ class TestBlockScan:
         H[:2, :2] = [[1e6, 2e6], [0.0, 1e6]]
         H[2, 2] = 1e-7
         grid = pseudospectrum(H, 0.1, (-1.0, 1.0, -1.0, 1.0), 3)
-        oracle = [resolvent_norm(H, z) for z in grid.zs]
+        oracle = [dense_resolvent_norm(H, z) for z in grid.zs]
         assert oracle[4] == np.inf
         np.testing.assert_allclose(grid.resolvent_norms, oracle, rtol=1e-10)
 
@@ -398,3 +414,53 @@ class TestBlockScan:
         rel = np.abs(a.resolvent_norms[~inf] - b.resolvent_norms[~inf]) / a.resolvent_norms[~inf]
         assert np.max(rel) <= 1e-12
         np.testing.assert_array_equal(a.in_pseudospectrum, b.in_pseudospectrum)
+
+
+class TestOneKernel:
+    """``resolvent_norm`` is the block scan at one point."""
+
+    def _cases(self, rng):
+        H, _ = _direct_sum_fixture(rng)
+        toy, _, _ = pauli.discretize(-1.5, np.linspace(-3.0, 3.0, 20))
+        return [(H, 21), (toy, 16), (random_complex_symmetric(6, rng), 9)]
+
+    def test_equals_the_scan_bit_for_bit(self, rng):
+        for H, res in self._cases(rng):
+            grid = pseudospectrum(H, 0.1, (-2.0, 2.0, -2.0, 2.0), res)
+            single = [resolvent_norm(H, z) for z in grid.zs]
+            np.testing.assert_array_equal(single, grid.resolvent_norms)
+
+    def test_factorises_blocks_only(self, monkeypatch):
+        # 601 momenta, n = 1202: 2x2 symbols, and two 1x1 zeros at k = 0
+        H, _, _ = pauli.discretize(-1.5, np.linspace(-3.0, 3.0, 601))
+        z = 0.3 + 0.2j
+        svd, shapes = np.linalg.svd, set()
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.add(np.shape(a)[-2:])
+            return svd(a, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", recording_svd)
+            norm = resolvent_norm(H, z)
+        assert shapes == {(1, 1), (2, 2)}
+        assert norm == pytest.approx(dense_resolvent_norm(H, z), rel=1e-12)
+
+    @pytest.mark.parametrize("t", [1e-300, 1e300])
+    def test_scale_covariant(self, t):
+        # hypot over the singular values neither overflows nor underflows
+        # (t = 1e160: TestHugeNorms)
+        G = generate_csa(conj_k(4), 3)
+        assert t * resolvent_norm(t * G, t * 0.5j) == pytest.approx(resolvent_norm(G, 0.5j), rel=1e-12)
+        grid = pseudospectrum(t * G, 0.5 * t, (-2 * t, 2 * t, -2 * t, 2 * t), 4)
+        reference = pseudospectrum(G, 0.5, (-2, 2, -2, 2), 4)
+        np.testing.assert_allclose(grid.resolvent_norms * t, reference.resolvent_norms, rtol=1e-12)
+        np.testing.assert_array_equal(grid.in_pseudospectrum, reference.in_pseudospectrum)
+
+    def test_empty_matrix_is_the_zero_map(self):
+        # ||R(z)|| of the zero map on the zero space is 0, at every point
+        H = np.zeros((0, 0))
+        assert resolvent_norm(H, 1.0) == 0.0
+        grid = pseudospectrum(H, 0.5, (-1.0, 1.0, -1.0, 1.0), 3)
+        np.testing.assert_array_equal(grid.resolvent_norms, 0.0)
+        assert not grid.in_pseudospectrum.any()

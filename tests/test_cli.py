@@ -207,6 +207,27 @@ class TestAntiEig:
         assert "z must be finite" in capsys.readouterr().err
 
 
+class TestEmptyMatrix:
+    """A 0x0 H and C: the refined SVD is the empty expansion, and the
+    eigensystem, which has no lambda_1, is a domain error, not a crash."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        dump_json(matrix_to_json(np.zeros((0, 0))), tmp_path / "h.json")
+        dump_json(antiunitary_to_json(AntiunitaryOp(np.zeros((0, 0)))), tmp_path / "c.json")
+        return ["--H", str(tmp_path / "h.json"), "--C", str(tmp_path / "c.json")]
+
+    def test_refined_svd_is_empty(self, paths, tmp_path, capsys):
+        out_path = tmp_path / "svd.json"
+        assert main(["refined-svd", *paths, "--out", str(out_path)]) == 0
+        assert "count=0" in capsys.readouterr().out
+        assert json.loads(out_path.read_text())["sigmas"] == []
+
+    def test_anti_eig_is_domain_error(self, paths, capsys):
+        assert main(["anti-eig", *paths, "--z", "1,0"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestPseudospec:
     def test_csv_row_count(self, tmp_path, capsys):
         dump_json(matrix_to_json(np.array([[0.0, 1.0], [0.0, 0.0]])), tmp_path / "h.json")

@@ -17,6 +17,7 @@ from csaop import (
     haar_unitary,
     kernel_pairing,
     refined_polar,
+    refined_svd,
 )
 from csaop.linalg import fro, nullspace
 
@@ -49,6 +50,15 @@ class TestChecks:
         assert report.residual == pytest.approx(1e160 * np.sqrt(2))
         with pytest.raises(NotCsa):
             refined_polar(H, conj_k(2))
+
+    @pytest.mark.parametrize("t", [1e-12, 1e-20])
+    def test_tiny_nilpotent_with_conjugation(self, t):
+        # the residual is sqrt(2) ||H||_F at every scale, so no scale makes it small
+        H = t * np.array([[0.0, 1.0], [0.0, 0.0]])
+        assert not check_c_selfadjoint(H, conj_k(2)).is_csa
+        for decompose in (refined_polar, refined_svd):
+            with pytest.raises(NotCsa):
+                decompose(H, conj_k(2))
 
     def test_real_matrix_is_k_real(self, rng):
         report = check_c_real(rng.standard_normal((4, 4)), conj_k(4))

@@ -288,6 +288,11 @@ class TestRefinedSvd:
         np.testing.assert_allclose(np.abs(out.phis), np.eye(2)[:, ::-1], atol=1e-14)
         np.testing.assert_allclose(out.reconstruct(), np.diag([1.0, 2.0]), atol=1e-14)
 
+    def test_empty_matrix_gives_empty_expansion(self):
+        out = refined_svd(np.zeros((0, 0)), AntiunitaryOp(np.zeros((0, 0))))
+        assert out.sigmas.shape == (0,) and out.phis.shape == out.etas.shape == (0, 0)
+        assert out.residuals == {"eigen": 0.0, "fixed": 0.0, "reconstruction": 0.0}
+
     def test_degenerate_involutive_branch(self):
         # sigma = 2 twice; frozen from the eigenvalues of H*H = 4 I
         H = np.array([[0.0, 2.0], [2.0, 0.0]])
@@ -501,3 +506,20 @@ def test_huge_norm_matches_unscaled():
     np.testing.assert_allclose(out.sigmas / t, ref.sigmas, rtol=1e-12)
     bound = DEFAULT_TOL.bound(fro(t * H))
     assert all(r <= bound for r in {**polar.residuals, **out.residuals}.values())
+
+
+def _outcome(decompose, H, C):
+    try:
+        decompose(H, C)
+    except Exception as exc:  # the error type is the outcome
+        return type(exc).__name__
+    return "ok"
+
+
+@pytest.mark.parametrize("t", [1e-150, 1e-12, 1e150])
+def test_outcomes_do_not_depend_on_scale(t):
+    # H -> tH changes no verdict: the checks and bounds scale with H
+    nilpotent = (np.array([[0.0, 1.0], [0.0, 0.0]]), conj_k(2), None)  # not C-self-adjoint
+    for H, C, _ in [*corpus(), nilpotent]:
+        for decompose in (refined_polar, refined_svd):
+            assert _outcome(decompose, t * H, C) == _outcome(decompose, H, C)

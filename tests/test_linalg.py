@@ -14,6 +14,12 @@ class TestTolerance:
         tol = Tolerance(abs=1e-10, rel=1e-8)
         assert tol.bound(10.0) == pytest.approx(1e-10 + 1e-7)
 
+    def test_absolute_part_shrinks_below_unit_scale(self):
+        tol = Tolerance(abs=1e-10, rel=1e-8)
+        assert tol.bound(1.0) == pytest.approx(1e-10 + 1e-8)
+        assert tol.bound(1e-12) == pytest.approx(1e-22 + 1e-20)
+        assert tol.bound(0.0) == 0.0
+
     @pytest.mark.parametrize(
         "abs_, rel", [(-1.0, 1e-10), (1e-10, -1.0), (0.0, 0.0), (np.nan, 1e-10), (1e-10, np.inf)]
     )

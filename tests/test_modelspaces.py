@@ -176,6 +176,11 @@ class TestThetaCondition:
         with pytest.raises(ValueError):
             theta_condition_check({-1: 1.0})
 
+    @pytest.mark.parametrize("t", [1.0, 1e-12])
+    def test_small_symbol_judged_at_its_own_scale(self, t):
+        # an imaginary part as large as the symbol itself fails at any scale
+        assert not theta_condition_check({0: t, 2: t * 1j})
+
     def test_matches_circle_sampling_oracle(self, rng):
         # sample the defining identities at 64 unit-circle points
         z = np.exp(2j * np.pi * np.arange(64) / 64)
@@ -316,6 +321,11 @@ class TestConditionAnd:
 
     def test_linear_fails(self):
         assert not check_condition_and({1: 1.0}, {})
+
+    @pytest.mark.parametrize("t", [1.0, 1e-12])
+    def test_small_violation_judged_at_its_own_scale(self, t):
+        assert not check_condition_and({0: t, 1: 0.3j * t}, {2: 0.7 * t})
+        assert check_condition_and({2: t}, {-2: t})
 
     def test_sufficient_condition_family(self, rng):
         # phi1 with even frequencies and phi2(z) = phi1(conj z) always satisfy it

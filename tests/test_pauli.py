@@ -225,7 +225,7 @@ class TestDiscretize:
 
 class TestConstantConjugationSearch:
     def test_sweep(self):
-        for alpha in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
+        for alpha in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 1 + 2e-10, 1 - 1e-9, -1 + 1e-9):
             exists, witness = constant_conjugation_search(alpha)
             assert exists == (abs(alpha) == 1.0)
             if exists:
@@ -236,6 +236,19 @@ class TestConstantConjugationSearch:
         np.testing.assert_allclose(witness, SIGMA3, atol=1e-12)
         _, witness = constant_conjugation_search(-1.0)
         np.testing.assert_allclose(witness, np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1 + 1e-11, 1 - 5e-11, -1 - 1e-11, -1 + 1e-11])
+    def test_witness_is_exact_near_unit_coupling(self, alpha):
+        exists, witness = constant_conjugation_search(alpha)
+        assert exists
+        assert np.array_equal(witness, np.diag([1.0, -np.sign(alpha)]))
+        # the certificate is the closed-form check |alpha| = 1
+        residual = constant_conjugation_residual(alpha, witness)
+        assert residual == pytest.approx(np.sqrt(2) * abs(abs(alpha) - 1), rel=1e-12)
+
+    def test_non_finite_coupling_rejected(self):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            constant_conjugation_search(np.nan)
 
     def test_documented_witnesses_by_direct_residual(self):
         assert constant_conjugation_residual(-1.0, np.eye(2)) <= 1e-12
