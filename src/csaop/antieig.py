@@ -12,10 +12,10 @@ forming ``R(z)``; ``||R(z)|| = 1 / lambda_1`` drives the pseudospectrum
 scan: ``z`` belongs to the epsilon-pseudospectrum iff ``z`` is in the
 spectrum or ``||R(z)|| > 1 / epsilon`` (strict, per the definition).
 
-The eigensystem keeps the residuals it was certified with: the expansion
-and the completeness of the ``psi_j``. Vectors inside one singular-value
-cluster of M may mix, and the cluster's lambda steps widen the expansion
-bound.
+``M`` is also ``C^{-1}``-self-adjoint, and the eigensystem is its refined
+SVD against ``C^{-1}`` (the fixed-basis step and cluster slack of
+``decomp.refined_svd``). It keeps the residuals it was certified with:
+the expansion and the completeness of the ``psi_j``.
 
 :func:`resolvent_norm` and the :func:`pseudospectrum` scan share one
 kernel. It splits ``H`` along its exact structural zeros into a direct
@@ -31,9 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .antiunitary import AntilinearMap, AntiunitaryOp
+from .antiunitary import AntiunitaryOp
 from .csa import _require_csa
-from .decomp import SVD_CLUSTER_GAP, _certify, _clusters, _fixed_basis
+from .decomp import _certify, _fixed_singular_basis
 from .errors import DimMismatch, ZInSpectrum
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, connected_components, fro
 
@@ -132,16 +132,17 @@ def antilinear_eigensystem(
     """Solve ``(H - z I) psi = lambda C psi`` for a C-self-adjoint ``H``.
 
     From one SVD ``M = H - z I = W diag(s) V*``: ``lambda_j = s_j`` ascending
-    and ``psi_j`` the fixed vectors of the antiunitary involution ``U* o C``
-    (matrix ``V W* A``, ``U = W V*``) in M's singular subspaces, so
+    and ``psi_j`` the fixed vectors of the antiunitary ``C^{-1} o U``
+    (matrix ``A^T conj(W V*)``, ``U = W V*``) in M's singular subspaces:
+    ``C^{-1} U psi = psi`` is ``U psi = C psi``, so
     ``M psi = U |M| psi = lambda U psi = lambda C psi``. Raises
     :class:`ZInSpectrum` when ``z`` is numerically in the spectrum,
     ``ValueError`` when ``z`` is not finite, :class:`DimMismatch` for a
     0 x 0 ``H`` (no lambda_1), and :class:`UnsupportedDegeneracy` when a
     cluster of M's singular values (gap ``SVD_CLUSTER_GAP * s[0]``, as in
-    :func:`refined_svd`) is degenerate and ``C`` is not involutive: for a C
-    that is neither, two lambdas within ``1e-6 ||M||_2`` of each other
-    suffice.
+    :func:`~csaop.decomp.refined_svd`) is degenerate and ``C`` is not
+    involutive: for a C that is neither, two lambdas within
+    ``1e-6 ||M||_2`` of each other suffice.
     """
     H = _require_csa(H, C, tol)
     z, n = complex(z), H.shape[0]
@@ -153,16 +154,12 @@ def antilinear_eigensystem(
     W, s, Vh = np.linalg.svd(M)
     if s[-1] <= SPECTRUM_CUTOFF * fro(M):
         raise ZInSpectrum(f"sigma_min(H - zI) = {s[-1]:.3e}; shift z = {z} is in the spectrum")
-    groups = _clusters(s, SVD_CLUSTER_GAP * s[0], C)
     A = C.unitary_part
-    V = Vh.conj().T
-    psis = _fixed_basis(AntilinearMap(V @ (W.conj().T @ A)), V, groups, tol)[:, ::-1]
-    lambdas = s[::-1]
-
-    slack = max((float(np.abs(np.diff(s[g])).max()) for g in groups if len(g) > 1), default=0.0)
+    phis, _, slack = _fixed_singular_basis(A.T, W, Vh.conj().T, s, C, tol)
+    psis, lambdas = phis[:, ::-1], s[::-1]
     residuals = _certify(
         "antilinear expansion",
-        tol.bound(max(1.0, fro(H)) + float(lambdas[-1])) + 2.0 * slack * np.sqrt(n),
+        tol.bound(max(1.0, fro(H)) + float(lambdas[-1])) + slack,
         expansion=fro(M @ psis - (A @ np.conj(psis)) * lambdas),
     )
     residuals |= _certify("basis", tol.bound(1.0), completeness=fro(psis @ psis.conj().T - np.eye(n)))

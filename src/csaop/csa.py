@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .antiunitary import AntiunitaryOp, conjugate_linear_map
-from .errors import DimMismatch, NotCsa
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, cayley, cluster_indices, fro, nullspace
+from .errors import NonFinite, NotCsa
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, cayley, cluster_indices, fro, rank_cutoff
 
 #: Absolute eigenvalue clustering gap, relative to ||H||. Eigenvalues of
 #: non-normal matrices are only accurate to roughly sqrt(machine epsilon).
@@ -143,17 +143,17 @@ def kernel_pairing(
     For a C-self-adjoint ``H`` the two nullities agree and ``C`` maps the
     first kernel onto the second; ``mapped_ok`` reports whether every
     kernel basis vector ``f`` satisfies
-    ``||(H* - conj(lam) I) C f|| <= tol.bound(||H||)``.
+    ``||(H* - conj(lam) I) C f|| <= tol.bound(||H||)``. One SVD of
+    ``H - lam I`` gives both kernels (trailing right and left singular
+    vectors). Raises :class:`NonFinite` for a non-finite ``lam``.
     """
-    H = _require_csa(H, C, tol)
-    if C.dim != H.shape[0]:
-        raise DimMismatch("operator dimensions differ")
-    n = H.shape[0]
-    shifted = H - lam * np.eye(n)
-    shifted_adj = H.conj().T - np.conj(lam) * np.eye(n)
-    ker = nullspace(shifted, tol)
-    ker_adj = nullspace(shifted_adj, tol)
-    bound = tol.bound(fro(H))
-    mapped = shifted_adj @ (C.unitary_part @ np.conj(ker))
-    mapped_ok = bool(np.all(np.linalg.norm(mapped, axis=0) <= bound))
+    H, lam = _require_csa(H, C, tol), complex(lam)
+    if not np.isfinite(lam):
+        raise NonFinite(f"shift lam = {lam} is not finite")
+    shifted = H - lam * np.eye(H.shape[0])
+    W, s, Vh = np.linalg.svd(shifted)
+    rank = int(np.count_nonzero(s > rank_cutoff(s, tol)))
+    ker, ker_adj = Vh.conj().T[:, rank:], W[:, rank:]
+    mapped = shifted.conj().T @ (C.unitary_part @ np.conj(ker))
+    mapped_ok = bool(np.all(np.linalg.norm(mapped, axis=0) <= tol.bound(fro(H))))
     return ker.shape[1], ker_adj.shape[1], mapped_ok

@@ -17,16 +17,15 @@ no such basis is guaranteed; for anti-involutive ``C`` it cannot exist at
 all (``J phi = phi`` with ``J^2 = -I`` forces ``phi = -phi``), and every
 nonzero singular value is even-fold degenerate instead.
 
-:func:`refined_svd` takes one SVD of ``H`` and clusters its sorted
-singular values in O(n) at ``SVD_CLUSTER_GAP`` times the largest. Only
-when a cluster is degenerate is the involution class of ``C`` read, and a
-``C`` that is not involutive is rejected before ``J`` is built
-(``_clusters``). Eigenvectors of simple singular values are re-phased
-together in one :func:`phase_fix` call; degenerate clusters get a
-closed-form fixed basis from :func:`fix_basis_involutive`
-(``_fixed_basis``); ``eta_j = C^{-1} phi_j`` is one matrix product.
-:func:`csaop.antieig.antilinear_eigensystem` runs the same two steps on
-the SVD of ``H - z I``, with its own antiunitary in place of ``J``.
+:func:`refined_svd` takes one SVD of ``H``; one fixed-basis step clusters
+the kept singular values in O(n) at ``SVD_CLUSTER_GAP`` times the largest,
+reads the involution class of ``C`` only for a degenerate cluster (a ``C``
+that is not involutive is rejected before ``J`` is built), re-phases the
+simple clusters in one :func:`phase_fix` call and fixes each degenerate one
+with :func:`fix_basis_involutive`. Mixing inside a cluster costs up to its
+width ``w``; the certificate allows ``2 sqrt(k) max(w)`` for ``k`` values.
+The same step on the ``C^{-1}``-self-adjoint ``H - z I`` gives the ``psi_j``
+of :func:`csaop.antieig.antilinear_eigensystem`.
 
 Each result is certified before it is returned: ``_certify`` checks the
 identity residuals (Frobenius norms) against one bound and raises
@@ -41,21 +40,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .antiunitary import (
-    AntilinearMap,
-    AntiunitaryOp,
-    InvolutionClass,
-    classify,
-    compose_antilinear,
-)
+from .antiunitary import AntilinearMap, AntiunitaryOp, InvolutionClass, classify, compose_antilinear
 from .csa import _require_csa
 from .errors import (
-    DimMismatch,
-    NotInvariant,
-    NotInvolutive,
-    NotUnitary,
-    NumericalFailure,
-    UnsupportedDegeneracy,
+    DimMismatch, NotInvariant, NotInvolutive, NotUnitary, NumericalFailure, UnsupportedDegeneracy
 )
 from .linalg import (
     DEFAULT_TOL, Tolerance, as_matrix, as_vector, cayley, cluster_indices, fro, rank_cutoff
@@ -131,13 +119,6 @@ def _svd_data(H, C: AntiunitaryOp, tol: Tolerance):
     return H, W, s, Vh.conj().T, rank
 
 
-def _polar_factors(C: AntiunitaryOp, W, s, V, rank: int):
-    """Partial isometry U, ``|H|`` and ``J = C o U`` from the SVD factors of H."""
-    U = W[:, :rank] @ V[:, :rank].conj().T
-    absH = (V * s) @ V.conj().T
-    return U, absH, compose_antilinear(C, U)
-
-
 def refined_polar(H, C: AntiunitaryOp, tol: Tolerance = DEFAULT_TOL) -> RefinedPolar:
     """Refined polar decomposition ``H = C^{-1} J |H|`` of a C-self-adjoint H.
 
@@ -146,7 +127,9 @@ def refined_polar(H, C: AntiunitaryOp, tol: Tolerance = DEFAULT_TOL) -> RefinedP
     the decomposition identities within tolerance.
     """
     H, W, s, V, rank = _svd_data(H, C, tol)
-    U, absH, J = _polar_factors(C, W, s, V, rank)
+    U = W[:, :rank] @ V[:, :rank].conj().T
+    absH = (V * s) @ V.conj().T
+    J = compose_antilinear(C, U)
     residuals = _certify(
         "refined polar", tol.bound(max(1.0, fro(H))),
         polar=fro(H - U @ absH),
@@ -248,17 +231,14 @@ def refined_svd(H, C: AntiunitaryOp, tol: Tolerance = DEFAULT_TOL) -> RefinedSVD
     """
     H, W, s, V, rank = _svd_data(H, C, tol)
     sigmas = s[:rank]
-    groups = _clusters(sigmas, SVD_CLUSTER_GAP * s.max(initial=0.0), C)  # s[0], if any
-    _, absH, J = _polar_factors(C, W, s, V, rank)
-    phis = _fixed_basis(J, V[:, :rank], groups, tol)
-    etas = C.unitary_part.T @ np.conj(phis)  # C^{-1} phi_j
-    result = RefinedSVD(sigmas=sigmas, phis=phis, etas=etas)
-    # mixing the vectors of a cluster costs up to its width; the adjoint
-    # expansion needs no residual: reconstruct_adjoint() = reconstruct()*
-    spread = max((sigmas[idx[0]] - sigmas[idx[-1]] for idx in groups), default=0.0)
+    A = C.unitary_part
+    phis, J, slack = _fixed_singular_basis(A, W[:, :rank], V[:, :rank], sigmas, C, tol)
+    absH = (V * s) @ V.conj().T
+    result = RefinedSVD(sigmas=sigmas, phis=phis, etas=A.T @ np.conj(phis))  # eta = C^{-1} phi
+    # the adjoint expansion needs no residual: reconstruct_adjoint() = reconstruct()*
     residuals = _certify(
         "refined SVD",
-        tol.bound(max(1.0, fro(H))) + 2.0 * float(spread) * np.sqrt(max(1, rank)),
+        tol.bound(max(1.0, fro(H))) + slack,
         eigen=fro(absH @ phis - phis * sigmas),
         fixed=fro(J.matrix @ np.conj(phis) - phis),
         reconstruction=fro(H - result.reconstruct()),
@@ -266,30 +246,29 @@ def refined_svd(H, C: AntiunitaryOp, tol: Tolerance = DEFAULT_TOL) -> RefinedSVD
     return replace(result, residuals=residuals)
 
 
-def _clusters(values: np.ndarray, gap: float, C: AntiunitaryOp) -> list[list[int]]:
-    """Index groups of the sorted singular ``values`` at ``gap``. C's involution
-    class is read only for a degenerate group, and a degeneracy C cannot fix
-    raises :class:`UnsupportedDegeneracy` here, before any J is built."""
-    groups = cluster_indices(values, gap) if len(values) else []
+def _fixed_singular_basis(D, W, V, s, C: AntiunitaryOp, tol: Tolerance):
+    """``(phis, J, slack)`` for the factors ``W diag(s) V*``, ``s`` descending.
+
+    ``J = D o K o U`` with ``U = W V*`` (matrix ``D conj(U)``); ``phis`` are
+    J-fixed orthonormal columns spanning the singular subspaces of ``V``,
+    and ``slack`` is ``2 * sqrt(len(s))`` times the widest cluster's width
+    (see the module docstring).
+    """
+    groups = cluster_indices(s, SVD_CLUSTER_GAP * s[0]) if len(s) else []
     idx = next((idx for idx in groups if len(idx) > 1), None)
     if idx is not None and (kind := classify(C)) is not InvolutionClass.INVOLUTIVE:
         anti = kind is InvolutionClass.ANTI_INVOLUTIVE
         detail = "no J-fixed vector can exist for anti-involutive C" if anti else "C is not involutive"
         raise UnsupportedDegeneracy(
-            f"singular value {values[idx[0]]:.6g} has multiplicity {len(idx)} and {detail}"
+            f"singular value {s[idx[0]]:.6g} has multiplicity {len(idx)} and {detail}"
         )
-    return groups
-
-
-def _fixed_basis(J: AntilinearMap, E: np.ndarray, groups, tol: Tolerance) -> np.ndarray:
-    """J-fixed columns spanning each group of columns of ``E``: one
-    :func:`phase_fix` call re-phases the simple groups and
-    :func:`fix_basis_involutive` re-combines each degenerate one."""
+    J = AntilinearMap(D @ np.conj(W @ V.conj().T))
     gate = Tolerance(abs=max(tol.abs, GATE_TOL), rel=tol.rel)
-    phis = E.copy()
+    phis = V.copy()
     for idx in groups:
         if len(idx) > 1:
-            phis[:, idx] = fix_basis_involutive(J, E[:, idx], gate)
+            phis[:, idx] = fix_basis_involutive(J, V[:, idx], gate)
     simple = [idx[0] for idx in groups if len(idx) == 1]
-    phis[:, simple] = phase_fix(J, E[:, simple], gate)
-    return phis
+    phis[:, simple] = phase_fix(J, V[:, simple], gate)
+    width = max((s[idx[0]] - s[idx[-1]] for idx in groups), default=0.0)
+    return phis, J, 2.0 * float(width) * np.sqrt(max(1, len(s)))

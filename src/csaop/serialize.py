@@ -40,6 +40,8 @@ def matrix_from_json(obj) -> np.ndarray:
         raise ValueError(f"matrix dimensions must be non-negative integers, got {rows!r}, {cols!r}")
     if len(data) != rows * cols:
         raise ValueError(f"matrix data length {len(data)} != rows*cols = {rows * cols}")
+    if not np.isfinite(values).all():  # a literal such as 1e400 parses to inf
+        raise ValueError("matrix entries must be finite")
     return values.reshape(rows, cols)
 
 
@@ -64,9 +66,12 @@ def symbol_to_json(phi: dict) -> dict:
 
 def symbol_from_json(obj) -> dict:
     try:
-        return {int(n): complex(re, im) for n, (re, im) in obj["fourier"].items()}
+        phi = {int(n): complex(re, im) for n, (re, im) in obj["fourier"].items()}
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"not a symbol object: {exc}") from exc
+    if not np.isfinite(list(phi.values())).all():
+        raise ValueError("symbol coefficients must be finite")
+    return phi
 
 
 def polar_to_json(polar: RefinedPolar) -> dict:
@@ -109,9 +114,14 @@ def pauli_spectrum_csv(sample: SpectrumSample) -> str:
     return _csv("k,re_plus,im_plus,re_minus,im_minus", *columns)
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name} in JSON input")
+
+
 def load_json(path) -> object:
+    """Parsed JSON; ``ValueError`` on the non-standard NaN and +-Infinity."""
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        return json.load(handle, parse_constant=_reject_constant)
 
 
 def dump_json(obj, path) -> None:

@@ -113,6 +113,16 @@ class TestNearSpectrum:
         assert system.residuals["expansion"] <= 1e-12 * fro(M)
 
 
+def _chained(seed):
+    """``H = Q diag(sigma) Q^T`` for Haar Q at n = 64, K-self-adjoint: sixteen
+    singular values chained at steps of 0.9e-6, below the cluster gap
+    ``SVD_CLUSTER_GAP * sigma_max`` (2e-6 to 5e-6), form one cluster of
+    width 1.35e-5 beside 48 values in [2, 5]."""
+    rng = np.random.default_rng(seed)
+    Q = haar_unitary(64, rng)
+    return (Q * np.concatenate([1.0 + 0.9e-6 * np.arange(16), rng.uniform(2, 5, 48)])) @ Q.T
+
+
 def _resolvent_route(H, C, z):
     """The eigensystem from the refined SVD of ``R(z) = (H - zI)^{-1}``:
     ``lambda = 1 / sigma(R)``, ascending as sigma(R) descends, and
@@ -172,7 +182,7 @@ class TestResolventOracle:
 
 class TestOneSvd:
     def test_no_polar_factors_no_composition(self, monkeypatch):
-        counts = {"svd": 0, "polar_factors": 0, "compose_antilinear": 0}
+        counts = {"svd": 0, "J": 0, "compose_antilinear": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -183,12 +193,13 @@ class TestOneSvd:
 
         H, C = _takagi_pair(np.concatenate([np.full(4, 1.5), 1.0 + np.arange(12) / 12]), 5)
         monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
-        monkeypatch.setattr(decomp, "_polar_factors", counted("polar_factors", decomp._polar_factors))
+        # the map whose fixed vectors are the psi_j: built once, by the constructor
+        monkeypatch.setattr(decomp, "AntilinearMap", counted("J", decomp.AntilinearMap))
         monkeypatch.setattr(
             decomp, "compose_antilinear", counted("compose_antilinear", decomp.compose_antilinear)
         )
         system = antilinear_eigensystem(H, C, 0.5j)
-        assert counts == {"svd": 1, "polar_factors": 0, "compose_antilinear": 0}
+        assert counts == {"svd": 1, "J": 1, "compose_antilinear": 0}
         assert set(system.residuals) == {"expansion", "completeness"}
 
 
@@ -200,6 +211,8 @@ class TestResiduals:
         # near the spectrum: lambdas 1e-3 and 1e-3 + 1e-6 share a cluster
         # of H - zI, while 1 / lambda would split them
         (np.diag([0.0, 1e-3, 1e-3 + 1e-6, 5.0]), 1e-5j),
+        # a chained cluster: mixing costs its width, far more than one step
+        (_chained(0), 0.0),
     ])
     def test_are_the_certified_expressions(self, H, z, monkeypatch):
         bounds = {}
@@ -219,12 +232,14 @@ class TestResiduals:
             "expansion": fro(M @ psis - (C.unitary_part @ np.conj(psis)) * lambdas),
             "completeness": fro(psis @ psis.conj().T - np.eye(n)),
         }
-        # the lambda slack, clustered here independently of the library
-        close = np.abs(np.diff(lambdas)) <= SVD_CLUSTER_GAP * lambdas[-1]
-        slack = float(np.max(np.abs(np.diff(lambdas))[close], initial=0.0))
-        bound = DEFAULT_TOL.bound(max(1.0, fro(H)) + lambdas[-1]) + 2.0 * slack * np.sqrt(n)
+        # the slack is the widest cluster's width, clustered here
+        # independently of the library
+        breaks = np.flatnonzero(np.diff(lambdas) > SVD_CLUSTER_GAP * lambdas[-1]) + 1
+        width = max(cluster[-1] - cluster[0] for cluster in np.split(lambdas, breaks))
+        bound = DEFAULT_TOL.bound(max(1.0, fro(H)) + lambdas[-1]) + 2.0 * width * np.sqrt(n)
         assert bounds == {"expansion": bound, "completeness": DEFAULT_TOL.bound(1.0)}
         assert all(system.residuals[name] <= bounds[name] for name in bounds)
+        decomp.refined_svd(H, C)  # the refined SVD of the same H is certified too
 
 
 class TestHugeNorms:

@@ -99,6 +99,23 @@ class TestCheck:
         dump_json(antiunitary_to_json(conj_k(1)), tmp_path / "c.json")
         assert main(["check", "--H", str(tmp_path / "h.json"), "--C", str(tmp_path / "c.json")]) == 2
 
+    @pytest.mark.parametrize("entry", ["[NaN, 0]", "[0, -Infinity]", "[1e400, 0]"])
+    @pytest.mark.parametrize("file", ["H", "C"])
+    def test_non_finite_number_is_parse_error(self, entry, file, tmp_path, capsys):
+        # non-standard constants and literals that overflow to inf
+        matrix = f'{{"rows": 1, "cols": 1, "data": [{entry}]}}'
+        h, c = tmp_path / "h.json", tmp_path / "c.json"
+        dump_json(matrix_to_json(np.eye(1)), h)
+        dump_json(antiunitary_to_json(conj_k(1)), c)
+        if file == "H":
+            h.write_text(matrix)
+            assert main(["pseudospec", "--H", str(h), "--epsilon", "0.1", "--grid=-1,1,-1,1",
+                         "--res", "2"]) == 2
+        else:
+            c.write_text(f'{{"kind": "antiunitary", "unitary_part": {matrix}}}')
+        assert main(["check", "--H", str(h), "--C", str(c)]) == 2
+        assert "finite" in capsys.readouterr().err
+
 
 class TestGenCsa:
     def test_round_trip(self, tmp_path, capsys):
@@ -366,6 +383,12 @@ class TestModelSpace:
 
     def test_malformed_symbol_is_parse_error(self, tmp_path):
         dump_json({"fourier": {"1": 5}}, tmp_path / "p.json")
+        path = str(tmp_path / "p.json")
+        assert main(["model-space", "--toeplitz", "--phi1", path, "--phi2", path, "--N", "4"]) == 2
+
+    @pytest.mark.parametrize("coefficient", ["[1e400, 0]", "[0, NaN]"])
+    def test_non_finite_symbol_is_parse_error(self, coefficient, tmp_path):
+        (tmp_path / "p.json").write_text(f'{{"fourier": {{"1": {coefficient}}}}}')
         path = str(tmp_path / "p.json")
         assert main(["model-space", "--toeplitz", "--phi1", path, "--phi2", path, "--N", "4"]) == 2
 

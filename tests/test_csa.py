@@ -8,6 +8,7 @@ import pytest
 import csaop
 from csaop import (
     AntiunitaryOp,
+    NonFinite,
     NotCsa,
     check_c_real,
     check_c_selfadjoint,
@@ -285,3 +286,8 @@ class TestKernelPairing:
     def test_requires_csa(self):
         with pytest.raises(NotCsa):
             kernel_pairing(np.array([[0.0, 1.0], [0.0, 0.0]]), conj_k(2), 0.0)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, complex(0, -np.inf), complex(np.nan, 1)])
+    def test_non_finite_shift(self, lam):
+        with pytest.raises(NonFinite):
+            kernel_pairing(np.diag([0.0, 1.0]), conj_k(2), lam)

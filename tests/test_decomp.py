@@ -393,7 +393,7 @@ def _haar_conjugated(H, C, seed):
 class TestExpansionGates:
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"classify": 0, "polar_factors": 0}
+        counts = {"classify": 0, "J": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -403,7 +403,8 @@ class TestExpansionGates:
             return wrapper
 
         monkeypatch.setattr(decomp, "classify", counted("classify", decomp.classify))
-        monkeypatch.setattr(decomp, "_polar_factors", counted("polar_factors", decomp._polar_factors))
+        # every J of the expansion is built by this one constructor call
+        monkeypatch.setattr(decomp, "AntilinearMap", counted("J", decomp.AntilinearMap))
         return counts
 
     @pytest.mark.parametrize("n_kernel, n_range, seed", [(2, 3, 0), (2, 6, 2)])
@@ -425,7 +426,7 @@ class TestExpansionGates:
         H, C = _haar_conjugated(Q @ np.diag(sig) @ Q.T, conj_k(n), seed=41)
         assert classify(C) is InvolutionClass.INVOLUTIVE
         out = refined_svd(H, C)
-        assert counts == {"classify": 1, "polar_factors": 1}
+        assert counts == {"classify": 1, "J": 1}
         assert fro(H - out.reconstruct()) <= 1e-8 * fro(H)
 
     def test_anti_involutive_raises_before_building_j(self, counts):
@@ -433,7 +434,7 @@ class TestExpansionGates:
         message = r"multiplicity 2 and no J-fixed vector can exist for anti-involutive C"
         with pytest.raises(UnsupportedDegeneracy, match=message):
             refined_svd(H, C)
-        assert counts == {"classify": 1, "polar_factors": 0}
+        assert counts == {"classify": 1, "J": 0}
 
 
 def _expandable_pairs():
