@@ -47,12 +47,17 @@ class CsaReport:
 
 
 def _check(H, C: AntiunitaryOp, target: np.ndarray, tol: Tolerance) -> CsaReport:
-    residual = fro(conjugate_linear_map(C, H) - target)
-    return CsaReport(residual=residual, is_csa=residual <= tol.bound(fro(H)))
+    scale = fro(H)  # once finite, it bounds every entry and partial sum of A conj(H) A*
+    if scale == np.inf:
+        raise NonFinite("||H||_F overflows")
+    with np.errstate(over="ignore"):  # a difference past the float range: residual inf
+        residual = fro(conjugate_linear_map(C, H) - target)
+    return CsaReport(residual=residual, is_csa=residual <= tol.bound(scale))
 
 
 def check_c_selfadjoint(H, C: AntiunitaryOp, tol: Tolerance = DEFAULT_TOL) -> CsaReport:
-    """Residual check of ``C H C^{-1} = H*`` (Frobenius norm)."""
+    """Residual check of ``C H C^{-1} = H*`` (Frobenius norm); raises
+    :class:`NonFinite` when ``||H||_F`` overflows."""
     H = as_matrix(H, square=True)
     return _check(H, C, H.conj().T, tol)
 

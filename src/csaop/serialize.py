@@ -5,6 +5,10 @@ entries flattened row-major. Antiunitary JSON wraps the unitary part as
 ``{"kind": "antiunitary", "unitary_part": <matrix>}``. Symbols are
 ``{"fourier": {"-2": [re, im], ...}}``. Everything written here is read
 back by the same parsers (the CLI round-trips through these functions).
+
+:func:`dump_json` writes compact one-line JSON holding finite numbers only:
+a NaN or infinite value raises ``ValueError`` (CLI exit 2) and no file is
+written. Floats keep their shortest ``repr``, so they parse back bit for bit.
 """
 
 from __future__ import annotations
@@ -125,6 +129,7 @@ def load_json(path) -> object:
 
 
 def dump_json(obj, path) -> None:
+    """One compact line; ``ValueError`` on NaN or +-inf before ``path`` is opened."""
+    text = json.dumps(obj, separators=(",", ":"), allow_nan=False)  # one-shot C encoder
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(obj, handle, indent=1)
-        handle.write("\n")
+        handle.write(text + "\n")

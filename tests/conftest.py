@@ -44,6 +44,26 @@ def symmetrized_csa(M, C):
     return 0.5 * (M + A.T @ M.T @ np.conj(A))
 
 
+def hadamard_conjugation(n):
+    """(S/sqrt(n)) o K for the n x n Sylvester Hadamard matrix S (n a power of 2).
+
+    S is real and symmetric with S^2 = n I, so this C is involutive."""
+    S = np.ones((1, 1))
+    while S.shape[0] < n:
+        S = np.kron([[1.0, 1.0], [1.0, -1.0]], S)
+    return AntiunitaryOp(S / np.sqrt(n))
+
+
+def overflowing_csa():
+    """Exactly C-self-adjoint H whose ||H||_F overflows, with its C.
+
+    H = 1.5e308 in column 0 and C = (S/2) o K (n = 4): S conj(H) S / 4 = H*
+    exactly, but ||H||_F = 3e308 and S times column 0 overflows."""
+    H = np.zeros((4, 4))
+    H[:, 0] = 1.5e308
+    return H, hadamard_conjugation(4)
+
+
 def random_complex_symmetric(n, rng):
     M = random_matrix(n, rng)
     return 0.5 * (M + M.T)

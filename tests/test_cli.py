@@ -5,18 +5,19 @@ import warnings
 import numpy as np
 import pytest
 
-from csaop import AntiunitaryOp, decomp, generate_csa
+from csaop import AntiunitaryOp, antieig, csa, decomp, generate_csa
 from csaop.cli import main
 from csaop.modelspaces import example2_conjugation, example2_matrix
 from csaop.serialize import (
     antiunitary_to_json,
     dump_json,
+    load_json,
     matrix_from_json,
     matrix_to_json,
     symbol_to_json,
 )
 
-from conftest import conj_k, random_antiunitary
+from conftest import conj_k, hadamard_conjugation, overflowing_csa, random_antiunitary
 
 
 @pytest.fixture
@@ -66,6 +67,28 @@ class TestCheck:
         assert "is_csa=false" in capsys.readouterr().out
         assert main(args + ["--tol-abs", "10", "--tol-rel", "0"]) == 0
         assert "is_csa=true" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("case", ["exact", "ones"])
+    def test_overflowing_norm_is_domain_error(self, case, tmp_path, capsys):
+        if case == "exact":
+            H, C = overflowing_csa()
+        else:  # not C-self-adjoint either; ||H||_F = 2e308
+            H, C = np.full((2, 2), 1e308), hadamard_conjugation(2)
+        h, c, out = tmp_path / "h.json", tmp_path / "c.json", tmp_path / "r.json"
+        dump_json(matrix_to_json(H), h)
+        dump_json(antiunitary_to_json(C), c)
+        assert main(["check", "--H", str(h), "--C", str(c), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
+    def test_non_finite_output_writes_no_file(self, fixture_pair, tmp_path, monkeypatch, capsys):
+        h_path, c_path = fixture_pair
+        report = csa.CsaReport(residual=float("nan"), is_csa=False)
+        monkeypatch.setattr(csa, "check_c_selfadjoint", lambda *args: report)
+        out = tmp_path / "r.json"
+        assert main(["check", "--H", str(h_path), "--C", str(c_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["check", "--H", str(tmp_path / "nope.json"), "--C", str(tmp_path / "c.json")]) == 2
@@ -184,6 +207,47 @@ class TestDecompositions:
     def test_non_finite_tolerance_is_parse_error(self, fixture_pair, flag, value):
         h_path, c_path = fixture_pair
         assert main(["polar", "--H", str(h_path), "--C", str(c_path), flag, value]) == 2
+
+
+class TestOutputRoundTrip:
+    """``--out`` payloads parse back to exactly the library's arrays."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        U = random_antiunitary(8, seed=11).unitary_part
+        C = AntiunitaryOp(U @ U.T)  # involutive, so refined-svd and anti-eig apply
+        h_path, c_path = tmp_path / "h.json", tmp_path / "c.json"
+        dump_json(matrix_to_json(generate_csa(C, 4)), h_path)
+        dump_json(antiunitary_to_json(C), c_path)
+        H = matrix_from_json(load_json(h_path))
+        C = AntiunitaryOp(matrix_from_json(load_json(c_path)["unitary_part"]))
+        return h_path, c_path, H, C
+
+    def _run(self, command, paths, tmp_path, *extra):
+        h_path, c_path = paths[:2]
+        out = tmp_path / "out.json"
+        assert main([command, "--H", str(h_path), "--C", str(c_path), *extra, "--out", str(out)]) == 0
+        return load_json(out)
+
+    def test_polar(self, paths, tmp_path):
+        payload = self._run("polar", paths, tmp_path)
+        polar = decomp.refined_polar(*paths[2:])
+        for key, expected in (("absH", polar.absH), ("U", polar.U), ("J", polar.J.matrix)):
+            assert np.array_equal(matrix_from_json(payload[key]), expected)
+
+    def test_refined_svd(self, paths, tmp_path):
+        payload = self._run("refined-svd", paths, tmp_path)
+        expansion = decomp.refined_svd(*paths[2:])
+        assert np.array_equal(np.array(payload["sigmas"]), expansion.sigmas)
+        assert np.array_equal(matrix_from_json(payload["phis"]), expansion.phis)
+        assert np.array_equal(matrix_from_json(payload["etas"]), expansion.etas)
+
+    def test_anti_eig(self, paths, tmp_path):
+        payload = self._run("anti-eig", paths, tmp_path, "--z", "0.25,-1.5")
+        system = antieig.antilinear_eigensystem(*paths[2:], complex(0.25, -1.5))
+        assert complex(*payload["z"]) == system.z
+        assert np.array_equal(np.array(payload["lambdas"]), system.lambdas)
+        assert np.array_equal(matrix_from_json(payload["psis"]), system.psis)
 
 
 class TestAntiEig:

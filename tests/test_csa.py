@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,8 @@ from conftest import (
     J2,
     c2_blocks,
     conj_k,
+    hadamard_conjugation,
+    overflowing_csa,
     random_antiunitary,
     random_matrix,
     symmetrized_csa,
@@ -51,6 +54,34 @@ class TestChecks:
         assert report.residual == pytest.approx(1e160 * np.sqrt(2))
         with pytest.raises(NotCsa):
             refined_polar(H, conj_k(2))
+
+    @pytest.mark.parametrize("check", [check_c_selfadjoint, check_c_real])
+    def test_overflowing_norm_is_non_finite(self, check):
+        # no NaN residual and no infinite bound: the check refuses the scale
+        H, C = overflowing_csa()
+        assert check_c_selfadjoint(H / 1e300, C).residual == 0.0  # exact at a safe scale
+        for H, C in ((H, C), (np.full((2, 2), 1e308), hadamard_conjugation(2))):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFinite, match="overflows"):
+                    check(H, C)
+
+    def test_largest_finite_norm_is_checked(self):
+        # ||H||_F just below the overflow threshold: a finite residual and bound
+        H = np.zeros((4, 4))
+        H[:, 0] = 8.98e307
+        report = check_c_selfadjoint(H, hadamard_conjugation(4))
+        assert report.is_csa and np.isfinite(report.residual)
+
+    def test_overflowing_residual_rejects(self):
+        # ||H||_F = 1.41e308 is finite, but conj(H) - H* = 2H is not
+        H = 1e308 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_c_selfadjoint(H, conj_k(2))
+            with pytest.raises(NotCsa):
+                refined_polar(H, conj_k(2))
+        assert report.residual == np.inf and not report.is_csa
 
     @pytest.mark.parametrize("t", [1e-12, 1e-20])
     def test_tiny_nilpotent_with_conjugation(self, t):

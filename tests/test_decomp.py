@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from csaop import (
     AntilinearMap,
     AntiunitaryOp,
     InvolutionClass,
+    NonFinite,
     NotCsa,
     NotInvariant,
     NotInvolutive,
@@ -28,6 +31,7 @@ from conftest import (
     c2_blocks,
     conj_k,
     neither_simple_case,
+    overflowing_csa,
     random_antiunitary,
     random_matrix,
     random_vector,
@@ -507,6 +511,16 @@ def test_huge_norm_matches_unscaled():
     np.testing.assert_allclose(out.sigmas / t, ref.sigmas, rtol=1e-12)
     bound = DEFAULT_TOL.bound(fro(t * H))
     assert all(r <= bound for r in {**polar.residuals, **out.residuals}.values())
+
+
+@pytest.mark.parametrize("decompose", [refined_polar, refined_svd])
+def test_overflowing_norm_is_non_finite(decompose):
+    # H is exactly C-self-adjoint, but ||H||_F overflows: NonFinite, not NotCsa
+    H, C = overflowing_csa()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite):
+            decompose(H, C)
 
 
 def _outcome(decompose, H, C):

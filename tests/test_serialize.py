@@ -6,6 +6,8 @@ from csaop.pauli import spectrum_sample
 from csaop.serialize import (
     antiunitary_from_json,
     antiunitary_to_json,
+    dump_json,
+    load_json,
     matrix_from_json,
     matrix_to_json,
     pauli_spectrum_csv,
@@ -115,3 +117,34 @@ def test_matrix_json_data_matches_entrywise_floats(rng):
     assert data == expected
     assert all(type(v) is float for row in data for v in row)
     assert str(data) == str(expected)  # keeps the sign of -0.0
+
+
+def test_dump_json_is_one_compact_line(tmp_path, rng):
+    obj = {"H": matrix_to_json(random_matrix(3, rng)), "sigmas": [2.0, 1.0], "z": [0.5, -1.0]}
+    path = tmp_path / "out.json"
+    dump_json(obj, path)
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert ", " not in text and ": " not in text
+    assert load_json(path) == obj
+
+
+def test_dump_json_round_trips_floats_bit_for_bit(tmp_path, rng):
+    M = random_matrix(6, rng) * 10.0 ** rng.integers(-300, 300, (6, 6))
+    M.flat[:4] = [complex(-0.0, 5e-324), complex(1.7e308, -1.7e308), -5e-324, complex(0.0, -0.0)]
+    path = tmp_path / "m.json"
+    dump_json(matrix_to_json(M), path)
+    back = matrix_from_json(load_json(path))
+    np.testing.assert_array_equal(back.view(np.uint64), M.view(np.uint64))
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_dump_json_rejects_non_finite_before_opening(tmp_path, value):
+    existing, fresh = tmp_path / "old.json", tmp_path / "new.json"
+    existing.write_bytes(b'{"r": 1.0}\n')
+    with pytest.raises(ValueError):
+        dump_json({"r": value}, existing)
+    with pytest.raises(ValueError):
+        dump_json({"r": [1.0, value]}, fresh)
+    assert existing.read_bytes() == b'{"r": 1.0}\n'
+    assert not fresh.exists()
