@@ -23,17 +23,15 @@ from csaop.pauli import MINUS_I_SIGMA2
 print("== involutive symmetry: complex symmetric matrix, dim 5 ==")
 K = conjugation_k(5)
 H = generate_csa(K, seed=3)
-polar = refined_polar(H, K)
-print("  || H - U|H| ||           =", f"{fro(H - polar.U @ polar.absH):.2e}")
-commute = fro(polar.J.matrix @ np.conj(polar.absH) - polar.absH @ polar.J.matrix)
-print("  || J|H| - |H|J ||        =", f"{commute:.2e}")
+polar = refined_polar(H, K)  # certified: its residuals are kept, not recomputed
+print("  || H - U|H| ||           =", f"{polar.residuals['polar']:.2e}")
+print("  || J|H| - |H|J ||        =", f"{polar.residuals['commutation']:.2e}")
 print("  || J^2 - I || on range   =", f"{fro(polar.J.squared() - np.eye(5)):.2e}")
 
 expansion = refined_svd(H, K)
 print("  sigmas:", np.round(expansion.sigmas, 4))
-print("  || H - sum_j s_j eta_j phi_j* || =", f"{fro(H - expansion.reconstruct()):.2e}")
-print("  || J phi_j - phi_j ||            =",
-      f"{fro(polar.J.matrix @ np.conj(expansion.phis) - expansion.phis):.2e}")
+print("  || H - sum_j s_j eta_j phi_j* || =", f"{expansion.residuals['reconstruction']:.2e}")
+print("  || J phi_j - phi_j ||            =", f"{expansion.residuals['fixed']:.2e}")
 
 print()
 print("== anti-involutive symmetry: paired singular values, no fixed basis ==")

@@ -21,8 +21,10 @@ the expansion and the completeness of the ``psi_j``.
 kernel. It splits ``H`` along its exact structural zeros into a direct
 sum of diagonal blocks (the spin toy model is one 2x2 momentum symbol per
 block); ``sigma_min(H - z I)`` is the least ``sigma_min`` over the blocks,
-and ``||H - z I||_F``, which sets the spectrum cutoff, is the norm of all
-their singular values. A dense ``H`` is a single block.
+and ``||H - z I||_F`` the norm of all their singular values. A dense ``H``
+is a single block. One spectrum rule, shared with the eigensystem, puts
+``z`` in the spectrum when ``sigma_min <= SPECTRUM_CUTOFF * ||H - z I||_F``
+and raises :class:`NonFinite` when that norm overflows (or is NaN).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from .antiunitary import AntiunitaryOp
 from .csa import _require_csa
 from .decomp import _certify, _fixed_singular_basis
-from .errors import DimMismatch, ZInSpectrum
+from .errors import DimMismatch, NonFinite, ZInSpectrum
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, connected_components, fro
 
 #: sigma_min(H - z I) at or below this fraction of ||H - z I|| counts as
@@ -80,9 +82,19 @@ class PseudospectrumGrid:
         ]
 
 
+@np.errstate(divide="ignore")
+def _resolvent(smin, norm):
+    """``1 / smin``, or ``inf`` (``z`` in the spectrum) where ``smin <=
+    SPECTRUM_CUTOFF * norm``, per shift: ``smin = sigma_min(H - z I)`` and
+    ``norm = ||H - z I||_F``, which must be finite (else :class:`NonFinite`)."""
+    if not np.all(norm < np.inf):
+        raise NonFinite("||H - zI||_F overflows")
+    return np.where(smin <= SPECTRUM_CUTOFF * norm, np.inf, 1.0 / smin)
+
+
+@np.errstate(over="ignore")  # an overflow makes ||H - z I||_F non-finite, which _resolvent rejects
 def _resolvent_norms(H: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """``1 / sigma_min(H - z I)`` at each shift in ``zs``, ``inf`` where
-    ``sigma_min <= SPECTRUM_CUTOFF * ||H - z I||_F``.
+    """:func:`_resolvent` at each shift in ``zs``.
 
     The connected components of ``H != 0`` split ``H`` into diagonal
     blocks, and blocks of one size go through one batched SVD per chunk
@@ -108,15 +120,15 @@ def _resolvent_norms(H: np.ndarray, zs: np.ndarray) -> np.ndarray:
             smin[part] = np.minimum(smin[part], s[..., -1].min(axis=1))
             stack_norm = np.hypot.reduce(s.reshape(len(s), -1), axis=1)
             frobenius[part] = np.hypot(frobenius[part], stack_norm)
-    with np.errstate(divide="ignore"):
-        return np.where(smin <= SPECTRUM_CUTOFF * frobenius, np.inf, 1.0 / smin)
+    return _resolvent(smin, frobenius)
 
 
 def resolvent_norm(H, z: complex) -> float:
     """Operator norm ``||(H - z I)^{-1}|| = 1 / sigma_min(H - z I)``.
 
     Returns ``inf`` when ``z`` is numerically in the spectrum; raises
-    ``ValueError`` for a non-finite ``z``. This is the block scan of
+    ``ValueError`` for a non-finite ``z`` and :class:`NonFinite` when
+    ``||H - z I||_F`` overflows. This is the block scan of
     :func:`pseudospectrum` at the one point ``z``, so the two agree
     exactly.
     """
@@ -137,9 +149,10 @@ def antilinear_eigensystem(
     ``C^{-1} U psi = psi`` is ``U psi = C psi``, so
     ``M psi = U |M| psi = lambda U psi = lambda C psi``. Raises
     :class:`ZInSpectrum` when ``z`` is numerically in the spectrum,
-    ``ValueError`` when ``z`` is not finite, :class:`DimMismatch` for a
-    0 x 0 ``H`` (no lambda_1), and :class:`UnsupportedDegeneracy` when a
-    cluster of M's singular values (gap ``SVD_CLUSTER_GAP * s[0]``, as in
+    :class:`NonFinite` when ``||H - z I||_F`` overflows, ``ValueError``
+    when ``z`` is not finite, :class:`DimMismatch` for a 0 x 0 ``H``
+    (no lambda_1), and :class:`UnsupportedDegeneracy` when a cluster of
+    M's singular values (gap ``SVD_CLUSTER_GAP * s[0]``, as in
     :func:`~csaop.decomp.refined_svd`) is degenerate and ``C`` is not
     involutive: for a C that is neither, two lambdas within
     ``1e-6 ||M||_2`` of each other suffice.
@@ -150,10 +163,11 @@ def antilinear_eigensystem(
         raise ValueError("z must be finite")
     if n == 0:
         raise DimMismatch("a 0 x 0 H has no antilinear eigenvalues")
-    M = H - z * np.eye(n)
-    W, s, Vh = np.linalg.svd(M)
-    if s[-1] <= SPECTRUM_CUTOFF * fro(M):
-        raise ZInSpectrum(f"sigma_min(H - zI) = {s[-1]:.3e}; shift z = {z} is in the spectrum")
+    with np.errstate(over="ignore"):  # an overflow leaves ||M||_F non-finite: _resolvent raises
+        M = H - z * np.eye(n)
+        W, s, Vh = np.linalg.svd(M)
+        if _resolvent(s[-1], np.hypot.reduce(s)) == np.inf:
+            raise ZInSpectrum(f"sigma_min(H - zI) = {s[-1]:.3e}; shift z = {z} is in the spectrum")
     A = C.unitary_part
     phis, _, slack = _fixed_singular_basis(A.T, W, Vh.conj().T, s, C, tol)
     psis, lambdas = phis[:, ::-1], s[::-1]

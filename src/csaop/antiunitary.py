@@ -97,10 +97,6 @@ class AntiunitaryOp(AntilinearMap):
     def unitary_part(self) -> np.ndarray:
         return self._matrix
 
-    def adjoint(self) -> "AntiunitaryOp":
-        """Adjoint ``C*``, which for an antiunitary coincides with ``C^{-1}``."""
-        return AntiunitaryOp(self._matrix.T)
-
     def apply_inverse(self, psi) -> np.ndarray:
         """``C^{-1} psi = A.T @ conj(psi)`` without building a new operator."""
         psi = as_vector(psi)

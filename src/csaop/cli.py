@@ -35,21 +35,17 @@ def _parse_bounds(text: str) -> tuple[float, float, float, float]:
     return tuple(float(p) for p in parts)  # type: ignore[return-value]
 
 
-def _tolerance(args) -> Tolerance:
-    return Tolerance(
-        abs=args.tol_abs if args.tol_abs is not None else DEFAULT_TOL.abs,
-        rel=args.tol_rel if args.tol_rel is not None else DEFAULT_TOL.rel,
-    )
-
-
 def _write_text(path, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
 
 
 def _add_tol_flags(parser):
-    parser.add_argument("--tol-abs", type=float, help="absolute tolerance, times s at scale s < 1")
-    parser.add_argument("--tol-rel", type=float, help="relative tolerance")
+    parser.add_argument(
+        "--tol-abs", type=float, default=DEFAULT_TOL.abs,
+        help="absolute tolerance, times s at scale s < 1",
+    )
+    parser.add_argument("--tol-rel", type=float, default=DEFAULT_TOL.rel, help="relative tolerance")
 
 
 def _add_hc_flags(parser, need_c=True):
@@ -130,9 +126,8 @@ def _load_antiunitary(path):
 def _cmd_check(args) -> int:
     H = _load_matrix(args.H)
     C = _load_antiunitary(args.C)
-    tol = _tolerance(args)
     checker = csa.check_c_real if args.real else csa.check_c_selfadjoint
-    report = checker(H, C, tol)
+    report = checker(H, C, Tolerance(args.tol_abs, args.tol_rel))
     kind = "c_real" if args.real else "c_selfadjoint"
     print(f"{kind} residual={report.residual:.6e} is_csa={str(report.is_csa).lower()}")
     if args.out:
@@ -153,8 +148,7 @@ def _cmd_gen_csa(args) -> int:
 def _cmd_polar(args) -> int:
     H = _load_matrix(args.H)
     C = _load_antiunitary(args.C)
-    tol = _tolerance(args)
-    polar = decomp.refined_polar(H, C, tol)
+    polar = decomp.refined_polar(H, C, Tolerance(args.tol_abs, args.tol_rel))
     recon, commute = polar.residuals["polar"], polar.residuals["commutation"]
     # U is a partial isometry, so ||U||_F^2 is its rank
     print(f"polar residual={recon:.6e} commutation={commute:.6e} rank={round(fro(polar.U) ** 2)}")
@@ -166,8 +160,7 @@ def _cmd_polar(args) -> int:
 def _cmd_refined_svd(args) -> int:
     H = _load_matrix(args.H)
     C = _load_antiunitary(args.C)
-    tol = _tolerance(args)
-    expansion = decomp.refined_svd(H, C, tol)
+    expansion = decomp.refined_svd(H, C, Tolerance(args.tol_abs, args.tol_rel))
     recon = expansion.residuals["reconstruction"]
     print(f"refined-svd count={len(expansion.sigmas)} reconstruction={recon:.6e}")
     if args.out:
@@ -178,8 +171,7 @@ def _cmd_refined_svd(args) -> int:
 def _cmd_anti_eig(args) -> int:
     H = _load_matrix(args.H)
     C = _load_antiunitary(args.C)
-    tol = _tolerance(args)
-    system = antieig.antilinear_eigensystem(H, C, args.z, tol)
+    system = antieig.antilinear_eigensystem(H, C, args.z, Tolerance(args.tol_abs, args.tol_rel))
     print(
         f"anti-eig count={len(system.lambdas)} lambda1={system.lambdas[0]:.6e} "
         f"resolvent_norm={1.0 / system.lambdas[0]:.6e}"  # ||R(z)|| = 1 / lambda_1

@@ -22,10 +22,12 @@ the kept singular values in O(n) at ``SVD_CLUSTER_GAP`` times the largest,
 reads the involution class of ``C`` only for a degenerate cluster (a ``C``
 that is not involutive is rejected before ``J`` is built), re-phases the
 simple clusters in one :func:`phase_fix` call and fixes each degenerate one
-with :func:`fix_basis_involutive`. Mixing inside a cluster costs up to its
-width ``w``; the certificate allows ``2 sqrt(k) max(w)`` for ``k`` values.
-The same step on the ``C^{-1}``-self-adjoint ``H - z I`` gives the ``psi_j``
-of :func:`csaop.antieig.antilinear_eigensystem`.
+with :func:`fix_basis_involutive`, the one test of whether a J-invariant
+span has a J-fixed basis (:func:`check_fixable_2d` asks it). Mixing inside
+a cluster costs up to its width ``w``; the certificate allows
+``2 sqrt(k) max(w)`` for ``k`` values. The same step on the
+``C^{-1}``-self-adjoint ``H - z I`` gives the ``psi_j`` of
+:func:`csaop.antieig.antilinear_eigensystem`.
 
 Each result is certified before it is returned: ``_certify`` checks the
 identity residuals (Frobenius norms) against one bound and raises
@@ -162,40 +164,33 @@ def phase_fix(J: AntilinearMap, psi, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
     return fixed[:, 0] if single else fixed
 
 
-def _restriction(J: AntilinearMap, E: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """``a = E* J conj(E)``, so J acts on span(E) as ``x -> a conj(x)`` in
-    E-coordinates; checks that E is orthonormal and span(E) J-invariant."""
-    m = E.shape[1]
-    gram_dev = fro(E.conj().T @ E - np.eye(m))
-    if gram_dev > GATE_TOL:
-        raise ValueError(f"basis columns not orthonormal (deviation {gram_dev:.3e})")
-    image = J.matrix @ np.conj(E)
-    a = E.conj().T @ image
-    invariance = fro(image - E @ a)
-    if invariance > tol.bound(1.0):
-        raise NotInvariant(f"J maps span(E) out of itself by {invariance:.3e}")
-    return a
-
-
 def fix_basis_involutive(J: AntilinearMap, E, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """J-fixed orthonormal basis of a J-invariant subspace, J an antiunitary
     involution there.
 
     ``E`` holds m orthonormal columns spanning the subspace, on which J acts
-    as ``x -> a conj(x)`` in E-coordinates. A fixed basis exists exactly when
-    ``a = O diag(e^{i psi}) O^T`` is a symmetric unitary (``O`` real
-    orthogonal). ``O`` is the ``eigh`` basis of the real :func:`cayley`
+    as ``x -> a conj(x)``, ``a = E* J conj(E)``. A fixed basis exists
+    exactly when ``a = O diag(e^{i psi}) O^T`` is a symmetric unitary (``O``
+    real orthogonal). ``O`` is the ``eigh`` basis of the real :func:`cayley`
     transform of ``a``, each column's largest-magnitude entry made positive
-    so that LAPACK's signs do not leak, and :func:`phase_fix` turns ``E O``
-    into the fixed basis. Raises :class:`NotInvolutive` or
-    :class:`NotUnitary` when ``a conj(a)`` or ``a a*`` is not the identity.
+    so that LAPACK's signs do not leak, and ``E O`` re-phased by half the
+    angles of ``diag(O^T a O)`` is the fixed basis. Raises
+    :class:`NotInvolutive` or :class:`NotUnitary` when ``a conj(a)`` or
+    ``a a*`` is not the identity.
     """
     E = as_matrix(E)
     m = E.shape[1]
     if m == 0:
         return E.copy()
-    a = _restriction(J, E, tol)
+    gram_dev = fro(E.conj().T @ E - np.eye(m))
+    if gram_dev > GATE_TOL:
+        raise ValueError(f"basis columns not orthonormal (deviation {gram_dev:.3e})")
+    image = J.matrix @ np.conj(E)
+    a = E.conj().T @ image
     bound = tol.bound(1.0)
+    invariance = fro(image - E @ a)
+    if invariance > bound:
+        raise NotInvariant(f"J maps span(E) out of itself by {invariance:.3e}")
     involution = fro(a @ np.conj(a) - np.eye(m))
     if involution > bound:
         raise NotInvolutive(f"J^2 deviates from identity on span(E) by {involution:.3e}")
@@ -204,17 +199,20 @@ def fix_basis_involutive(J: AntilinearMap, E, tol: Tolerance = DEFAULT_TOL) -> n
         raise NotUnitary(f"J is not antiunitary on span(E): deviation {unitarity:.3e}")
     _, O = np.linalg.eigh(cayley(a).real)
     O *= np.sign(O[np.argmax(np.abs(O), axis=0), np.arange(m)])
-    return phase_fix(J, E @ O, tol)
+    phases = np.sum(O * (a @ O), axis=0)  # diag(O^T a O) = <E O, J E O> column by column
+    if np.any(np.abs(np.abs(phases) - 1.0) > bound):
+        raise NotInvariant("some |<phi, J phi>| on span(E) is not 1")
+    return (E @ O) * np.exp(0.5j * np.angle(phases))
 
 
 def check_fixable_2d(J: AntilinearMap, psi1, psi2, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Whether the J-invariant span of orthonormal ``psi1, psi2`` has a
-    J-fixed orthonormal basis: exactly when ``a_jk = <psi_j, J psi_k>`` is a
-    symmetric unitary (see :func:`fix_basis_involutive`).
-    """
-    a = _restriction(J, np.column_stack([as_vector(psi1), as_vector(psi2)]), tol)
-    bound = tol.bound(1.0)
-    return bool(abs(a[0, 1] - a[1, 0]) <= bound and fro(a @ a.conj().T - np.eye(2)) <= bound)
+    J-fixed orthonormal basis: whether :func:`fix_basis_involutive` accepts it."""
+    try:
+        fix_basis_involutive(J, np.column_stack([as_vector(psi1), as_vector(psi2)]), tol)
+    except (NotInvolutive, NotUnitary):
+        return False
+    return True
 
 
 def refined_svd(H, C: AntiunitaryOp, tol: Tolerance = DEFAULT_TOL) -> RefinedSVD:

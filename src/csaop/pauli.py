@@ -88,9 +88,9 @@ def distance_to_closed_form(alpha: float, lam: complex) -> float:
     traces the real half-line ``[-alpha/4, inf)`` for ``alpha >= 0`` and
     ``k -> k^2 + i sqrt(|alpha|) k`` the parabola for ``alpha < 0``. For
     ``alpha >= 0`` the minimization over ``k`` has the exact half-line
-    solution; for ``alpha < 0`` the squared distance is a quartic in ``k``
-    minimized over the real roots of its derivative, with a Newton polish
-    (the curvature ``8 k^2 + 2 |alpha|`` never degenerates on the curve).
+    solution; for ``alpha < 0`` the squared distance is a quartic in ``k``,
+    minimized over the real parts of the roots of its cubic derivative, with
+    no Newton polish (a complex root's real part is one more candidate).
     """
     lam = complex(lam)
     a, b = lam.real, lam.imag
@@ -99,25 +99,10 @@ def distance_to_closed_form(alpha: float, lam: complex) -> float:
         if a >= left:
             return abs(b)
         return float(np.hypot(a - left, b))
-
     c = float(np.sqrt(-alpha))
-
-    def point(k):
-        return k * k + 1j * c * k
-
     # d/dk[(a - k^2)^2 + (b - c k)^2]
-    poly = np.array([4.0, 0.0, 2.0 * c * c - 4.0 * a, -2.0 * b * c])
-    deriv = np.polyder(poly)
-    candidates = [r.real for r in np.roots(poly) if abs(r.imag) <= 1e-8 * (1 + abs(r))]
-    dist = abs(lam - point(0.0))  # a real cubic always has a real root, but be safe
-    for k in candidates:
-        for _ in range(3):
-            curvature = float(np.polyval(deriv, k))
-            if curvature <= 0:
-                break
-            k = k - float(np.polyval(poly, k)) / curvature
-        dist = min(dist, abs(lam - point(k)))
-    return float(dist)
+    k = np.roots([4.0, 0.0, 2.0 * c * c - 4.0 * a, -2.0 * b * c]).real
+    return float(np.min(np.abs(lam - (k * k + 1j * c * k))))
 
 
 def reflection_permutation(k_grid) -> np.ndarray:

@@ -10,7 +10,7 @@ from csaop import (
     pseudospectrum,
     resolvent_norm,
 )
-from csaop import DimMismatch, antieig, decomp
+from csaop import DimMismatch, NonFinite, antieig, decomp
 from csaop.antieig import SPECTRUM_CUTOFF
 from csaop.antiunitary import AntiunitaryOp
 from csaop.decomp import SVD_CLUSTER_GAP
@@ -267,6 +267,49 @@ class TestHugeNorms:
         assert np.all(np.isfinite(reference.resolvent_norms))
         np.testing.assert_allclose(grid.resolvent_norms * t, reference.resolvent_norms, rtol=1e-12)
         np.testing.assert_array_equal(grid.in_pseudospectrum, reference.in_pseudospectrum)
+
+
+def _huge_pair(norm):
+    """Involutive Haar C at n = 6 and a C-self-adjoint H with ||H||_F = norm."""
+    rng = np.random.default_rng(6)
+    U = haar_unitary(6, rng)
+    C = AntiunitaryOp(U @ U.T)
+    G = generate_csa(C, 6)
+    return G * (norm / fro(G)), C
+
+
+class TestOverflowingShiftNorm:
+    """||H - zI||_F overflows while ||H||_F does not, so no cutoff can be
+    read off it: the one spectrum rule raises NonFinite in all three entry
+    points. In the 1x1 case LAPACK returns sigma = NaN."""
+
+    @pytest.fixture(params=["n6", "1x1"])
+    def case(self, request):
+        if request.param == "n6":
+            H, C = _huge_pair(1.79e308)
+            return H, C, 0.5j * 1.79e308
+        return np.array([[1.5e308]]), conj_k(1), 1.5e308j
+
+    def test_eigensystem(self, case):
+        H, C, z = case
+        with pytest.raises(NonFinite, match="overflows"):
+            antilinear_eigensystem(H, C, z)
+
+    def test_resolvent_norm(self, case):
+        H, _, z = case
+        with pytest.raises(NonFinite, match="overflows"):
+            resolvent_norm(H, z)
+
+    def test_pseudospectrum(self, case):
+        H, _, z = case
+        with pytest.raises(NonFinite, match="overflows"):
+            pseudospectrum(H, 0.1, (-1.0, 1.0, 0.9 * z.imag, z.imag), 2)
+
+    def test_representable_norm_still_solves(self):
+        H, C = _huge_pair(1e300)
+        z = 0.5j * 1e300
+        system = antilinear_eigensystem(H, C, z)
+        assert resolvent_norm(H, z) == pytest.approx(1.0 / system.lambdas[0], rel=1e-10)
 
 
 class TestResolventNorm:

@@ -13,6 +13,7 @@ from csaop import (
     compose_antilinear,
     conjugate_linear_map,
     conjugation_k,
+    phase_fix,
 )
 from csaop.linalg import fro, haar_unitary
 from csaop.pauli import MINUS_I_SIGMA2
@@ -86,6 +87,15 @@ class TestAdjoint:
             lhs = np.vdot(phi, C.apply(psi))
             assert abs(lhs - np.conj(np.vdot(Cs.apply(phi), psi))) <= 1e-10
             assert abs(lhs - np.vdot(psi, C.apply_inverse(phi))) <= 1e-10
+
+    @pytest.mark.parametrize("plain", [True, False], ids=["antilinear-map", "antiunitary"])
+    def test_adjoint_keeps_the_type(self, plain, rng):
+        # AntiunitaryOp inherits adjoint(): type(self)(A.T) validates C^-1
+        D = AntilinearMap(random_matrix(4, rng)) if plain else random_antiunitary(4, seed=3)
+        Ds = D.adjoint()
+        assert type(Ds) is type(D)
+        phi, psi = random_vector(4, rng), random_vector(4, rng)
+        assert abs(np.vdot(phi, D.apply(psi)) - np.conj(np.vdot(Ds.apply(phi), psi))) <= 1e-10
 
     def test_adjoint_inverts(self, rng):
         C = random_antiunitary(6, seed=19)
@@ -171,6 +181,21 @@ class TestCompose:
         J = compose_antilinear(C, U)
         psi = random_vector(4, rng)
         np.testing.assert_allclose(J.apply(psi), C.apply(U @ psi), atol=1e-13)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda C: C.apply_inverse(np.ones(3)),
+        lambda C: conjugate_linear_map(C, np.eye(3)),
+        lambda C: compose_antilinear(C, np.eye(3)),
+        lambda C: phase_fix(C, np.ones((3, 1)) / np.sqrt(3)),
+    ],
+    ids=["apply_inverse", "conjugate_linear_map", "compose_antilinear", "phase_fix"],
+)
+def test_dimension_mismatch(call):
+    with pytest.raises(DimMismatch):
+        call(conjugation_k(2))
 
 
 def test_constructor_rejects_nonunitary():

@@ -288,6 +288,29 @@ class TestAntiEig:
         assert "z must be finite" in capsys.readouterr().err
 
 
+class TestOverflowingShift:
+    """||H - zI||_F overflows for H = [[1.5e308]] at a shift of 1.5e308 i."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        dump_json(matrix_to_json(np.array([[1.5e308]])), tmp_path / "h.json")
+        dump_json(antiunitary_to_json(conj_k(1)), tmp_path / "c.json")
+        return str(tmp_path / "h.json"), str(tmp_path / "c.json")
+
+    @pytest.mark.parametrize("command", ["anti-eig", "pseudospec"])
+    def test_is_domain_error(self, command, paths, capsys):
+        h, c = paths
+        if command == "anti-eig":
+            argv = ["anti-eig", "--H", h, "--C", c, "--z", "0,1.5e308"]
+        else:
+            grid = "-1,1,1.4e308,1.5e308"
+            argv = ["pseudospec", "--H", h, "--epsilon", "0.1", "--grid", grid, "--res", "2"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "overflows" in captured.err
+
+
 class TestEmptyMatrix:
     """A 0x0 H and C: the refined SVD is the empty expansion, and the
     eigensystem, which has no lambda_1, is a domain error, not a crash."""
@@ -455,6 +478,34 @@ class TestModelSpace:
         (tmp_path / "p.json").write_text(f'{{"fourier": {{"1": {coefficient}}}}}')
         path = str(tmp_path / "p.json")
         assert main(["model-space", "--toeplitz", "--phi1", path, "--phi2", path, "--N", "4"]) == 2
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejected an argument
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["anti-eig", "--H", "h.json", "--C", "c.json", "--z", "1;0"], 2),
+        (["anti-eig", "--H", "h.json", "--C", "c.json", "--z", "1,0,0"], 2),
+        (["pseudospec", "--H", "h.json", "--epsilon", "0.1", "--grid", "-1,1,1", "--res", "2"], 2),
+        (["pseudospec", "--H", "h.json", "--epsilon", "0.1", "--grid", "a,1,-1,1", "--res", "2"], 2),
+        (["pauli-spectrum", "--alpha", "1", "--kmax", "3", "--n", "0"], 2),
+        (["model-space", "--example", "1", "--seed", "3"], 0),
+    ],
+    ids=["z-separator", "z-three-parts", "grid-three-parts", "grid-not-a-number", "n-zero", "example-1"],
+)
+def test_argument_edges(argv, code, capsys):
+    assert _exit_code(argv) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert "model-space example=1 seed=3 residual=" in captured.out
+    else:
+        assert captured.out == "" and "error" in captured.err
 
 
 def test_unknown_flag_exits_two():

@@ -215,6 +215,22 @@ class TestFixBasisInvolutive:
         with pytest.raises(NotInvariant):
             fix_basis_involutive(J, np.eye(3)[:, :1])
 
+    @pytest.mark.parametrize(
+        "E, error",
+        [
+            (np.ones((2, 1)), ValueError),  # a column of norm sqrt(2)
+            (np.array([[1.0, 1.0], [0.0, 1e-3]]), ValueError),  # two columns almost parallel
+            (np.zeros((2, 0)), None),  # the empty span: its basis is itself
+        ],
+        ids=["long", "parallel", "empty"],
+    )
+    def test_edge_bases(self, E, error):
+        if error is None:
+            assert fix_basis_involutive(conj_k(2), E).shape == (2, 0)
+        else:
+            with pytest.raises(error, match="not orthonormal"):
+                fix_basis_involutive(conj_k(2), E)
+
     def test_rejects_involution_that_is_not_antiunitary(self):
         # a conj(a) = I, but J stretches e_2 by 2 and shrinks e_1 by 1/2
         with pytest.raises(NotUnitary):
@@ -263,6 +279,22 @@ class TestCheckFixable2d:
         J = AntilinearMap(np.fliplr(np.eye(4)))
         with pytest.raises(NotInvariant):
             check_fixable_2d(J, np.eye(4)[:, 0], np.eye(4)[:, 1])
+
+    @pytest.mark.parametrize("factor", [0.5, 0.8, 0.95, 1.2])
+    def test_agrees_with_fix_basis_involutive(self, factor):
+        # a = [[0, e^{i delta}], [1, 0]] is unitary, and a conj(a) - I =
+        # diag(e^{i delta} - 1, e^{-i delta} - 1) has norm sqrt(2) delta to
+        # first order, while a is symmetric to delta: near the bound only the
+        # involution decides
+        delta = factor * DEFAULT_TOL.bound(1.0)
+        J = AntilinearMap(np.array([[0.0, np.exp(1j * delta)], [1.0, 0.0]]))
+        try:
+            fix_basis_involutive(J, np.eye(2))
+            fixed = True
+        except NotInvolutive:
+            fixed = False
+        assert fixed == (factor * np.sqrt(2) <= 1.0)
+        assert check_fixable_2d(J, np.eye(2)[:, 0], np.eye(2)[:, 1]) is fixed
 
 
 def takagi_2x2(S):

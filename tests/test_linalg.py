@@ -3,8 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from csaop import Tolerance, nullspace
-from csaop.linalg import cayley, cluster_indices, connected_components, fro, haar_unitary
+from csaop import DimMismatch, NonFinite, Tolerance, nullspace
+from csaop.linalg import (
+    as_matrix, as_vector, cayley, cluster_indices, connected_components, fro, haar_unitary
+)
 
 from conftest import random_matrix
 
@@ -26,6 +28,23 @@ class TestTolerance:
     def test_rejects_bad_values(self, abs_, rel):
         with pytest.raises(ValueError):
             Tolerance(abs=abs_, rel=rel)
+
+
+@pytest.mark.parametrize(
+    "coerce, value, error",
+    [
+        (as_matrix, np.zeros(3), DimMismatch),
+        (lambda M: as_matrix(M, square=True), np.zeros((2, 3)), DimMismatch),
+        (as_matrix, [[1.0, np.nan]], NonFinite),
+        (as_matrix, [[complex(0, np.inf)]], NonFinite),
+        (as_vector, np.zeros((2, 2)), DimMismatch),
+        (as_vector, [1.0, -np.inf], NonFinite),
+    ],
+    ids=["matrix-1d", "matrix-not-square", "matrix-nan", "matrix-imag-inf", "vector-2d", "vector-inf"],
+)
+def test_coercion_rejects(coerce, value, error):
+    with pytest.raises(error):
+        coerce(value)
 
 
 class TestFro:

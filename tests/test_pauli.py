@@ -112,6 +112,15 @@ class TestDistanceToClosedForm:
         oracle = np.min(np.abs((1.0 + 2.0j) - curve))
         assert d == pytest.approx(oracle, abs=1e-6)
 
+    @pytest.mark.parametrize("alpha", [-0.01, -1.5, -100.0])
+    def test_on_curve_points_are_at_zero_distance(self, alpha):
+        c = np.sqrt(-alpha)
+        rng = np.random.default_rng(3)
+        ks = np.concatenate([np.linspace(-30, 30, 241), rng.uniform(-30, 30, 200)])
+        for k in ks:
+            lam = k * k + 1j * c * k
+            assert distance_to_closed_form(alpha, lam) <= 1e-14 * max(1.0, abs(lam)), k
+
     def test_below_half_line(self):
         # distance to [-1, inf) from -2 is 1, from -1 - i is sqrt(... ) = 1
         assert distance_to_closed_form(4.0, -2.0) == pytest.approx(1.0, abs=1e-10)
