@@ -30,7 +30,6 @@ from .csa import (
     check_c_real,
     check_c_selfadjoint,
     eigen_pairing,
-    eigenvalue_multiplicities,
     generate_csa,
     kernel_pairing,
 )
@@ -58,12 +57,7 @@ from .errors import (
     UnsupportedDegeneracy,
     ZInSpectrum,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    Tolerance,
-    haar_unitary,
-    nullspace,
-)
+from .linalg import DEFAULT_TOL, Tolerance
 
 __all__ = [
     "AntilinearEigenSystem",
@@ -98,12 +92,9 @@ __all__ = [
     "conjugate_linear_map",
     "conjugation_k",
     "eigen_pairing",
-    "eigenvalue_multiplicities",
     "fix_basis_involutive",
     "generate_csa",
-    "haar_unitary",
     "kernel_pairing",
-    "nullspace",
     "phase_fix",
     "pseudospectrum",
     "refined_polar",

@@ -13,8 +13,9 @@ scan: ``z`` belongs to the epsilon-pseudospectrum iff ``z`` is in the
 spectrum or ``||R(z)|| > 1 / epsilon`` (strict, per the definition).
 
 ``M`` is also ``C^{-1}``-self-adjoint, and the eigensystem is its refined
-SVD against ``C^{-1}`` (the fixed-basis step and cluster slack of
-``decomp.refined_svd``). It keeps the residuals it was certified with:
+SVD against ``C^{-1}``: the checked SVD front end ``csa._csa_svd`` of the
+refined expansions, then the fixed-basis step and cluster slack of
+``decomp.refined_svd``. It keeps the residuals it was certified with:
 the expansion and the completeness of the ``psi_j``.
 
 :func:`resolvent_norm` and the :func:`pseudospectrum` scan share one
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .antiunitary import AntiunitaryOp
-from .csa import _require_csa
+from .csa import _csa_svd
 from .decomp import _certify, _fixed_singular_basis
 from .errors import DimMismatch, NonFinite, ZInSpectrum
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, connected_components, fro
@@ -74,15 +75,8 @@ class PseudospectrumGrid:
     resolvent_norms: np.ndarray
     in_pseudospectrum: np.ndarray
 
-    @property
-    def points(self) -> list[tuple[complex, float, bool]]:
-        return [
-            (complex(z), float(r), bool(m))
-            for z, r, m in zip(self.zs, self.resolvent_norms, self.in_pseudospectrum)
-        ]
 
-
-@np.errstate(divide="ignore")
+@np.errstate(divide="ignore", over="ignore")  # 1 / smin past the float range: inf
 def _resolvent(smin, norm):
     """``1 / smin``, or ``inf`` (``z`` in the spectrum) where ``smin <=
     SPECTRUM_CUTOFF * norm``, per shift: ``smin = sigma_min(H - z I)`` and
@@ -157,19 +151,14 @@ def antilinear_eigensystem(
     involutive: for a C that is neither, two lambdas within
     ``1e-6 ||M||_2`` of each other suffice.
     """
-    H = _require_csa(H, C, tol)
+    H, M, W, s, V, _ = _csa_svd(H, C, tol, z, (ValueError, "z must be finite"))
     z, n = complex(z), H.shape[0]
-    if not np.isfinite(z):
-        raise ValueError("z must be finite")
     if n == 0:
         raise DimMismatch("a 0 x 0 H has no antilinear eigenvalues")
-    with np.errstate(over="ignore"):  # an overflow leaves ||M||_F non-finite: _resolvent raises
-        M = H - z * np.eye(n)
-        W, s, Vh = np.linalg.svd(M)
-        if _resolvent(s[-1], np.hypot.reduce(s)) == np.inf:
-            raise ZInSpectrum(f"sigma_min(H - zI) = {s[-1]:.3e}; shift z = {z} is in the spectrum")
+    if _resolvent(s[-1], np.hypot.reduce(s)) == np.inf:
+        raise ZInSpectrum(f"sigma_min(H - zI) = {s[-1]:.3e}; shift z = {z} is in the spectrum")
     A = C.unitary_part
-    phis, _, slack = _fixed_singular_basis(A.T, W, Vh.conj().T, s, C, tol)
+    phis, _, slack = _fixed_singular_basis(A.T, W, V, s, C, tol)
     psis, lambdas = phis[:, ::-1], s[::-1]
     residuals = _certify(
         "antilinear expansion",

@@ -23,11 +23,7 @@ import numpy as np
 
 from .antiunitary import AntiunitaryOp, conjugate_linear_map
 from .errors import NonFinite, NotCsa
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, cayley, cluster_indices, fro, rank_cutoff
-
-#: Absolute eigenvalue clustering gap, relative to ||H||. Eigenvalues of
-#: non-normal matrices are only accurate to roughly sqrt(machine epsilon).
-EIG_CLUSTER_GAP = 1e-6
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, cayley, fro, rank_cutoff
 
 #: Arc within which :func:`generate_csa` merges eigenvalues of ``C^{-2}``,
 #: and distance of ``C^2`` from ``+-I`` below which it skips the projection.
@@ -74,6 +70,29 @@ def _require_csa(H, C, tol) -> np.ndarray:
     if not report.is_csa:
         raise NotCsa(f"C-self-adjointness residual {report.residual:.3e} exceeds tolerance")
     return H
+
+
+def _csa_svd(H, C, tol, z: complex = 0.0, bad_shift: tuple[type[Exception], str] | None = None):
+    """The one checked full SVD ``M = H - z I = W diag(s) V*`` of a C-self-adjoint ``H``.
+
+    Checks ``H`` (:class:`NotCsa`) first and then the shift: a non-finite
+    ``z`` raises ``bad_shift = (error type, message)``, the message
+    formatted with ``z``. Raises :class:`NonFinite` when ``||M||_F``, the
+    ``hypot`` of ``s``, overflows. Returns ``(H, M, W, s, V, rank)``, with
+    ``rank`` the count of ``s`` above :func:`~csaop.linalg.rank_cutoff`;
+    ``M`` is ``H`` itself for ``z = 0``.
+    """
+    H, z = _require_csa(H, C, tol), complex(z)
+    if not np.isfinite(z):
+        error, message = bad_shift
+        raise error(message.format(z))
+    with np.errstate(over="ignore"):  # an overflow leaves ||M||_F non-finite: NonFinite below
+        M = H - z * np.eye(H.shape[0]) if z else H
+        W, s, Vh = np.linalg.svd(M)
+        if not np.hypot.reduce(s) < np.inf:
+            raise NonFinite("||H - zI||_F overflows")
+    rank = int(np.count_nonzero(s > rank_cutoff(s, tol)))
+    return H, M, W, s, Vh.conj().T, rank
 
 
 def _commutant_projection(W: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -125,20 +144,6 @@ def eigen_pairing(
     return [(complex(lam), psi, float(r)) for lam, psi, r in zip(values, vectors.T, residuals)]
 
 
-def eigenvalue_multiplicities(H, gap: float | None = None) -> list[int]:
-    """Cluster the eigenvalues of ``H`` and return the cluster sizes.
-
-    The default gap is ``EIG_CLUSTER_GAP * ||H||``.
-    """
-    H = as_matrix(H, square=True)
-    if gap is None:
-        gap = EIG_CLUSTER_GAP * fro(H)
-    values = np.linalg.eigvals(H)
-    order = np.lexsort((values.imag, values.real))
-    clusters = cluster_indices(values[order], gap)
-    return [len(c) for c in clusters]
-
-
 def kernel_pairing(
     H, C: AntiunitaryOp, lam: complex, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[int, int, bool]:
@@ -150,15 +155,11 @@ def kernel_pairing(
     kernel basis vector ``f`` satisfies
     ``||(H* - conj(lam) I) C f|| <= tol.bound(||H||)``. One SVD of
     ``H - lam I`` gives both kernels (trailing right and left singular
-    vectors). Raises :class:`NonFinite` for a non-finite ``lam``.
+    vectors). Raises :class:`NonFinite` for a non-finite ``lam`` and when
+    ``||H - lam I||_F`` overflows.
     """
-    H, lam = _require_csa(H, C, tol), complex(lam)
-    if not np.isfinite(lam):
-        raise NonFinite(f"shift lam = {lam} is not finite")
-    shifted = H - lam * np.eye(H.shape[0])
-    W, s, Vh = np.linalg.svd(shifted)
-    rank = int(np.count_nonzero(s > rank_cutoff(s, tol)))
-    ker, ker_adj = Vh.conj().T[:, rank:], W[:, rank:]
+    H, shifted, W, _, V, rank = _csa_svd(H, C, tol, lam, (NonFinite, "shift lam = {} is not finite"))
+    ker, ker_adj = V[:, rank:], W[:, rank:]
     mapped = shifted.conj().T @ (C.unitary_part @ np.conj(ker))
     mapped_ok = bool(np.all(np.linalg.norm(mapped, axis=0) <= tol.bound(fro(H))))
     return ker.shape[1], ker_adj.shape[1], mapped_ok

@@ -17,7 +17,10 @@ no such basis is guaranteed; for anti-involutive ``C`` it cannot exist at
 all (``J phi = phi`` with ``J^2 = -I`` forces ``phi = -phi``), and every
 nonzero singular value is even-fold degenerate instead.
 
-:func:`refined_svd` takes one SVD of ``H``; one fixed-basis step clusters
+:func:`refined_polar` and :func:`refined_svd` take their one SVD of ``H``
+from the checked front end ``csa._csa_svd`` at ``z = 0``, which
+:func:`csaop.antieig.antilinear_eigensystem` and
+:func:`csaop.csa.kernel_pairing` share. One fixed-basis step clusters
 the kept singular values in O(n) at ``SVD_CLUSTER_GAP`` times the largest,
 reads the involution class of ``C`` only for a degenerate cluster (a ``C``
 that is not involutive is rejected before ``J`` is built), re-phases the
@@ -43,12 +46,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .antiunitary import AntilinearMap, AntiunitaryOp, InvolutionClass, classify, compose_antilinear
-from .csa import _require_csa
+from .csa import _csa_svd
 from .errors import (
     DimMismatch, NotInvariant, NotInvolutive, NotUnitary, NumericalFailure, UnsupportedDegeneracy
 )
 from .linalg import (
-    DEFAULT_TOL, Tolerance, as_matrix, as_vector, cayley, cluster_indices, fro, rank_cutoff
+    DEFAULT_TOL, Tolerance, as_matrix, as_vector, cayley, cluster_indices, fro
 )
 
 #: Relative singular-value gap below which values count as one cluster.
@@ -113,14 +116,6 @@ def _certify(what: str, bound: float, **residuals: float) -> dict[str, float]:
     return residuals
 
 
-def _svd_data(H, C: AntiunitaryOp, tol: Tolerance):
-    """Csa check and SVD ``H = W diag(s) V*``; ``rank`` counts the values kept."""
-    H = _require_csa(H, C, tol)
-    W, s, Vh = np.linalg.svd(H)
-    rank = int(np.count_nonzero(s > rank_cutoff(s, tol)))
-    return H, W, s, Vh.conj().T, rank
-
-
 def refined_polar(H, C: AntiunitaryOp, tol: Tolerance = DEFAULT_TOL) -> RefinedPolar:
     """Refined polar decomposition ``H = C^{-1} J |H|`` of a C-self-adjoint H.
 
@@ -128,7 +123,7 @@ def refined_polar(H, C: AntiunitaryOp, tol: Tolerance = DEFAULT_TOL) -> RefinedP
     and :class:`NumericalFailure` when the computed factors do not satisfy
     the decomposition identities within tolerance.
     """
-    H, W, s, V, rank = _svd_data(H, C, tol)
+    H, _, W, s, V, rank = _csa_svd(H, C, tol)
     U = W[:, :rank] @ V[:, :rank].conj().T
     absH = (V * s) @ V.conj().T
     J = compose_antilinear(C, U)
@@ -227,7 +222,7 @@ def refined_svd(H, C: AntiunitaryOp, tol: Tolerance = DEFAULT_TOL) -> RefinedSVD
     values, so a simple nonzero singular value can only occur where
     ``C^2`` acts as the identity.
     """
-    H, W, s, V, rank = _svd_data(H, C, tol)
+    H, _, W, s, V, rank = _csa_svd(H, C, tol)
     sigmas = s[:rank]
     A = C.unitary_part
     phis, J, slack = _fixed_singular_basis(A, W[:, :rank], V[:, :rank], sigmas, C, tol)

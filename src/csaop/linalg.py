@@ -49,19 +49,28 @@ DEFAULT_TOL = Tolerance()
 CLASSIFY_TOL = Tolerance(abs=1e-8, rel=0.0)
 
 
+#: Plain Frobenius norm below which :func:`fro` rescales: squares of
+#: entries under about 1e-154 lose precision and under 1e-162 vanish.
+FRO_UNDERFLOW = 1e-150
+
+
 @np.errstate(over="ignore")  # as a decorator: half the cost of a with-block per call
 def fro(M: np.ndarray) -> float:
-    """Frobenius norm, finite whenever it is representable.
+    """Frobenius norm, finite and nonzero whenever it is representable.
 
-    When the plain sum of squares overflows, ``M`` is divided by its largest
-    real or imaginary part first (Higham, *Accuracy and Stability of
+    When the plain sum of squares overflows, or its root falls below
+    ``FRO_UNDERFLOW``, the entries' moduli are divided by the largest one
+    first, if it is finite and nonzero (Higham, *Accuracy and Stability of
     Numerical Algorithms*, 2002, sec. 21); other input is not rescaled.
+    Dividing the real moduli, not the complex entries, keeps a subnormal
+    largest modulus from giving NaN, as complex division by it does.
     """
     norm = float(np.linalg.norm(M))
-    if norm == np.inf:
-        top = max(float(np.max(np.abs(M.real))), float(np.max(np.abs(M.imag))))
-        if top < np.inf:
-            norm = top * float(np.linalg.norm(M / top))
+    if norm == np.inf or norm < FRO_UNDERFLOW:
+        moduli = np.abs(M)
+        top = float(moduli.max(initial=0.0))
+        if 0 < top < np.inf:
+            norm = top * float(np.linalg.norm(moduli / top))
     return norm
 
 
@@ -132,27 +141,23 @@ def connected_components(linked) -> list[np.ndarray]:
 
 
 def cluster_indices(values: np.ndarray, gap: float) -> list[list[int]]:
-    """Group (possibly complex) values into clusters of mutual distance <= gap.
+    """Group sorted real values (singular values, either order) into
+    clusters split wherever ``|v_{i+1} - v_i| > gap``.
 
-    Single linkage: the connected components of ``|v_i - v_j| <= gap``.
-    Returns index groups sorted by the position of their first member, so
-    the grouping of presorted input is deterministic.
-
-    Real values sorted either way (singular values) are split in O(n)
-    time and memory wherever ``|v_{i+1} - v_i| > gap``: rounding is
-    monotone, so no farther pair is closer than a neighbouring one. Other
-    input goes through :func:`connected_components` on the n x n
-    distance test.
+    This is single linkage at ``gap``: rounding is monotone, so no farther
+    pair is closer than a neighbouring one, and the split takes O(n) time
+    and memory. Returns consecutive index groups, ``[]`` for empty input;
+    raises ``ValueError`` on complex or unsorted (or NaN) input.
     """
     values = np.asarray(values)
-    if np.isrealobj(values) and values.size:
-        steps = np.diff(values)
-        if np.all(steps >= 0) or np.all(steps <= 0):
-            cuts = [0, *(np.flatnonzero(np.abs(steps) > gap) + 1).tolist(), values.size]
-            index = list(range(values.size))
-            return [index[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
-    close = np.abs(values[:, None] - values[None, :]) <= gap
-    return [group.tolist() for group in connected_components(close)]
+    steps = np.diff(values)
+    if not (np.isrealobj(values) and (np.all(steps >= 0) or np.all(steps <= 0))):
+        raise ValueError("cluster_indices needs sorted real values")
+    if not values.size:
+        return []
+    cuts = [0, *(np.flatnonzero(np.abs(steps) > gap) + 1).tolist(), values.size]
+    index = list(range(values.size))
+    return [index[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
 
 
 def cayley(W: np.ndarray) -> np.ndarray:
@@ -172,11 +177,3 @@ def cayley(W: np.ndarray) -> np.ndarray:
     V = -np.exp(-1j * (angles + gaps / 2)[np.argmax(gaps)]) * W
     eye = np.eye(n)
     return 1j * np.linalg.solve(eye + V, eye - V)  # Hermitian to rounding
-
-
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed random unitary matrix."""
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))

@@ -10,9 +10,17 @@ exactly where the tests use it.
 import numpy as np
 import pytest
 
-from csaop import AntiunitaryOp, haar_unitary
+from csaop import AntiunitaryOp
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def haar_unitary(n, rng):
+    """Haar-distributed random unitary matrix."""
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
 
 
 def conj_k(n):

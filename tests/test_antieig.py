@@ -6,11 +6,10 @@ from csaop import (
     ZInSpectrum,
     antilinear_eigensystem,
     generate_csa,
-    haar_unitary,
     pseudospectrum,
     resolvent_norm,
 )
-from csaop import DimMismatch, NonFinite, antieig, decomp
+from csaop import DimMismatch, NonFinite, NotCsa, antieig, decomp
 from csaop.antieig import SPECTRUM_CUTOFF
 from csaop.antiunitary import AntiunitaryOp
 from csaop.decomp import SVD_CLUSTER_GAP
@@ -18,7 +17,7 @@ from csaop.linalg import DEFAULT_TOL, fro
 from csaop import pauli
 from csaop.pauli import MINUS_I_SIGMA2
 
-from conftest import c2_blocks, conj_k, neither_simple_case, random_complex_symmetric
+from conftest import c2_blocks, conj_k, haar_unitary, neither_simple_case, random_complex_symmetric
 
 
 class TestAntilinearEigensystem:
@@ -73,6 +72,10 @@ class TestAntilinearEigensystem:
     def test_non_finite_shift_rejected(self, z):
         with pytest.raises(ValueError, match="z must be finite"):
             antilinear_eigensystem(np.diag([1.0, 4.0]), conj_k(2), z)
+
+    def test_csa_check_comes_before_the_shift_check(self):
+        with pytest.raises(NotCsa):
+            antilinear_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]), conj_k(2), complex(np.nan, 0))
 
     def test_degeneracy_propagates(self):
         C = AntiunitaryOp(MINUS_I_SIGMA2)
@@ -396,11 +399,6 @@ class TestPseudospectrum:
         for bounds in [(np.nan, 1, -1, 1), (-1, 1, -1, np.inf)]:
             with pytest.raises(ValueError, match="bounds must be finite"):
                 pseudospectrum(np.eye(2), 0.1, bounds, 10)
-
-    def test_points_property(self):
-        grid = pseudospectrum(np.zeros((1, 1)), 0.5, (-1, 1, -1, 1), 3)
-        z, r, member = grid.points[0]
-        assert isinstance(z, complex) and isinstance(r, float) and isinstance(member, bool)
 
 
 def _direct_sum_fixture(rng):

@@ -15,10 +15,10 @@ from csaop import (
     conjugation_k,
     phase_fix,
 )
-from csaop.linalg import fro, haar_unitary
+from csaop.linalg import fro
 from csaop.pauli import MINUS_I_SIGMA2
 
-from conftest import random_antiunitary, random_matrix, random_vector
+from conftest import haar_unitary, random_antiunitary, random_matrix, random_vector
 
 
 def c2():

@@ -480,6 +480,36 @@ class TestModelSpace:
         assert main(["model-space", "--toeplitz", "--phi1", path, "--phi2", path, "--N", "4"]) == 2
 
 
+#: Every CsaopError subclass a file can lead the CLI to: (subcommand, H,
+#: C or its raw JSON, extra arguments, stderr fragment). ``None`` for H and C
+#: takes the files of ``fixture_pair``, whose C is anti-involutive.
+DOMAIN_ERRORS = {
+    "NotCsa": ("polar", np.array([[0.0, 1.0], [0.0, 0.0]]), conj_k(2), [], "exceeds tolerance"),
+    "NotUnitary": (
+        "check", np.eye(2), {"kind": "antiunitary", "unitary_part": matrix_to_json(np.diag([1.0, 2.0]))},
+        [], "unitarity",
+    ),
+    "UnsupportedDegeneracy": ("refined-svd", None, None, [], "multiplicity"),
+    "ZInSpectrum": ("anti-eig", np.diag([1.0, 4.0]), conj_k(2), ["--z", "1,0"], "in the spectrum"),
+    "NonFinite": ("check", *overflowing_csa(), [], "overflows"),
+    "DimMismatch": ("check", np.eye(2), conj_k(3), [], "dim 2 vs operator dim 3"),
+}
+
+
+@pytest.mark.parametrize("error", DOMAIN_ERRORS)
+def test_domain_errors_exit_one(error, request, tmp_path, capsys):
+    command, H, C, extra, fragment = DOMAIN_ERRORS[error]
+    if H is None:
+        h_path, c_path = request.getfixturevalue("fixture_pair")
+    else:
+        h_path, c_path = tmp_path / "h.json", tmp_path / "c.json"
+        dump_json(matrix_to_json(H), h_path)
+        dump_json(C if isinstance(C, dict) else antiunitary_to_json(C), c_path)
+    assert main([command, "--H", str(h_path), "--C", str(c_path), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fragment in err
+
+
 def _exit_code(argv):
     try:
         return main(argv)

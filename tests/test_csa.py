@@ -14,19 +14,18 @@ from csaop import (
     check_c_real,
     check_c_selfadjoint,
     eigen_pairing,
-    eigenvalue_multiplicities,
     generate_csa,
-    haar_unitary,
     kernel_pairing,
     refined_polar,
     refined_svd,
 )
-from csaop.linalg import fro, nullspace
+from csaop.linalg import connected_components, fro, nullspace
 
 from conftest import (
     J2,
     c2_blocks,
     conj_k,
+    haar_unitary,
     hadamard_conjugation,
     overflowing_csa,
     random_antiunitary,
@@ -151,6 +150,19 @@ class TestGenerate:
             assert all(m % 2 == 0 for m in eigenvalue_multiplicities(H))
 
 
+#: Absolute eigenvalue clustering gap, relative to ||H||. Eigenvalues of
+#: non-normal matrices are only accurate to roughly sqrt(machine epsilon).
+EIG_CLUSTER_GAP = 1e-6
+
+
+def eigenvalue_multiplicities(H):
+    """Sizes of the single-linkage clusters of the eigenvalues of ``H`` at
+    gap ``EIG_CLUSTER_GAP * ||H||``."""
+    values = np.linalg.eigvals(H)
+    close = np.abs(values[:, None] - values[None, :]) <= EIG_CLUSTER_GAP * fro(H)
+    return [len(component) for component in connected_components(close)]
+
+
 def constraint_basis(C):
     """Real orthonormal basis (rows ``[Re H, Im H]``) of the solutions of
     ``A conj(H) = H* A``, from the nullspace of the 2n^2 x 2n^2 real
@@ -250,7 +262,7 @@ def test_scan_and_clustering_leave_out_scipy():
         "import sys, numpy as np, csaop\n"
         "from csaop.linalg import cluster_indices\n"
         "csaop.pseudospectrum(np.diag([1.0, 2.0]), 0.1, (0.0, 3.0, -1.0, 1.0), 4)\n"
-        "cluster_indices(np.array([1.0, 1.0, 2.0 + 1j]), 1e-3)\n"
+        "cluster_indices(np.array([2.0, 1.0, 1.0]), 1e-3)\n"
         "sys.exit('scipy' in sys.modules)"
     )
     assert subprocess.run([sys.executable, "-c", code], cwd=src, timeout=60).returncode == 0
@@ -320,5 +332,17 @@ class TestKernelPairing:
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf, complex(0, -np.inf), complex(np.nan, 1)])
     def test_non_finite_shift(self, lam):
-        with pytest.raises(NonFinite):
+        with pytest.raises(NonFinite, match="shift lam"):
             kernel_pairing(np.diag([0.0, 1.0]), conj_k(2), lam)
+
+    def test_csa_check_comes_before_the_shift_check(self):
+        with pytest.raises(NotCsa):
+            kernel_pairing(np.array([[0.0, 1.0], [0.0, 0.0]]), conj_k(2), np.nan)
+
+    def test_overflowing_shift_norm_is_non_finite(self):
+        # H - lam I is invertible, but ||H - lam I||_F overflows: no kernel
+        # dimensions can be read off NaN singular values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite, match="overflows"):
+                kernel_pairing(np.diag([1e308, 1.0]), conj_k(2), -1e308)

@@ -24,12 +24,13 @@ from csaop import (
 )
 from csaop import decomp
 from csaop.decomp import SVD_CLUSTER_GAP
-from csaop.linalg import DEFAULT_TOL, cluster_indices, fro, haar_unitary, rank_cutoff
+from csaop.linalg import DEFAULT_TOL, cluster_indices, fro, rank_cutoff
 from csaop.pauli import MINUS_I_SIGMA2
 
 from conftest import (
     c2_blocks,
     conj_k,
+    haar_unitary,
     neither_simple_case,
     overflowing_csa,
     random_antiunitary,
@@ -563,9 +564,10 @@ def _outcome(decompose, H, C):
     return "ok"
 
 
-@pytest.mark.parametrize("t", [1e-150, 1e-12, 1e150])
+@pytest.mark.parametrize("t", [1e-300, 1e-290, 1e-250, 1e-170, 1e-150, 1e-12, 1e150])
 def test_outcomes_do_not_depend_on_scale(t):
-    # H -> tH changes no verdict: the checks and bounds scale with H
+    # H -> tH changes no verdict: the checks and bounds scale with H, and
+    # the norms do not underflow
     nilpotent = (np.array([[0.0, 1.0], [0.0, 0.0]]), conj_k(2), None)  # not C-self-adjoint
     for H, C, _ in [*corpus(), nilpotent]:
         for decompose in (refined_polar, refined_svd):

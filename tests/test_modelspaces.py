@@ -8,7 +8,6 @@ from csaop import (
     check_c_selfadjoint,
     classify,
     conjugation_k,
-    haar_unitary,
 )
 from csaop.antiunitary import AntiunitaryOp
 from csaop.linalg import DEFAULT_TOL, fro
@@ -29,7 +28,7 @@ from csaop.modelspaces import (
 )
 from csaop.pauli import MINUS_I_SIGMA2
 
-from conftest import random_vector
+from conftest import haar_unitary, random_vector
 
 
 def random_symbol(rng, support, density=0.8):
