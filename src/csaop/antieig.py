@@ -25,11 +25,22 @@ block); ``sigma_min(H - z I)`` is the least ``sigma_min`` over the blocks,
 and ``||H - z I||_F`` the norm of all their singular values. A dense ``H``
 is a single block. One spectrum rule, shared with the eigensystem, puts
 ``z`` in the spectrum when ``sigma_min <= SPECTRUM_CUTOFF * ||H - z I||_F``
-and raises :class:`NonFinite` when that norm overflows (or is NaN).
+and raises :class:`NonFinite` when that norm, or an entry of ``H - z I``,
+overflows (or is NaN).
+
+Grid points are independent problems (Trefethen, "Computation of
+pseudospectra", Acta Numerica 8, 1999), so the kernel splits the shifts of
+blocks of at least ``THREAD_MIN_BLOCK`` rows into one contiguous part per
+CPU the process may run on and runs each part's batched SVD on its own
+thread: numpy's LAPACK loop releases the GIL. Each part builds its
+shifted stack in place, the stacks in flight together stay under ~64 MB,
+and every value is bit for bit the one a single thread computes.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,17 +97,102 @@ def _resolvent(smin, norm):
     return np.where(smin <= SPECTRUM_CUTOFF * norm, np.inf, 1.0 / smin)
 
 
-@np.errstate(over="ignore")  # an overflow makes ||H - z I||_F non-finite, which _resolvent rejects
+#: Least block size whose shifts :func:`_resolvent_norms` splits across the
+#: CPUs. At 256 shifts of a dense block on a two-CPU x86 machine (one BLAS
+#: thread), two threads ran at 0.77-1.00x the speed of one for blocks of
+#: size 4 to 32, 0.98-1.02x at 48, 1.02-1.20x at 64 and 1.85-2.00x at 96
+#: and 120 (two runs of seven).
+THREAD_MIN_BLOCK = 64
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _on_threads(work, parts: list) -> list:
+    """``[work(part) for part in parts]``, every part after the first on a
+    thread of its own, all under the caller's numpy error state (which
+    ``np.errstate`` does not carry into new threads). Every started thread
+    is joined before the first exception, in part order, re-raises here."""
+    if len(parts) == 1:
+        return [work(parts[0])]
+    state, results, errors = np.geterr(), [None] * len(parts), [None] * len(parts)
+
+    def run(i):
+        try:
+            with np.errstate(**state):
+                results[i] = work(parts[i])
+        except BaseException as exc:  # re-raised in the caller's thread
+            errors[i] = exc
+
+    threads = []
+    try:
+        for i in range(1, len(parts)):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    return results
+
+
+def _shifted(blocks: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """The stack of ``blocks - z I``, one slice per shift in ``zs``, written
+    straight into one new array, with no stack-sized temporary.
+
+    Each entry takes the arithmetic of ``blocks - zs * eye``: ``b - z * 0``
+    off the diagonal (which turns some -0.0 parts into +0.0; LAPACK's
+    singular values can depend on signs of zero) and ``b - z * 1`` on it.
+    Raises :class:`NonFinite` when a shifted entry overflows, so LAPACK
+    never sees one.
+    """
+    count, m = blocks.shape[:2]
+    stack = np.subtract(blocks, (zs * 0)[:, None, None, None], out=np.empty((len(zs), count, m, m), complex))
+    diagonal = stack.reshape(len(zs), count, m * m)[..., :: m + 1]
+    np.subtract(np.diagonal(blocks, axis1=1, axis2=2), (zs * 1)[:, None, None], out=diagonal)
+    if not np.isfinite(diagonal).all():  # off the diagonal, b - z * 0 is b up to the sign of a zero
+        raise NonFinite("||H - zI||_F overflows")
+    return stack
+
+
+def _block_norms(blocks: np.ndarray, zs: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
+    """``sigma_min`` and the ``hypot`` of all singular values of ``blocks -
+    z I`` at each shift in ``zs``, from one batched SVD per ``step`` shifts."""
+    smin, norm = np.empty(len(zs)), np.empty(len(zs))
+    for start in range(0, len(zs), step):
+        part = slice(start, start + step)
+        s = np.linalg.svd(_shifted(blocks, zs[part]), compute_uv=False)
+        smin[part] = s[..., -1].min(axis=1)
+        norm[part] = np.hypot.reduce(s.reshape(len(s), -1), axis=1)
+    return smin, norm
+
+
+@np.errstate(over="ignore")  # an overflowing entry or norm raises NonFinite: _shifted, _resolvent
 def _resolvent_norms(H: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """:func:`_resolvent` at each shift in ``zs``.
 
     The connected components of ``H != 0`` split ``H`` into diagonal
-    blocks, and blocks of one size go through one batched SVD per chunk
-    of shifts (~64 MB). ``sigma_min`` is the least over all blocks and
+    blocks, and blocks of one size go through batched SVDs of their
+    shifted stacks. ``sigma_min`` is the least over all blocks and
     ``||H - z I||_F`` the ``hypot`` of all their singular values, which
     does not overflow or underflow where the norm is representable. A
-    0 x 0 ``H`` is the zero map, of norm 0. No shift's value depends on
-    the others.
+    0 x 0 ``H`` is the zero map, of norm 0.
+
+    For blocks of at least ``THREAD_MIN_BLOCK`` rows the shifts are split
+    into one contiguous part per CPU (:func:`_cpu_count`), and each part
+    runs on its own thread, since numpy's LAPACK loop releases the GIL;
+    smaller blocks, a single shift and a one-CPU process stay on the
+    calling thread. No shift's value depends on the others or on the
+    split, so the result is bit for bit the same on any CPU count. The
+    stacks of all parts in flight together take ~64 MB at most.
     """
     groups: dict[int, list[np.ndarray]] = {}
     for component in connected_components(H != 0):
@@ -106,14 +202,12 @@ def _resolvent_norms(H: np.ndarray, zs: np.ndarray) -> np.ndarray:
     for m, members in groups.items():
         index = np.array(members)
         blocks = H[index[:, :, None], index[:, None, :]]
-        eye = np.eye(m)
-        chunk = max(1, 2**22 // (len(members) * m * m))  # cap batch memory at ~64 MB
-        for start in range(0, len(zs), chunk):
-            part = slice(start, start + chunk)
-            s = np.linalg.svd(blocks[None] - zs[part, None, None, None] * eye, compute_uv=False)
-            smin[part] = np.minimum(smin[part], s[..., -1].min(axis=1))
-            stack_norm = np.hypot.reduce(s.reshape(len(s), -1), axis=1)
-            frobenius[part] = np.hypot(frobenius[part], stack_norm)
+        count = max(1, min(_cpu_count(), len(zs))) if m >= THREAD_MIN_BLOCK else 1
+        step = max(1, 2**22 // (count * len(members) * m * m))  # ~64 MB of stacks in flight
+        parts = _on_threads(lambda part: _block_norms(blocks, part, step), np.array_split(zs, count))
+        block_min, block_norm = map(np.concatenate, zip(*parts))  # back in shift order
+        smin = np.minimum(smin, block_min)
+        frobenius = np.hypot(frobenius, block_norm)
     return _resolvent(smin, frobenius)
 
 
@@ -122,9 +216,9 @@ def resolvent_norm(H, z: complex) -> float:
 
     Returns ``inf`` when ``z`` is numerically in the spectrum; raises
     ``ValueError`` for a non-finite ``z`` and :class:`NonFinite` when
-    ``||H - z I||_F`` overflows. This is the block scan of
-    :func:`pseudospectrum` at the one point ``z``, so the two agree
-    exactly.
+    ``||H - z I||_F`` or one of its entries overflows. This is the block
+    scan of :func:`pseudospectrum` at the one point ``z``, on the calling
+    thread (one shift makes one part), so the two agree exactly.
     """
     H, z = as_matrix(H, square=True), complex(z)
     if not np.isfinite(z):
@@ -180,9 +274,12 @@ def pseudospectrum(
     ``bounds = (re_min, re_max, im_min, im_max)``; ``resolution`` points
     per axis (so ``resolution**2`` grid points, imaginary part varying
     slowest). All points go through the block kernel of
-    :func:`resolvent_norm`, one batched SVD per block size of ``H``'s
+    :func:`resolvent_norm`, batched SVDs per block size of ``H``'s
     direct-sum split (a dense ``H`` is one n x n SVD per point), so each
-    norm equals ``resolvent_norm(H, z)`` exactly.
+    norm equals ``resolvent_norm(H, z)`` exactly. Blocks of at least
+    ``THREAD_MIN_BLOCK`` rows split the points into one part per CPU, each
+    on its own thread; the norms and the mask do not depend on the CPU
+    count, and all parts' shifted stacks together take ~64 MB at most.
     """
     if not 0 < epsilon < np.inf:
         raise ValueError("epsilon must be positive and finite")

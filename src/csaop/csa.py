@@ -23,7 +23,7 @@ import numpy as np
 
 from .antiunitary import AntiunitaryOp, conjugate_linear_map
 from .errors import NonFinite, NotCsa
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, cayley, fro, rank_cutoff
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, cayley, column_norms, fro, rank_cutoff
 
 #: Arc within which :func:`generate_csa` merges eigenvalues of ``C^{-2}``,
 #: and distance of ``C^2`` from ``+-I`` below which it skips the projection.
@@ -77,8 +77,9 @@ def _csa_svd(H, C, tol, z: complex = 0.0, bad_shift: tuple[type[Exception], str]
 
     Checks ``H`` (:class:`NotCsa`) first and then the shift: a non-finite
     ``z`` raises ``bad_shift = (error type, message)``, the message
-    formatted with ``z``. Raises :class:`NonFinite` when ``||M||_F``, the
-    ``hypot`` of ``s``, overflows. Returns ``(H, M, W, s, V, rank)``, with
+    formatted with ``z``. Raises :class:`NonFinite` when an entry of ``M``
+    overflows (before the SVD, so LAPACK never sees it) or when ``||M||_F``,
+    the ``hypot`` of ``s``, does. Returns ``(H, M, W, s, V, rank)``, with
     ``rank`` the count of ``s`` above :func:`~csaop.linalg.rank_cutoff`;
     ``M`` is ``H`` itself for ``z = 0``.
     """
@@ -86,8 +87,10 @@ def _csa_svd(H, C, tol, z: complex = 0.0, bad_shift: tuple[type[Exception], str]
     if not np.isfinite(z):
         error, message = bad_shift
         raise error(message.format(z))
-    with np.errstate(over="ignore"):  # an overflow leaves ||M||_F non-finite: NonFinite below
+    with np.errstate(over="ignore"):  # an overflowing entry or norm raises NonFinite below
         M = H - z * np.eye(H.shape[0]) if z else H
+        if not np.isfinite(M).all():  # before LAPACK, which fails on it
+            raise NonFinite("||H - zI||_F overflows")
         W, s, Vh = np.linalg.svd(M)
         if not np.hypot.reduce(s) < np.inf:
             raise NonFinite("||H - zI||_F overflows")
@@ -140,7 +143,7 @@ def eigen_pairing(
     H = _require_csa(H, C, tol)
     values, vectors = np.linalg.eig(H)
     mapped = C.unitary_part @ np.conj(vectors)
-    residuals = np.linalg.norm(H.conj().T @ mapped - np.conj(values) * mapped, axis=0)
+    residuals = column_norms(H.conj().T @ mapped - np.conj(values) * mapped)
     return [(complex(lam), psi, float(r)) for lam, psi, r in zip(values, vectors.T, residuals)]
 
 
@@ -161,5 +164,5 @@ def kernel_pairing(
     H, shifted, W, _, V, rank = _csa_svd(H, C, tol, lam, (NonFinite, "shift lam = {} is not finite"))
     ker, ker_adj = V[:, rank:], W[:, rank:]
     mapped = shifted.conj().T @ (C.unitary_part @ np.conj(ker))
-    mapped_ok = bool(np.all(np.linalg.norm(mapped, axis=0) <= tol.bound(fro(H))))
+    mapped_ok = bool(np.all(column_norms(mapped) <= tol.bound(fro(H))))
     return ker.shape[1], ker_adj.shape[1], mapped_ok

@@ -74,6 +74,20 @@ def fro(M: np.ndarray) -> float:
     return norm
 
 
+@np.errstate(over="ignore")  # a column whose squares overflow is rescaled below
+def column_norms(M: np.ndarray) -> np.ndarray:
+    """The 2-norm of each column of ``M``, rescaled column by column as
+    :func:`fro` rescales the whole matrix."""
+    norms = np.linalg.norm(M, axis=0)
+    redo = np.flatnonzero((norms == np.inf) | (norms < FRO_UNDERFLOW))
+    if redo.size:
+        moduli = np.abs(M[:, redo])
+        top = moduli.max(axis=0, initial=0.0)
+        fine = (0 < top) & (top < np.inf)
+        norms[redo[fine]] = top[fine] * np.linalg.norm(moduli[:, fine] / top[fine], axis=0)
+    return norms
+
+
 def as_matrix(M, square: bool = False) -> np.ndarray:
     """Coerce to a finite 2-d complex array (copy only when needed)."""
     M = np.asarray(M, dtype=complex)

@@ -77,6 +77,14 @@ def random_complex_symmetric(n, rng):
     return 0.5 * (M + M.T)
 
 
+def overflowing_diagonal(n, seed):
+    """Complex symmetric (K-self-adjoint) H of Frobenius norm about
+    ``8e307 * sqrt(n / 64)``, every diagonal imaginary part below -9e306:
+    at ``im z >= 1.797e308`` each diagonal entry of ``H - z I`` overflows
+    while ``||H||_F`` does not."""
+    return 1e306 * random_complex_symmetric(n, np.random.default_rng(seed)) / 3 - 1e307j * np.eye(n)
+
+
 def neither_simple_case(n_kernel, n_range, seed, theta=0.7):
     """C-self-adjoint H with simple nonzero singular values for a C that is
     neither involutive nor anti-involutive.

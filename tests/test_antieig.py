@@ -1,3 +1,7 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,14 +14,22 @@ from csaop import (
     resolvent_norm,
 )
 from csaop import DimMismatch, NonFinite, NotCsa, antieig, decomp
-from csaop.antieig import SPECTRUM_CUTOFF
+from csaop.antieig import SPECTRUM_CUTOFF, THREAD_MIN_BLOCK
 from csaop.antiunitary import AntiunitaryOp
 from csaop.decomp import SVD_CLUSTER_GAP
-from csaop.linalg import DEFAULT_TOL, fro
+from csaop.linalg import DEFAULT_TOL, connected_components, fro
 from csaop import pauli
 from csaop.pauli import MINUS_I_SIGMA2
 
-from conftest import c2_blocks, conj_k, haar_unitary, neither_simple_case, random_complex_symmetric
+from conftest import (
+    c2_blocks,
+    conj_k,
+    haar_unitary,
+    neither_simple_case,
+    overflowing_diagonal,
+    random_complex_symmetric,
+    random_matrix,
+)
 
 
 class TestAntilinearEigensystem:
@@ -401,18 +413,22 @@ class TestPseudospectrum:
                 pseudospectrum(np.eye(2), 0.1, bounds, 10)
 
 
+def _block_diagonal(*blocks):
+    n = sum(len(B) for B in blocks)
+    H, start = np.zeros((n, n), dtype=complex), 0
+    for B in blocks:
+        H[start : start + len(B), start : start + len(B)] = B
+        start += len(B)
+    return H
+
+
 def _direct_sum_fixture(rng):
     """Block-diagonal H with dense blocks of sizes 1, 2, 3 and 5, a 2x2
     zero block and a 2x2 Jordan block at 0, under a random permutation."""
     blocks = [rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for m in (1, 2, 3, 5)]
     blocks += [np.zeros((2, 2)), np.array([[0.0, 1.0], [0.0, 0.0]])]
-    n = sum(len(B) for B in blocks)
-    H = np.zeros((n, n), dtype=complex)
-    start = 0
-    for B in blocks:
-        H[start : start + len(B), start : start + len(B)] = B
-        start += len(B)
-    perm = rng.permutation(n)
+    H = _block_diagonal(*blocks)
+    perm = rng.permutation(len(H))
     return H[np.ix_(perm, perm)], perm
 
 
@@ -478,9 +494,11 @@ class TestOneKernel:
     def _cases(self, rng):
         H, _ = _direct_sum_fixture(rng)
         toy, _, _ = pauli.discretize(-1.5, np.linspace(-3.0, 3.0, 20))
-        return [(H, 21), (toy, 16), (random_complex_symmetric(6, rng), 9)]
+        dense = random_complex_symmetric(THREAD_MIN_BLOCK, rng)  # the scan splits it across threads
+        return [(H, 21), (toy, 16), (random_complex_symmetric(6, rng), 9), (dense, 5)]
 
-    def test_equals_the_scan_bit_for_bit(self, rng):
+    def test_equals_the_scan_bit_for_bit(self, rng, monkeypatch):
+        monkeypatch.setattr(antieig, "_cpu_count", lambda: 2)
         for H, res in self._cases(rng):
             grid = pseudospectrum(H, 0.1, (-2.0, 2.0, -2.0, 2.0), res)
             single = [resolvent_norm(H, z) for z in grid.zs]
@@ -520,3 +538,183 @@ class TestOneKernel:
         grid = pseudospectrum(H, 0.5, (-1.0, 1.0, -1.0, 1.0), 3)
         np.testing.assert_array_equal(grid.resolvent_norms, 0.0)
         assert not grid.in_pseudospectrum.any()
+
+
+def serial_scan(H, zs):
+    """Reference for the threaded kernel: every block size's shifted stack
+    ``blocks - zs * eye`` through one batched SVD on the calling thread,
+    then the library's spectrum rule."""
+    smin, frobenius = np.full(len(zs), np.inf), np.zeros(len(zs))
+    sizes = {}
+    for component in connected_components(H != 0):
+        sizes.setdefault(len(component), []).append(component)
+    for m, members in sizes.items():
+        index = np.array(members)
+        blocks = H[index[:, :, None], index[:, None, :]]
+        s = np.linalg.svd(blocks[None] - zs[:, None, None, None] * np.eye(m), compute_uv=False)
+        smin = np.minimum(smin, s[..., -1].min(axis=1))
+        frobenius = np.hypot(frobenius, np.hypot.reduce(s.reshape(len(s), -1), axis=1))
+    return antieig._resolvent(smin, frobenius)
+
+
+def _negative_zeros(rng):
+    """A dense 64-block and twenty 4 x 4 blocks, each with zero entries off
+    the diagonal whose real and imaginary parts are -0.0 or 0.0 at random.
+    ``b - z * 0`` turns a -0.0 part into 0.0 or keeps it, depending on the
+    signs of ``z``, and in the small blocks that moves some singular values
+    by an ulp."""
+    blocks = []
+    for m in [THREAD_MIN_BLOCK] + [4] * 20:
+        B = random_matrix(m, rng)
+        zero = (rng.random((m, m)) < (0.3 if m > 4 else 0.5)) & ~np.eye(m, dtype=bool)
+        B[zero] = 0.0
+        B.real[zero & (rng.random((m, m)) < 0.5)] = -0.0
+        B.imag[zero & (rng.random((m, m)) < 0.5)] = -0.0
+        blocks.append(B)
+    return _block_diagonal(*blocks)
+
+
+@pytest.fixture(params=[1, 2, 3, 8])
+def cpus(request, monkeypatch):
+    monkeypatch.setattr(antieig, "_cpu_count", lambda: request.param)
+    return request.param
+
+
+class TestThreadedScan:
+    """Blocks of at least ``THREAD_MIN_BLOCK`` rows split their shifts into
+    one part per CPU, each on its own thread; the values do not move."""
+
+    CASES = {
+        # 49 shifts: parts of unequal length on 2, 3 and 8 CPUs
+        "dense96": (lambda rng: random_complex_symmetric(96, rng), (-2.0, 2.0, -2.0, 2.0), 7),
+        "mixed": (
+            lambda rng: _block_diagonal(
+                random_complex_symmetric(THREAD_MIN_BLOCK, rng), _direct_sum_fixture(rng)[0]
+            ),
+            (-2.0, 2.0, -2.0, 2.0),
+            9,
+        ),
+        # shifts in all four quadrants: every sign pattern of z * 0
+        "negative_zeros": (_negative_zeros, (-1.0, 1.0, -1.5, 1.5), 9),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bit_for_bit_on_any_cpu_count(self, case, cpus, rng):
+        make, bounds, res = self.CASES[case]
+        H = make(rng)
+        grid = pseudospectrum(H, 0.1, bounds, res)
+        reference = serial_scan(H, grid.zs)
+        assert grid.resolvent_norms.tobytes() == reference.tobytes()
+        np.testing.assert_array_equal(grid.in_pseudospectrum, reference > 10.0)
+
+    def test_shifted_stack_is_blocks_minus_z_eye(self, rng):
+        # every bit, signs of zero included: LAPACK's singular values can
+        # depend on them
+        H = _negative_zeros(rng)
+        blocks = H[None, :THREAD_MIN_BLOCK, :THREAD_MIN_BLOCK]
+        zs = pseudospectrum(np.eye(1), 0.1, (-1.0, 1.0, -1.5, 1.5), 9).zs
+        reference = blocks[None] - zs[:, None, None, None] * np.eye(THREAD_MIN_BLOCK)
+        assert antieig._shifted(blocks, zs).tobytes() == reference.tobytes()
+
+    @pytest.fixture
+    def starts(self, monkeypatch):
+        started, start = [], threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        return started
+
+    def test_small_blocks_and_single_shifts_stay_serial(self, starts, monkeypatch, rng):
+        monkeypatch.setattr(antieig, "_cpu_count", lambda: 8)
+        toy, _, _ = pauli.discretize(-1.5, np.linspace(-3.0, 3.0, 20))
+        small = random_complex_symmetric(THREAD_MIN_BLOCK - 1, rng)
+        for H in (toy, _direct_sum_fixture(rng)[0], small):
+            pseudospectrum(H, 0.1, (-2.0, 2.0, -2.0, 2.0), 5)
+        resolvent_norm(random_complex_symmetric(THREAD_MIN_BLOCK, rng), 0.5j)
+        assert starts == []
+        pseudospectrum(random_complex_symmetric(THREAD_MIN_BLOCK, rng), 0.1, (-2.0, 2.0, -2.0, 2.0), 5)
+        assert len(starts) == 7  # the calling thread runs the first of eight parts
+
+    def test_one_cpu_starts_no_thread(self, starts, monkeypatch, rng):
+        monkeypatch.setattr(antieig, "_cpu_count", lambda: 1)
+        pseudospectrum(random_complex_symmetric(96, rng), 0.1, (-2.0, 2.0, -2.0, 2.0), 5)
+        assert starts == []
+
+    def test_more_threads_than_cpus_at_a_short_switch_interval(self, monkeypatch, rng):
+        # sixteen parts, each writing its own slot of the shared result
+        # lists while the interpreter switches threads every microsecond
+        monkeypatch.setattr(antieig, "_cpu_count", lambda: 16)
+        H = random_complex_symmetric(THREAD_MIN_BLOCK, rng)
+        zs = np.linspace(-2.0, 2.0, 40) + 0.3j
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            norms = antieig._resolvent_norms(H, zs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert norms.tobytes() == serial_scan(H, zs).tobytes()
+
+    @pytest.mark.parametrize("failing", [0, 6])  # in the caller's part, in the last thread's
+    def test_an_error_in_one_part_propagates(self, failing, cpus, monkeypatch, rng):
+        H = random_complex_symmetric(THREAD_MIN_BLOCK, rng)
+        H[0, 0] = 0.0  # so the stack's first entry at shift z is -z
+        zs = np.linspace(-1.0, 1.0, 7) + 0.5j
+        svd = np.linalg.svd
+
+        def failing_svd(a, *args, **kwargs):
+            if -zs[failing] in a[:, 0, 0, 0]:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        before = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError):
+            antieig._resolvent_norms(H, zs)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_one_shifted_stack_in_memory(self, count, monkeypatch, rng):
+        # 256 shifts of a dense 64 x 64 H: 16.8 MB of shifted blocks, built
+        # in place; ``blocks - zs * eye`` would hold two such stacks
+        monkeypatch.setattr(antieig, "_cpu_count", lambda: count)
+        H = random_complex_symmetric(THREAD_MIN_BLOCK, rng)
+        zs = (np.linspace(-2, 2, 16)[None, :] + 1j * np.linspace(-2, 2, 16)[:, None]).ravel()
+        stack = len(zs) * H.nbytes
+        tracemalloc.start()
+        try:
+            antieig._resolvent_norms(H, zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * stack
+
+
+@pytest.mark.filterwarnings("error")
+class TestOverflowBeforeLapack:
+    """An entry of ``H - zI`` overflows at a finite shift while ``||H||_F``
+    does not: ``NonFinite`` is raised before any SVD, so LAPACK prints
+    nothing."""
+
+    z = 1.797e308j
+
+    def test_eigensystem(self, capfd):
+        H = overflowing_diagonal(8, 8)
+        assert fro(H) < np.inf
+        with pytest.raises(NonFinite, match="overflows"):
+            antilinear_eigensystem(H, conj_k(8), self.z)
+        assert capfd.readouterr() == ("", "")
+
+    def test_scan_of_a_threaded_block(self, cpus, capfd):
+        # only the grid's last row overflows: on more than one CPU that is
+        # a thread's part, which must run under the caller's error state
+        # to raise NonFinite rather than numpy's overflow warning
+        H = overflowing_diagonal(THREAD_MIN_BLOCK, 64)
+        assert fro(H) < np.inf
+        with pytest.raises(NonFinite, match="overflows"):
+            pseudospectrum(H, 0.1, (-1.0, 1.0, 0.0, self.z.imag), 8)
+        with pytest.raises(NonFinite, match="overflows"):
+            resolvent_norm(H, self.z)
+        assert capfd.readouterr() == ("", "")

@@ -17,7 +17,7 @@ from csaop.serialize import (
     symbol_to_json,
 )
 
-from conftest import conj_k, hadamard_conjugation, overflowing_csa, random_antiunitary
+from conftest import conj_k, hadamard_conjugation, overflowing_csa, overflowing_diagonal, random_antiunitary
 
 
 @pytest.fixture
@@ -309,6 +309,20 @@ class TestOverflowingShift:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and "overflows" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+def test_overflowing_entry_of_the_shift_is_a_domain_error(tmp_path, capfd):
+    # ||H||_F is finite, each diagonal entry of H - zI is not: NonFinite,
+    # exit 1, and LAPACK never runs on the overflowed matrix
+    h, c = tmp_path / "h.json", tmp_path / "c.json"
+    dump_json(matrix_to_json(overflowing_diagonal(8, 8)), h)
+    dump_json(antiunitary_to_json(conj_k(8)), c)
+    assert main(["anti-eig", "--H", str(h), "--C", str(c), "--z", "0,1.797e308"]) == 1
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "overflows" in captured.err
+    assert "DLASCL" not in captured.err
 
 
 class TestEmptyMatrix:

@@ -28,6 +28,7 @@ from conftest import (
     haar_unitary,
     hadamard_conjugation,
     overflowing_csa,
+    overflowing_diagonal,
     random_antiunitary,
     random_matrix,
     symmetrized_csa,
@@ -309,6 +310,19 @@ class TestEigenPairing:
             ref = np.linalg.norm(H.conj().T @ mapped - np.conj(ref_lam) * mapped)
             assert abs(residual - ref) <= 1e-14 * fro(H)
 
+    @pytest.mark.parametrize("t", [1e-150, 1e-170])
+    def test_residuals_scale_with_tiny_h(self, t):
+        # the residuals are rounding errors of size eps t ||H||; column
+        # norms whose squares underflow would read exactly 0
+        C = AntiunitaryOp(haar_unitary(6, np.random.default_rng(3)))
+        H = generate_csa(C, 3)
+        reference = {complex(lam): r for lam, _, r in eigen_pairing(H, C)}
+        pairs = eigen_pairing(t * H, C)
+        assert len(pairs) == 6
+        for lam, _, residual in pairs:
+            expected = t * reference[min(reference, key=lambda mu: abs(mu - lam / t))]
+            assert 0 < residual and expected / 10 <= residual <= 10 * expected
+
 
 class TestKernelPairing:
     def test_rank_deficient_diagonal(self):
@@ -346,3 +360,12 @@ class TestKernelPairing:
             warnings.simplefilter("error")
             with pytest.raises(NonFinite, match="overflows"):
                 kernel_pairing(np.diag([1e308, 1.0]), conj_k(2), -1e308)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_entry_never_reaches_lapack(self, capfd):
+        # ||H||_F is finite, each diagonal entry of H - lam I is not
+        H = overflowing_diagonal(8, 8)
+        assert fro(H) < np.inf
+        with pytest.raises(NonFinite, match="overflows"):
+            kernel_pairing(H, conj_k(8), 1.797e308j)
+        assert capfd.readouterr() == ("", "")

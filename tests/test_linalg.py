@@ -5,7 +5,7 @@ import pytest
 
 from csaop import DimMismatch, NonFinite, Tolerance
 from csaop.linalg import (
-    as_matrix, as_vector, cayley, cluster_indices, connected_components, fro, nullspace
+    as_matrix, as_vector, cayley, cluster_indices, column_norms, connected_components, fro, nullspace
 )
 
 from conftest import haar_unitary, random_matrix
@@ -68,6 +68,25 @@ class TestFro:
     def test_unrepresentable_norm_is_inf(self):
         assert fro(np.full((3, 3), 1e308 + 1e308j)) == np.inf
         assert fro(np.array([[np.inf, 1.0]])) == np.inf
+
+
+class TestColumnNorms:
+    """``fro``'s rescale, column by column."""
+
+    def test_plain_norms_when_they_fit(self, rng):
+        M = random_matrix(5, rng)
+        np.testing.assert_array_equal(column_norms(M), np.linalg.norm(M, axis=0))
+
+    @pytest.mark.parametrize("t", [1e-150, 1e-170, 1e-300, 1e160, 1e300])
+    def test_each_column_scales(self, t, rng):
+        M = random_matrix(6, rng)
+        M[:, 0] *= 1e-3  # columns of different sizes rescale independently
+        reference = np.array([fro(column) for column in M.T])
+        np.testing.assert_allclose(column_norms(t * M), t * reference, rtol=1e-15, atol=0)
+
+    def test_zero_subnormal_and_unrepresentable_columns(self):
+        M = np.array([[0.0, 5e-324, 1e308 + 1e308j, 1.0], [0.0, 0.0, 1e308 + 1e308j, 1e-170]])
+        np.testing.assert_array_equal(column_norms(M), [0.0, 5e-324, np.inf, 1.0])
 
 
 class TestNullspace:
