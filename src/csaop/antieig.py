@@ -22,8 +22,11 @@ the expansion and the completeness of the ``psi_j``.
 kernel. It splits ``H`` along its exact structural zeros into a direct
 sum of diagonal blocks (the spin toy model is one 2x2 momentum symbol per
 block); ``sigma_min(H - z I)`` is the least ``sigma_min`` over the blocks,
-and ``||H - z I||_F`` the norm of all their singular values. A dense ``H``
-is a single block. One spectrum rule, shared with the eigensystem, puts
+and ``||H - z I||_F`` the norm of all their singular values. Blocks of 1
+or 2 rows, the toy model's included, take both from a closed form with no
+LAPACK call; larger blocks of one size take batched SVDs of their shifted
+stacks, and a dense ``H`` is a single block. One spectrum rule, shared
+with the eigensystem, puts
 ``z`` in the spectrum when ``sigma_min <= SPECTRUM_CUTOFF * ||H - z I||_F``
 and raises :class:`NonFinite` when that norm, or an entry of ``H - z I``,
 overflows (or is NaN).
@@ -34,7 +37,9 @@ blocks of at least ``THREAD_MIN_BLOCK`` rows into one contiguous part per
 CPU the process may run on and runs each part's batched SVD on its own
 thread: numpy's LAPACK loop releases the GIL. Each part builds its
 shifted stack in place, the stacks in flight together stay under ~64 MB,
-and every value is bit for bit the one a single thread computes.
+and every value is bit for bit the one a single thread computes. The
+closed form runs on the calling thread, a few thousand shifted blocks at
+a time.
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from .antiunitary import AntiunitaryOp
 from .csa import _csa_svd
 from .decomp import _certify, _fixed_singular_basis
 from .errors import DimMismatch, NonFinite, ZInSpectrum
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, connected_components, fro
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, column_norms, connected_components, fro
 
 #: sigma_min(H - z I) at or below this fraction of ||H - z I|| counts as
 #: "z in the spectrum".
@@ -78,7 +83,9 @@ class PseudospectrumGrid:
     """Resolvent-norm samples over a rectangular grid.
 
     ``in_pseudospectrum`` marks points with ``resolvent_norm > 1/epsilon``
-    (points numerically in the spectrum carry ``resolvent_norm = inf``).
+    and points numerically in the spectrum, which carry ``resolvent_norm =
+    inf`` and lie in every epsilon-pseudospectrum, even where ``1/epsilon``
+    overflows to ``inf``.
     """
 
     epsilon: float
@@ -163,28 +170,97 @@ def _shifted(blocks: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return stack
 
 
+def _largest_part(x: np.ndarray) -> np.ndarray:
+    """The larger of ``|Re x|`` and ``|Im x|``, entrywise."""
+    return np.maximum(np.abs(x.real), np.abs(x.imag))
+
+
+def _squared(x: np.ndarray) -> np.ndarray:
+    """``|x|^2``, entrywise."""
+    return np.square(x.real) + np.square(x.imag)
+
+
+def _closed_form(blocks: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``sigma_min`` and the Frobenius norm of ``B - z I`` for each block
+    ``B`` of ``blocks`` (1 or 2 rows) at each shift ``z`` in ``zs``, as two
+    ``len(zs) x len(blocks)`` arrays, in closed form (no LAPACK call).
+
+    A 1 x 1 block ``[h - z]`` has both equal to ``|h - z|``. A 2 x 2 block
+    ``[[a, b], [c, d]]`` has ``f = ||B - z I||_F^2 = p + q`` (``p``, ``q``
+    its squared row norms) and ``|ad - bc| = sigma_max sigma_min``, and the
+    eigenvalues of ``(B - z I)(B - z I)*`` give ``sigma_max^2 = (f +
+    hypot(p - q, 2 |a conj(c) + b conj(d)|)) / 2``: a sum of nonnegative
+    terms, where ``(sqrt(f + 2 |ad - bc|) + sqrt(f - 2 |ad - bc|)) / 2``
+    would lose half the digits to cancellation when the two singular
+    values are close. So ``sigma_max`` comes to a few ulps, and
+    ``sigma_min = |ad - bc| / sigma_max`` to a few ulps of ``sigma_max``,
+    as from an SVD. Each shifted block is first multiplied by the power of
+    two that brings its largest real or imaginary part into ``[1/2, 1)``
+    (exact, and a zero block stays zero), so no square overflows or
+    underflows and the ``hypot`` is a plain root of squares; scaled back,
+    the results overflow only where the norm does. A shifted entry that
+    overflows gives an infinite norm (1 x 1) or raises :class:`NonFinite`
+    before any arithmetic on it (2 x 2).
+    """
+    diagonal = [blocks[:, i, i] - zs[:, None] for i in range(blocks.shape[1])]
+    if len(diagonal) == 1:
+        s = np.abs(diagonal[0])  # inf where the entry overflows
+        return s, s
+    (a, d), b, c = diagonal, blocks[:, 0, 1], blocks[:, 1, 0]
+    top = np.maximum(_largest_part(a), _largest_part(d))
+    top = np.maximum(top, np.maximum(_largest_part(b), _largest_part(c)))
+    if not np.all(top < np.inf):
+        raise NonFinite("||H - zI||_F overflows")
+    # 2**-e for top in [2**(e-1), 2**e), capped at 2**1023 for a subnormal top
+    scale = np.ldexp(1.0, np.minimum(-np.frexp(top)[1], 1023))
+    a, b, c, d = a * scale, b * scale, c * scale, d * scale
+    p = _squared(a) + _squared(b)
+    q = _squared(c) + _squared(d)
+    f = p + q
+    smax = np.sqrt((f + np.sqrt(np.square(p - q) + 4 * _squared(a * c.conj() + b * d.conj()))) / 2)
+    smin = np.abs(a * d - b * c) / np.where(f > 0, smax, 1.0)
+    return smin / scale, np.sqrt(f) / scale
+
+
+#: Shifted blocks per call of :func:`_closed_form`; its temporaries take
+#: 184 bytes a 2 x 2 block, under 1 MB in all. On a two-CPU x86 machine,
+#: chunks of 2**12 blocks ran 1.6x as fast per block as one chunk of 80
+#: blocks x 256 shifts, and 2x as fast as one of 600 blocks x 1024 shifts;
+#: chunks of 2**11 and 2**13 blocks were no faster.
+CLOSED_FORM_CHUNK = 2**12
+
+
 def _block_norms(blocks: np.ndarray, zs: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
-    """``sigma_min`` and the ``hypot`` of all singular values of ``blocks -
-    z I`` at each shift in ``zs``, from one batched SVD per ``step`` shifts."""
+    """``sigma_min`` and the norm of all singular values of ``blocks - z I``
+    at each shift in ``zs``, ``step`` shifts at a time: for blocks of 1 or
+    2 rows from :func:`_closed_form` and :func:`~csaop.linalg.column_norms`
+    over its block norms, else from one batched SVD and the ``hypot`` of
+    its values."""
     smin, norm = np.empty(len(zs)), np.empty(len(zs))
     for start in range(0, len(zs), step):
         part = slice(start, start + step)
-        s = np.linalg.svd(_shifted(blocks, zs[part]), compute_uv=False)
-        smin[part] = s[..., -1].min(axis=1)
-        norm[part] = np.hypot.reduce(s.reshape(len(s), -1), axis=1)
+        if blocks.shape[1] <= 2:
+            s, norms = _closed_form(blocks, zs[part])  # per block
+            smin[part], norm[part] = s.min(axis=1), column_norms(norms.T)
+        else:
+            s = np.linalg.svd(_shifted(blocks, zs[part]), compute_uv=False)
+            smin[part] = s[..., -1].min(axis=1)
+            norm[part] = np.hypot.reduce(s.reshape(len(s), -1), axis=1)
     return smin, norm
 
 
-@np.errstate(over="ignore")  # an overflowing entry or norm raises NonFinite: _shifted, _resolvent
+@np.errstate(over="ignore")  # an overflowing entry or norm raises NonFinite: _shifted, _closed_form, _resolvent
 def _resolvent_norms(H: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """:func:`_resolvent` at each shift in ``zs``.
 
     The connected components of ``H != 0`` split ``H`` into diagonal
-    blocks, and blocks of one size go through batched SVDs of their
-    shifted stacks. ``sigma_min`` is the least over all blocks and
-    ``||H - z I||_F`` the ``hypot`` of all their singular values, which
-    does not overflow or underflow where the norm is representable. A
-    0 x 0 ``H`` is the zero map, of norm 0.
+    blocks. Blocks of 1 or 2 rows go through :func:`_closed_form`,
+    ``CLOSED_FORM_CHUNK`` shifted blocks at a time, and larger blocks of
+    one size through batched SVDs of their shifted stacks. ``sigma_min``
+    is the least over all blocks and ``||H - z I||_F`` the norm of all
+    their singular values, rescaled so that it does not overflow or
+    underflow where it is representable. A 0 x 0 ``H`` is the zero map,
+    of norm 0.
 
     For blocks of at least ``THREAD_MIN_BLOCK`` rows the shifts are split
     into one contiguous part per CPU (:func:`_cpu_count`), and each part
@@ -192,7 +268,8 @@ def _resolvent_norms(H: np.ndarray, zs: np.ndarray) -> np.ndarray:
     smaller blocks, a single shift and a one-CPU process stay on the
     calling thread. No shift's value depends on the others or on the
     split, so the result is bit for bit the same on any CPU count. The
-    stacks of all parts in flight together take ~64 MB at most.
+    stacks of all parts in flight together take ~64 MB at most, and the
+    closed form's temporaries about 1 MB.
     """
     groups: dict[int, list[np.ndarray]] = {}
     for component in connected_components(H != 0):
@@ -203,7 +280,10 @@ def _resolvent_norms(H: np.ndarray, zs: np.ndarray) -> np.ndarray:
         index = np.array(members)
         blocks = H[index[:, :, None], index[:, None, :]]
         count = max(1, min(_cpu_count(), len(zs))) if m >= THREAD_MIN_BLOCK else 1
-        step = max(1, 2**22 // (count * len(members) * m * m))  # ~64 MB of stacks in flight
+        if m <= 2:  # see CLOSED_FORM_CHUNK
+            step = max(1, CLOSED_FORM_CHUNK // len(members))
+        else:
+            step = max(1, 2**22 // (count * len(members) * m * m))  # ~64 MB of stacks in flight
         parts = _on_threads(lambda part: _block_norms(blocks, part, step), np.array_split(zs, count))
         block_min, block_norm = map(np.concatenate, zip(*parts))  # back in shift order
         smin = np.minimum(smin, block_min)
@@ -217,7 +297,8 @@ def resolvent_norm(H, z: complex) -> float:
     Returns ``inf`` when ``z`` is numerically in the spectrum; raises
     ``ValueError`` for a non-finite ``z`` and :class:`NonFinite` when
     ``||H - z I||_F`` or one of its entries overflows. This is the block
-    scan of :func:`pseudospectrum` at the one point ``z``, on the calling
+    scan of :func:`pseudospectrum` at the one point ``z`` (closed forms
+    for blocks of 1 or 2 rows, an SVD per larger block), on the calling
     thread (one shift makes one part), so the two agree exactly.
     """
     H, z = as_matrix(H, square=True), complex(z)
@@ -274,12 +355,14 @@ def pseudospectrum(
     ``bounds = (re_min, re_max, im_min, im_max)``; ``resolution`` points
     per axis (so ``resolution**2`` grid points, imaginary part varying
     slowest). All points go through the block kernel of
-    :func:`resolvent_norm`, batched SVDs per block size of ``H``'s
-    direct-sum split (a dense ``H`` is one n x n SVD per point), so each
+    :func:`resolvent_norm` on ``H``'s direct-sum split: closed forms for
+    blocks of 1 or 2 rows (the toy model meets no SVD), batched SVDs per
+    larger block size (a dense ``H`` is one n x n SVD per point), so each
     norm equals ``resolvent_norm(H, z)`` exactly. Blocks of at least
     ``THREAD_MIN_BLOCK`` rows split the points into one part per CPU, each
     on its own thread; the norms and the mask do not depend on the CPU
     count, and all parts' shifted stacks together take ~64 MB at most.
+    Points in the spectrum are in the mask at every ``epsilon``.
     """
     if not 0 < epsilon < np.inf:
         raise ValueError("epsilon must be positive and finite")
@@ -294,7 +377,8 @@ def pseudospectrum(
     zs = (res[None, :] + 1j * ims[:, None]).ravel()
 
     norms = _resolvent_norms(H, zs)
-    mask = norms > 1.0 / epsilon
+    # 1 / epsilon is inf below 2**-1024 (a Python float: numpy's warns)
+    mask = np.isinf(norms) | (norms > 1.0 / float(epsilon))
     return PseudospectrumGrid(
         epsilon=float(epsilon), zs=zs, resolvent_norms=norms, in_pseudospectrum=mask
     )

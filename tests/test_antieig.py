@@ -14,7 +14,7 @@ from csaop import (
     resolvent_norm,
 )
 from csaop import DimMismatch, NonFinite, NotCsa, antieig, decomp
-from csaop.antieig import SPECTRUM_CUTOFF, THREAD_MIN_BLOCK
+from csaop.antieig import CLOSED_FORM_CHUNK, SPECTRUM_CUTOFF, THREAD_MIN_BLOCK
 from csaop.antiunitary import AntiunitaryOp
 from csaop.decomp import SVD_CLUSTER_GAP
 from csaop.linalg import DEFAULT_TOL, connected_components, fro
@@ -505,19 +505,21 @@ class TestOneKernel:
             np.testing.assert_array_equal(single, grid.resolvent_norms)
 
     def test_factorises_blocks_only(self, monkeypatch):
-        # 601 momenta, n = 1202: 2x2 symbols, and two 1x1 zeros at k = 0
+        # 601 momenta, n = 1202: 2x2 symbols, and two 1x1 zeros at k = 0,
+        # all in closed form, so neither a dense SVD nor any other runs
         H, _, _ = pauli.discretize(-1.5, np.linspace(-3.0, 3.0, 601))
         z = 0.3 + 0.2j
-        svd, shapes = np.linalg.svd, set()
+        svd, shapes = np.linalg.svd, []
 
         def recording_svd(a, *args, **kwargs):
-            shapes.add(np.shape(a)[-2:])
+            shapes.append(np.shape(a))
             return svd(a, *args, **kwargs)
 
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "svd", recording_svd)
             norm = resolvent_norm(H, z)
-        assert shapes == {(1, 1), (2, 2)}
+            pseudospectrum(H, 0.1, (-1.0, 10.0, -4.5, 4.5), 4)
+        assert shapes == []
         assert norm == pytest.approx(dense_resolvent_norm(H, z), rel=1e-12)
 
     @pytest.mark.parametrize("t", [1e-300, 1e300])
@@ -599,13 +601,22 @@ class TestThreadedScan:
     }
 
     @pytest.mark.parametrize("case", CASES)
-    def test_bit_for_bit_on_any_cpu_count(self, case, cpus, rng):
+    def test_bit_for_bit_on_any_cpu_count(self, case, cpus, rng, monkeypatch):
         make, bounds, res = self.CASES[case]
         H = make(rng)
         grid = pseudospectrum(H, 0.1, bounds, res)
         reference = serial_scan(H, grid.zs)
-        assert grid.resolvent_norms.tobytes() == reference.tobytes()
         np.testing.assert_array_equal(grid.in_pseudospectrum, reference > 10.0)
+        if case != "mixed":  # no block under 3 rows: the SVDs of serial_scan
+            assert grid.resolvent_norms.tobytes() == reference.tobytes()
+            return
+        # the 1 x 1 and 2 x 2 blocks go through the closed form, not LAPACK
+        inf = np.isinf(reference)
+        np.testing.assert_array_equal(np.isinf(grid.resolvent_norms), inf)
+        np.testing.assert_allclose(grid.resolvent_norms[~inf], reference[~inf], rtol=1e-12)
+        monkeypatch.setattr(antieig, "_cpu_count", lambda: 1)
+        single = pseudospectrum(H, 0.1, bounds, res)
+        assert grid.resolvent_norms.tobytes() == single.resolvent_norms.tobytes()
 
     def test_shifted_stack_is_blocks_minus_z_eye(self, rng):
         # every bit, signs of zero included: LAPACK's singular values can
@@ -691,6 +702,21 @@ class TestThreadedScan:
             tracemalloc.stop()
         assert peak < 1.3 * stack
 
+    def test_closed_form_in_small_chunks(self):
+        # 601 momenta x 4096 shifts: 600 2 x 2 blocks and two 1 x 1 ones.
+        # The SVD path's stacks peaked at ~100 MB here and an unchunked
+        # closed form at ~150 MB; CLOSED_FORM_CHUNK blocks at a time hold
+        # about 1 MB, beside the ~3 MB of ``H != 0`` in the block split
+        H, _, _ = pauli.discretize(-1.5, np.linspace(-3.0, 3.0, 601))
+        zs = (np.linspace(-1.0, 10.0, 64)[None, :] + 1j * np.linspace(-4.5, 4.5, 64)[:, None]).ravel()
+        tracemalloc.start()
+        try:
+            antieig._resolvent_norms(H, zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**23
+
 
 @pytest.mark.filterwarnings("error")
 class TestOverflowBeforeLapack:
@@ -718,3 +744,135 @@ class TestOverflowBeforeLapack:
         with pytest.raises(NonFinite, match="overflows"):
             resolvent_norm(H, self.z)
         assert capfd.readouterr() == ("", "")
+
+
+EPS = np.finfo(float).eps
+
+
+def _stack(count, rng, m=2):
+    return rng.standard_normal((count, m, m)) + 1j * rng.standard_normal((count, m, m))
+
+
+def _rank_one_plus(delta):
+    def make(rng):
+        u, v = _stack(200, rng).transpose(1, 0, 2)  # 200 pairs of random vectors
+        return u[:, :, None] * v[:, None, :].conj() + delta * _stack(200, rng)
+
+    return make
+
+
+def _close_singular_values(rng):
+    # U diag(1, 1 + d) V: sqrt(f - 2 |det|) would carry errors near sqrt(eps)
+    gaps = np.repeat([1e-5, 1e-9, 1e-12, 0.0], 25)
+    return np.array([haar_unitary(2, rng) @ np.diag([1.0, 1.0 + d]) @ haar_unitary(2, rng) for d in gaps])
+
+
+def _negative_zero_blocks(rng):
+    blocks = _stack(64, rng)
+    zero = rng.random((64, 2, 2)) < 0.5
+    blocks[zero] = 0.0
+    blocks.real[zero & (rng.random((64, 2, 2)) < 0.5)] = -0.0
+    blocks.imag[zero & (rng.random((64, 2, 2)) < 0.5)] = -0.0
+    return blocks
+
+
+def _subnormal_blocks(rng):
+    tiny = 1e-310 * _stack(50, rng)
+    mixed = _stack(50, rng)
+    mixed[:, 0, 1] *= 1e-315
+    mixed[:, 1, 1] = 4e-320
+    return np.concatenate([tiny, mixed])
+
+
+@pytest.mark.filterwarnings("error")
+class TestClosedForm:
+    """Blocks of 1 or 2 rows: sigma_min and the Frobenius norm of each
+    shifted block, against an SVD of that block."""
+
+    ZS = {"zero": np.zeros(1), "grid": (np.linspace(-2, 2, 5)[None, :] + 1j * np.linspace(-2, 2, 5)[:, None]).ravel()}
+    CASES = {
+        "random": lambda rng: _stack(500, rng),
+        "rank_one_plus_1e-4": _rank_one_plus(1e-4),
+        "rank_one_plus_1e-8": _rank_one_plus(1e-8),
+        "close_singular_values": _close_singular_values,
+        "negative_zeros": _negative_zero_blocks,
+        "subnormal": _subnormal_blocks,
+        "1x1": lambda rng: np.concatenate([_stack(50, rng, 1), 1e-310 * _stack(50, rng, 1)]),
+    }
+
+    @staticmethod
+    def assert_matches_svd(blocks, zs):
+        smin, norms = antieig._closed_form(blocks, zs)
+        m = blocks.shape[1]
+        s = np.linalg.svd(blocks[None] - zs[:, None, None, None] * np.eye(m), compute_uv=False)
+        # 16 ulps of the block's sigma_max, or one ulp of a subnormal result
+        bound = 16 * EPS * s[..., 0] + np.finfo(float).smallest_subnormal
+        assert np.all(np.abs(smin - s[..., -1]) <= bound)
+        assert np.all(np.abs(norms - np.hypot.reduce(s, axis=-1)) <= bound)
+        return smin, norms
+
+    @pytest.mark.parametrize("shifts", ZS)
+    @pytest.mark.parametrize("case", CASES)
+    def test_against_the_svd(self, case, shifts, rng):
+        self.assert_matches_svd(self.CASES[case](rng), self.ZS[shifts])
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_zero_blocks_are_exact(self, m):
+        smin, norms = antieig._closed_form(np.zeros((3, m, m)), np.zeros(2))
+        assert not smin.any() and not norms.any()
+
+    def test_jordan_block_near_its_eigenvalue(self):
+        # sigma_max - sigma_min = 1 and sigma_max sigma_min = |z|^2, so
+        # sigma_min = 2 |z|^2 / (sqrt(1 + 4 |z|^2) + 1), down to ~|z|^2 = 1e-16
+        zs = np.logspace(-1, -8, 15) * np.exp(0.7j)
+        smin, _ = self.assert_matches_svd(np.array([[[0.0, 1.0], [0.0, 0.0]]]), zs)
+        exact = 2 * np.abs(zs) ** 2 / (np.sqrt(1 + 4 * np.abs(zs) ** 2) + 1)
+        np.testing.assert_allclose(smin[:, 0], exact, rtol=1e-14)
+
+    def test_toy_model_at_601_momenta_against_a_dense_svd(self):
+        H, _, _ = pauli.discretize(-1.5, np.linspace(-3.0, 3.0, 601))
+        for z in (0.3 + 0.2j, 4.0 - 1.0j, -0.9 + 4.4j):
+            assert resolvent_norm(H, z) == pytest.approx(dense_resolvent_norm(H, z), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("t", [1e-300, 1e-160, 1e160, 1e300])
+    def test_scale_covariant(self, t):
+        # squares of the entries underflow (t = 1e-300, 1e-160) or
+        # overflow (t = 1e160, 1e300) without the rescaling; 21 momenta
+        # put k = 0, two 1 x 1 zero blocks, beside the 2 x 2 symbols
+        H, _, _ = pauli.discretize(-1.5, np.linspace(-3.0, 3.0, 21))
+        bounds = (-1.0, 10.0, -4.5, 4.5)
+        grid = pseudospectrum(t * H, 0.1 * t, tuple(t * b for b in bounds), 16)
+        reference = pseudospectrum(H, 0.1, bounds, 16)
+        assert np.all(np.isfinite(reference.resolvent_norms))
+        np.testing.assert_allclose(grid.resolvent_norms * t, reference.resolvent_norms, rtol=1e-12)
+        np.testing.assert_array_equal(grid.in_pseudospectrum, reference.in_pseudospectrum)
+
+    def test_overflowing_block_norm(self):
+        # every entry is finite, ||H - zI||_F is not
+        H = np.full((2, 2), 1.5e308)
+        with pytest.raises(NonFinite, match="overflows"):
+            resolvent_norm(H, 0.0)
+        with pytest.raises(NonFinite, match="overflows"):
+            pseudospectrum(H, 0.1, (-1.0, 1.0, -1.0, 1.0), 2)
+
+    def test_overflowing_shifted_entry(self):
+        H = np.array([[1e308, 1.0], [1.0, 1e308]])
+        with pytest.raises(NonFinite, match="overflows"):
+            resolvent_norm(H, -1e308)
+
+    def test_chunks_do_not_change_the_values(self, monkeypatch):
+        H, _, _ = pauli.discretize(0.5, np.linspace(-3.0, 3.0, 21))
+        zs = pseudospectrum(np.eye(1), 0.1, (-1.0, 12.0, -2.0, 2.0), 9).zs
+        whole = antieig._resolvent_norms(H, zs)
+        monkeypatch.setattr(antieig, "CLOSED_FORM_CHUNK", 7)  # one to three shifts a chunk
+        assert antieig._resolvent_norms(H, zs).tobytes() == whole.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("epsilon", [1e-310, np.float64(1e-310)])
+def test_spectrum_points_are_inside_when_one_over_epsilon_overflows(epsilon):
+    # 1 / 1e-310 is inf, and inf > inf is false: z = 0 is in the spectrum
+    # of the zero matrix and so in every epsilon-pseudospectrum
+    grid = pseudospectrum(np.zeros((1, 1)), epsilon, (-1.0, 1.0, -1.0, 1.0), 3)
+    assert grid.resolvent_norms[4] == np.inf
+    np.testing.assert_array_equal(grid.in_pseudospectrum, np.arange(9) == 4)

@@ -312,6 +312,17 @@ class TestOverflowingShift:
 
 
 @pytest.mark.filterwarnings("error")
+def test_overflowing_norm_of_a_two_by_two_block_is_a_domain_error(tmp_path, capsys):
+    # the closed form's path: finite entries, ||H - zI||_F past the range
+    dump_json(matrix_to_json(np.array([[1e308, 1.0], [1.0, 1e308]])), tmp_path / "h.json")
+    argv = ["pseudospec", "--H", str(tmp_path / "h.json"), "--epsilon", "0.1", "--grid", "-1,1,1.4e308,1.5e308", "--res", "2"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "overflows" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
 def test_overflowing_entry_of_the_shift_is_a_domain_error(tmp_path, capfd):
     # ||H||_F is finite, each diagonal entry of H - zI is not: NonFinite,
     # exit 1, and LAPACK never runs on the overflowed matrix
@@ -387,6 +398,17 @@ class TestPseudospec:
         main(args + ["--out", str(tmp_path / "a.csv")])
         main(args + ["--out", str(tmp_path / "b.csv")])
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_spectrum_point_is_inside_at_a_subnormal_epsilon(self, tmp_path):
+        # 1 / 1e-310 overflows; z = 0, in the spectrum, is still inside
+        dump_json(matrix_to_json(np.zeros((1, 1))), tmp_path / "h.json")
+        out_path = tmp_path / "grid.csv"
+        argv = ["pseudospec", "--H", str(tmp_path / "h.json"), "--epsilon", "1e-310",
+                "--grid", "-1,1,-1,1", "--res", "3", "--out", str(out_path)]
+        assert main(argv) == 0
+        rows = out_path.read_text().strip().split("\n")[1:]
+        assert rows[4] == "0.0,0.0,inf,1"
+        assert [row.endswith(",0") for row in rows] == [i != 4 for i in range(9)]
 
     @pytest.mark.parametrize("epsilon", ["-1", "nan", "inf"])
     def test_bad_epsilon_is_parse_error(self, epsilon, tmp_path):
