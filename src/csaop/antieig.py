@@ -20,13 +20,14 @@ the expansion and the completeness of the ``psi_j``.
 
 :func:`resolvent_norm` and the :func:`pseudospectrum` scan share one
 kernel. It splits ``H`` along its exact structural zeros into a direct
-sum of diagonal blocks (the spin toy model is one 2x2 momentum symbol per
-block); ``sigma_min(H - z I)`` is the least ``sigma_min`` over the blocks,
-and ``||H - z I||_F`` the norm of all their singular values. Blocks of 1
-or 2 rows, the toy model's included, take both from a closed form with no
-LAPACK call; larger blocks of one size take batched SVDs of their shifted
-stacks, and a dense ``H`` is a single block. One spectrum rule, shared
-with the eigensystem, puts
+sum of diagonal blocks, grouped by size in whole-array form
+(:func:`~csaop.linalg.direct_sum_blocks`; the spin toy model is one 2x2
+momentum symbol per block); ``sigma_min(H - z I)`` is the least
+``sigma_min`` over the blocks, and ``||H - z I||_F`` the norm of all
+their singular values. Blocks of 1 or 2 rows, the toy model's included,
+take both from a closed form with no LAPACK call; larger blocks of one
+size take batched SVDs of their shifted stacks, and a dense ``H`` is a
+single block. One spectrum rule, shared with the eigensystem, puts
 ``z`` in the spectrum when ``sigma_min <= SPECTRUM_CUTOFF * ||H - z I||_F``
 and raises :class:`NonFinite` when that norm, or an entry of ``H - z I``,
 overflows (or is NaN).
@@ -54,7 +55,7 @@ from .antiunitary import AntiunitaryOp
 from .csa import _csa_svd
 from .decomp import _certify, _fixed_singular_basis
 from .errors import DimMismatch, NonFinite, ZInSpectrum
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, column_norms, connected_components, fro
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, column_norms, direct_sum_blocks, fro
 
 #: sigma_min(H - z I) at or below this fraction of ||H - z I|| counts as
 #: "z in the spectrum".
@@ -253,8 +254,10 @@ def _block_norms(blocks: np.ndarray, zs: np.ndarray, step: int) -> tuple[np.ndar
 def _resolvent_norms(H: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """:func:`_resolvent` at each shift in ``zs``.
 
-    The connected components of ``H != 0`` split ``H`` into diagonal
-    blocks. Blocks of 1 or 2 rows go through :func:`_closed_form`,
+    :func:`~csaop.linalg.direct_sum_blocks` splits ``H != 0`` into
+    diagonal blocks, one index array per block size, sizes in the order
+    of their first block, which fixes the order of the ``hypot`` over
+    the groups. Blocks of 1 or 2 rows go through :func:`_closed_form`,
     ``CLOSED_FORM_CHUNK`` shifted blocks at a time, and larger blocks of
     one size through batched SVDs of their shifted stacks. ``sigma_min``
     is the least over all blocks and ``||H - z I||_F`` the norm of all
@@ -271,19 +274,15 @@ def _resolvent_norms(H: np.ndarray, zs: np.ndarray) -> np.ndarray:
     stacks of all parts in flight together take ~64 MB at most, and the
     closed form's temporaries about 1 MB.
     """
-    groups: dict[int, list[np.ndarray]] = {}
-    for component in connected_components(H != 0):
-        groups.setdefault(len(component), []).append(component)
     smin = np.full(len(zs), np.inf)
     frobenius = np.zeros(len(zs))
-    for m, members in groups.items():
-        index = np.array(members)
+    for m, index in direct_sum_blocks(H != 0).items():
         blocks = H[index[:, :, None], index[:, None, :]]
         count = max(1, min(_cpu_count(), len(zs))) if m >= THREAD_MIN_BLOCK else 1
         if m <= 2:  # see CLOSED_FORM_CHUNK
-            step = max(1, CLOSED_FORM_CHUNK // len(members))
+            step = max(1, CLOSED_FORM_CHUNK // len(index))
         else:
-            step = max(1, 2**22 // (count * len(members) * m * m))  # ~64 MB of stacks in flight
+            step = max(1, 2**22 // (count * len(index) * m * m))  # ~64 MB of stacks in flight
         parts = _on_threads(lambda part: _block_norms(blocks, part, step), np.array_split(zs, count))
         block_min, block_norm = map(np.concatenate, zip(*parts))  # back in shift order
         smin = np.minimum(smin, block_min)

@@ -105,16 +105,22 @@ def distance_to_closed_form(alpha: float, lam: complex) -> float:
     return float(np.min(np.abs(lam - (k * k + 1j * c * k))))
 
 
+#: ``k_i`` and ``k_j`` pair under ``k -> -k`` when ``|k_i + k_j|`` is at
+#: most this times ``max(1, |k_j|)``: absolute up to ``|k| = 1``, relative
+#: beyond, as the rounding of ``np.linspace(-kmax, kmax, n)`` grows with kmax.
+REFLECTION_MATCH = 1e-12
+
+
 def reflection_permutation(k_grid) -> np.ndarray:
     """Permutation matrix pairing each grid momentum with its negative.
 
-    The matrix is the boolean match ``|k_i + k_j| <= 1e-12 max(1, |k_j|)``
-    itself. Raises :class:`AsymmetricGrid` unless every column has exactly
-    one match (zero may pair with itself) and the matrix is symmetric; with
-    one entry per column, symmetric is the same as squaring to the identity.
+    The matrix is the boolean match ``|k_i + k_j| <= REFLECTION_MATCH
+    max(1, |k_j|)``. Raises :class:`AsymmetricGrid` unless every column
+    has exactly one match (zero may pair with itself) and the matrix is
+    symmetric, which with one entry per column makes it an involution.
     """
     k_grid = np.asarray(k_grid, dtype=float)
-    match = np.abs(k_grid[:, None] + k_grid) <= 1e-12 * np.maximum(1.0, np.abs(k_grid))
+    match = np.abs(k_grid[:, None] + k_grid) <= REFLECTION_MATCH * np.maximum(1.0, np.abs(k_grid))
     partners = match.sum(axis=0)
     unpaired = np.flatnonzero(partners != 1)
     if len(unpaired):
@@ -145,16 +151,23 @@ def discretize(alpha: float, k_grid) -> tuple[np.ndarray, AntiunitaryOp, np.ndar
     (including the momentum reflection carried by the conjugation), and
     ``P = I (x) sigma1`` is the constant parity-like matrix, so that
     ``H`` is C2-self-adjoint and commutes with the antiunitary ``P C2``.
+    Raises ``ValueError``, before building anything, where
+    :func:`spectrum_sample` does and where an entry ``alpha k`` overflows.
     """
-    k_grid = np.asarray(k_grid, dtype=float)
+    k_grid = spectrum_sample(alpha, k_grid).k_grid
+    with np.errstate(over="ignore"):
+        coupled = alpha * k_grid
+    if not np.isfinite(coupled).all():
+        raise ValueError(f"symbol entries alpha k overflow for momenta up to {np.abs(k_grid).max():.3e}")
     n = len(k_grid)
     H = np.zeros((2 * n, 2 * n), dtype=complex)
     even = 2 * np.arange(n)
     H[even, even] = H[even + 1, even + 1] = k_grid * k_grid
     H[even, even + 1] = k_grid
-    H[even + 1, even] = alpha * k_grid
+    H[even + 1, even] = coupled
     C2 = lift_conjugation(MINUS_I_SIGMA2, k_grid)
-    P = np.kron(np.eye(n), SIGMA1)
+    P = np.zeros((2 * n, 2 * n), dtype=complex)  # I (x) sigma1 by index: a tenth of np.kron's time
+    P[even, even + 1] = P[even + 1, even] = 1.0
     return H, C2, P
 
 

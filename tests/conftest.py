@@ -72,6 +72,28 @@ def overflowing_csa():
     return H, hadamard_conjugation(4)
 
 
+def connected_components(linked):
+    """Reference for ``linalg.direct_sum_blocks``: the connected components
+    of ``linked | linked.T``, each grown breadth-first from its lowest
+    unseen index, as sorted index arrays ordered by first member."""
+    linked = np.asarray(linked, dtype=bool)
+    linked = linked | linked.T
+    np.fill_diagonal(linked, False)
+    seen = np.zeros(len(linked), dtype=bool)
+    components = []
+    for start in range(len(linked)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        members = frontier = np.array([start])
+        while frontier.size:
+            frontier = np.flatnonzero(linked[frontier].any(axis=0) & ~seen)
+            seen[frontier] = True
+            members = np.concatenate((members, frontier))
+        components.append(np.sort(members))
+    return components
+
+
 def random_complex_symmetric(n, rng):
     M = random_matrix(n, rng)
     return 0.5 * (M + M.T)

@@ -17,13 +17,14 @@ from csaop import DimMismatch, NonFinite, NotCsa, antieig, decomp
 from csaop.antieig import CLOSED_FORM_CHUNK, SPECTRUM_CUTOFF, THREAD_MIN_BLOCK
 from csaop.antiunitary import AntiunitaryOp
 from csaop.decomp import SVD_CLUSTER_GAP
-from csaop.linalg import DEFAULT_TOL, connected_components, fro
+from csaop.linalg import DEFAULT_TOL, fro
 from csaop import pauli
 from csaop.pauli import MINUS_I_SIGMA2
 
 from conftest import (
     c2_blocks,
     conj_k,
+    connected_components,
     haar_unitary,
     neither_simple_case,
     overflowing_diagonal,
@@ -486,6 +487,26 @@ class TestBlockScan:
         rel = np.abs(a.resolvent_norms[~inf] - b.resolvent_norms[~inf]) / a.resolvent_norms[~inf]
         assert np.max(rel) <= 1e-12
         np.testing.assert_array_equal(a.in_pseudospectrum, b.in_pseudospectrum)
+
+    def test_sizes_accumulate_in_the_order_of_their_first_block(self, rng, monkeypatch):
+        # block sizes first appear as 3, 1, 2; ||H - zI||_F is a hypot over
+        # the size groups in that order, which pins every byte
+        H = _block_diagonal(*(random_matrix(m, rng) for m in (3, 1, 2, 1, 3)))
+        groups = {3: [[0, 1, 2], [7, 8, 9]], 1: [[3], [6]], 2: [[4, 5]]}
+        zs = pseudospectrum(np.eye(1), 0.1, (-2.0, 2.0, -2.0, 2.0), 16).zs
+        smin, frobenius = np.full(len(zs), np.inf), np.zeros(len(zs))
+        for index in map(np.array, groups.values()):
+            s, norm = antieig._block_norms(H[index[:, :, None], index[:, None, :]], zs, len(zs))
+            smin, frobenius = np.minimum(smin, s), np.hypot(frobenius, norm)
+        block_norms, sizes = antieig._block_norms, []
+
+        def recording(blocks, *args):
+            sizes.append(blocks.shape[1])
+            return block_norms(blocks, *args)
+
+        monkeypatch.setattr(antieig, "_block_norms", recording)
+        assert antieig._resolvent_norms(H, zs).tobytes() == antieig._resolvent(smin, frobenius).tobytes()
+        assert sizes == [3, 1, 2]
 
 
 class TestOneKernel:

@@ -19,7 +19,7 @@ from csaop import (
     refined_polar,
     refined_svd,
 )
-from csaop.linalg import connected_components, fro, nullspace
+from csaop.linalg import direct_sum_blocks, fro, nullspace
 
 from conftest import (
     J2,
@@ -157,11 +157,11 @@ EIG_CLUSTER_GAP = 1e-6
 
 
 def eigenvalue_multiplicities(H):
-    """Sizes of the single-linkage clusters of the eigenvalues of ``H`` at
-    gap ``EIG_CLUSTER_GAP * ||H||``."""
+    """The distinct sizes of the single-linkage clusters of the eigenvalues
+    of ``H`` at gap ``EIG_CLUSTER_GAP * ||H||``."""
     values = np.linalg.eigvals(H)
     close = np.abs(values[:, None] - values[None, :]) <= EIG_CLUSTER_GAP * fro(H)
-    return [len(component) for component in connected_components(close)]
+    return list(direct_sum_blocks(close))
 
 
 def constraint_basis(C):

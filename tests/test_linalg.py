@@ -5,10 +5,12 @@ import pytest
 
 from csaop import DimMismatch, NonFinite, Tolerance
 from csaop.linalg import (
-    as_matrix, as_vector, cayley, cluster_indices, column_norms, connected_components, fro, nullspace
+    as_matrix, as_vector, cayley, cluster_indices, column_norms, direct_sum_blocks, fro, nullspace
 )
 
-from conftest import haar_unitary, random_matrix
+from csaop import pauli
+
+from conftest import connected_components, haar_unitary, random_matrix
 
 
 class TestTolerance:
@@ -208,10 +210,34 @@ class TestClusterIndicesOracle:
 
 
 def _component_lists(linked):
-    return [c.tolist() for c in connected_components(linked)]
+    """The blocks of ``direct_sum_blocks`` as lists, ordered by first member."""
+    blocks = [row.tolist() for index in direct_sum_blocks(linked).values() for row in index]
+    return sorted(blocks, key=lambda block: block[0])
+
+
+def _path(n, rng):
+    """A path through all ``n`` indices in random order, each link one-sided."""
+    perm = rng.permutation(n)
+    linked = np.zeros((n, n), dtype=bool)
+    linked[perm[:-1], perm[1:]] = True
+    return linked
+
+
+def _permuted_blocks(sizes, rng):
+    n = sum(sizes)
+    linked = np.zeros((n, n), dtype=bool)
+    start = 0
+    for m in sizes:
+        linked[start : start + m, start : start + m] = True
+        start += m
+    perm = rng.permutation(n)
+    return linked[np.ix_(perm, perm)], perm
 
 
 class TestConnectedComponents:
+    """``direct_sum_blocks`` against the breadth-first search of the tests
+    (``connected_components``), which it replaced in the library."""
+
     def test_dense_is_one_component(self, rng):
         assert _component_lists(random_matrix(7, rng) != 0) == [list(range(7))]
 
@@ -220,20 +246,14 @@ class TestConnectedComponents:
 
     def test_permuted_blocks_recovered(self, rng):
         sizes = [3, 1, 4, 2, 5]
-        n = sum(sizes)
-        linked = np.zeros((n, n), dtype=bool)
-        blocks, start = [], 0
-        for m in sizes:
-            linked[start : start + m, start : start + m] = True
-            blocks.append(set(range(start, start + m)))
-            start += m
-        perm = rng.permutation(n)
+        linked, perm = _permuted_blocks(sizes, rng)
         # index i of the permuted matrix is index perm[i] of the original
+        ends = np.cumsum(sizes)
         expected = sorted(
-            (sorted(i for i in range(n) if perm[i] in block) for block in blocks),
+            (np.flatnonzero((perm >= end - m) & (perm < end)).tolist() for m, end in zip(sizes, ends)),
             key=lambda c: c[0],
         )
-        assert _component_lists(linked[np.ix_(perm, perm)]) == expected
+        assert _component_lists(linked) == expected
 
     def test_one_sided_link_joins(self):
         linked = np.zeros((3, 3), dtype=bool)
@@ -242,14 +262,39 @@ class TestConnectedComponents:
         assert _component_lists(linked.T) == [[0, 2], [1]]
 
     def test_output_order(self):
-        # growing from 0 reaches 4 before 1; members come back sorted, and
-        # components come back ordered by first member
-        linked = np.zeros((6, 6), dtype=bool)
-        for i, j in [(0, 4), (4, 1), (2, 5)]:
+        # members ascend within a block, blocks of one size follow their
+        # least members, and sizes come in the order of their first block
+        linked = np.zeros((7, 7), dtype=bool)
+        for i, j in [(0, 4), (4, 1), (2, 6), (5, 3)]:
             linked[i, j] = True
-        components = connected_components(linked)
-        assert [c.tolist() for c in components] == [[0, 1, 4], [2, 5], [3]]
-        assert all(c.dtype.kind == "i" for c in components)
+        blocks = direct_sum_blocks(linked)
+        assert list(blocks) == [3, 2]
+        assert blocks[3].tolist() == [[0, 1, 4]]
+        assert blocks[2].tolist() == [[2, 6], [3, 5]]
+        assert all(index.dtype.kind == "i" for index in blocks.values())
+
+    @pytest.mark.parametrize(
+        "case", ["mixed", "one_sided", "isolated", "empty", "single", "dense", "path", "toy80", "toy601"]
+    )
+    def test_matches_breadth_first_search(self, case, rng):
+        linked = {
+            "mixed": lambda: _permuted_blocks([2, 5, 1, 3, 2, 1, 4, 2], rng)[0],
+            "one_sided": lambda: np.triu(_permuted_blocks([3, 2, 6, 1, 2], rng)[0]),
+            "isolated": lambda: _permuted_blocks([1, 1, 2, 1, 1], rng)[0] & ~np.eye(6, dtype=bool),
+            "empty": lambda: np.zeros((0, 0), dtype=bool),
+            "single": lambda: np.ones((1, 1), dtype=bool),
+            "dense": lambda: random_matrix(40, rng) != 0,
+            "path": lambda: _path(1202, rng),
+            "toy80": lambda: pauli.discretize(-1.5, np.linspace(-3.0, 3.0, 80))[0] != 0,
+            "toy601": lambda: pauli.discretize(-1.5, np.linspace(-3.0, 3.0, 601))[0] != 0,
+        }[case]()
+        groups = {}
+        for component in connected_components(linked):
+            groups.setdefault(len(component), []).append(component)
+        blocks = direct_sum_blocks(linked)
+        assert list(blocks) == list(groups)
+        for m, members in groups.items():
+            assert blocks[m].tobytes() == np.array(members).tobytes() and blocks[m].shape == (len(members), m)
 
 
 class TestCayley:

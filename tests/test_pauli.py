@@ -8,6 +8,7 @@ from csaop.antiunitary import AntiunitaryOp
 from csaop.linalg import fro
 from csaop.pauli import (
     MINUS_I_SIGMA2,
+    REFLECTION_MATCH,
     SIGMA1,
     SIGMA3,
     constant_conjugation_residual,
@@ -136,7 +137,7 @@ def discretize_by_momentum(alpha, k_grid):
     R = np.zeros((n, n))
     for j, k in enumerate(k_grid):
         H[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = symbol(alpha, k)
-        matches = np.flatnonzero(np.abs(k_grid + k) <= 1e-12 * max(1.0, abs(k)))
+        matches = np.flatnonzero(np.abs(k_grid + k) <= REFLECTION_MATCH * max(1.0, abs(k)))
         if len(matches) != 1:
             raise AsymmetricGrid(
                 f"momentum {k} has {len(matches)} partners under k -> -k; need exactly 1"
@@ -155,12 +156,33 @@ class TestDiscretize:
         ids=["zero", "pair", "unsorted", "80", "601"],
     )
     def test_matches_per_momentum_reference(self, alpha, k_grid):
+        # every byte, signs of zero included: np.kron leaves -0.0 parts in C2
         H, C2, P = discretize(alpha, k_grid)
         H_ref, R_ref = discretize_by_momentum(alpha, k_grid)
-        np.testing.assert_array_equal(H, H_ref)
-        np.testing.assert_array_equal(reflection_permutation(k_grid), R_ref)
-        np.testing.assert_array_equal(C2.unitary_part, np.kron(R_ref, MINUS_I_SIGMA2))
-        np.testing.assert_array_equal(P, np.kron(np.eye(len(k_grid)), SIGMA1))
+        A_ref = np.kron(R_ref, MINUS_I_SIGMA2)
+        assert np.signbit(A_ref.real).any()
+        assert H.tobytes() == H_ref.tobytes()
+        assert reflection_permutation(k_grid).tobytes() == R_ref.tobytes()
+        assert C2.unitary_part.tobytes() == A_ref.tobytes()
+        assert P.tobytes() == np.kron(np.eye(len(k_grid)), SIGMA1).tobytes()
+
+    @pytest.mark.parametrize(
+        "alpha, k_grid, message",
+        [
+            (np.nan, [-1.0, 1.0], "must be finite"),
+            (np.inf, [-1.0, 1.0], "must be finite"),
+            (1.0, [-1.0, np.nan], "must be finite"),
+            (1.0, [-np.inf, np.inf], "must be finite"),
+            (1.0, [-1e200, 1e200], "eigenvalues overflow"),
+            (1e300, [-1e10, 1e10], "entries alpha k overflow"),
+        ],
+        ids=["nan-alpha", "inf-alpha", "nan-k", "inf-k", "huge-k", "huge-alpha-k"],
+    )
+    def test_rejects_non_finite_and_overflowing_input(self, alpha, k_grid, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                discretize(alpha, k_grid)
 
     @pytest.mark.parametrize(
         "k_grid", [[-1.0, 0.5], [1.0, 1.0, -1.0], [0.0, 2.0, 0.0, -2.0]],
