@@ -1,11 +1,13 @@
 import dataclasses
+import itertools
 import json
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from csaop import AntiunitaryOp, antieig, csa, decomp, generate_csa
+from csaop import AntiunitaryOp, antieig, csa, decomp, generate_csa, serialize
 from csaop.cli import main
 from csaop.modelspaces import example2_conjugation, example2_matrix
 from csaop.serialize import (
@@ -578,3 +580,113 @@ def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["check", "--nonsense"])
     assert info.value.code == 2
+
+
+@pytest.fixture
+def diag_pair(tmp_path):
+    """H = diag(1, 4) with C = K, on disk, as ``--H``/``--C`` arguments."""
+    h, c = tmp_path / "h.json", tmp_path / "c.json"
+    dump_json(matrix_to_json(np.diag([1.0, 4.0])), h)
+    dump_json(antiunitary_to_json(conj_k(2)), c)
+    return ["--H", str(h), "--C", str(c)]
+
+
+class TestNegativeValues:
+    """Any option value may begin with a minus. On its own, argparse reads
+    ``-1e-3``, ``-1.`` or ``-1,0`` after a flag as another option."""
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("pauli-spectrum", "--alpha", "-1e-3"),
+            ("pauli-spectrum", "--alpha", "-1."),
+            ("pauli-spectrum", "--kmax", "-3e0"),
+            ("anti-eig", "--z", "-1e-3,0"),
+        ],
+    )
+    def test_spaced_value_reads_as_joined(self, command, flag, value, diag_pair, capsys):
+        if command == "pauli-spectrum":
+            options = {"--alpha": "1", "--kmax": "3", "--n": "5"}
+        else:
+            options = dict(zip(diag_pair[::2], diag_pair[1::2]))
+        options[flag] = value
+        assert main([command, *itertools.chain.from_iterable(options.items())]) == 0
+        spaced = capsys.readouterr().out
+        assert main([command, *(f"{key}={val}" for key, val in options.items())]) == 0
+        assert spaced.startswith(command) and capsys.readouterr().out == spaced
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["pseudospec", "--epsilon", "-1e-3", "--grid", "-1,1,-1,1", "--res", "3"],
+             "epsilon must be positive and finite"),
+            (["check", "--tol-abs", "-1e-3"], "tolerances must be finite and nonnegative"),
+        ],
+        ids=["epsilon", "tol-abs"],
+    )
+    def test_library_judges_the_value(self, argv, message, diag_pair, capsys):
+        files = diag_pair[:2] if argv[0] == "pseudospec" else diag_pair
+        assert main([argv[0], *files, *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+#: The artifact builders the CLI calls, each on ``csaop.serialize``.
+ARTIFACT_BUILDERS = (
+    "polar_to_json", "refined_svd_to_json", "eigensystem_to_json", "matrix_to_json",
+    "antiunitary_to_json", "pseudospectrum_csv", "pauli_spectrum_csv",
+)
+
+
+@pytest.mark.parametrize(
+    "command",
+    ["check", "gen-csa", "polar", "refined-svd", "anti-eig", "pseudospec", "pauli-spectrum",
+     "model-space-example", "model-space-gamma", "model-space-toeplitz"],
+)
+def test_artifact_is_built_only_under_out(command, diag_pair, tmp_path, monkeypatch, capsys):
+    symbol = tmp_path / "p.json"
+    dump_json(symbol_to_json({1: 1.0}), symbol)
+    argv = {
+        "check": ["check", *diag_pair],
+        "gen-csa": ["gen-csa", *diag_pair[2:], "--seed", "1"],
+        "polar": ["polar", *diag_pair],
+        "refined-svd": ["refined-svd", *diag_pair],
+        "anti-eig": ["anti-eig", *diag_pair, "--z", "0,0"],
+        "pseudospec": ["pseudospec", *diag_pair[:2], "--epsilon", "0.1", "--grid", "-2,2,-2,2", "--res", "3"],
+        "pauli-spectrum": ["pauli-spectrum", "--alpha", "-1", "--kmax", "3", "--n", "5"],
+        "model-space-example": ["model-space", "--example", "2"],
+        "model-space-gamma": ["model-space", "--gamma", "3"],
+        "model-space-toeplitz": ["model-space", "--toeplitz", "--phi1", str(symbol), "--phi2", str(symbol), "--N", "4"],
+    }[command]
+
+    def refuse(*args):
+        raise AssertionError("artifact builder called")
+
+    for name in ARTIFACT_BUILDERS:
+        monkeypatch.setattr(serialize, name, refuse)
+    monkeypatch.setattr(csa.CsaReport, "to_json", refuse)
+    assert main(argv) == 0
+    assert capsys.readouterr().out.count("\n") == 1
+    with pytest.raises(AssertionError, match="artifact builder called"):
+        main([*argv, "--out", str(tmp_path / "artifact")])
+
+
+#: Every option of each subcommand, shared ones included.
+OPTIONS = {
+    "check": {"--H", "--C", "--tol-abs", "--tol-rel", "--out", "--real"},
+    "gen-csa": {"--C", "--seed", "--out"},
+    "polar": {"--H", "--C", "--tol-abs", "--tol-rel", "--out"},
+    "refined-svd": {"--H", "--C", "--tol-abs", "--tol-rel", "--out"},
+    "anti-eig": {"--H", "--C", "--tol-abs", "--tol-rel", "--out", "--z"},
+    "pseudospec": {"--H", "--out", "--epsilon", "--grid", "--res"},
+    "pauli-spectrum": {"--out", "--alpha", "--kmax", "--n"},
+    "model-space": {"--out", "--example", "--gamma", "--toeplitz", "--seed", "--phi1", "--phi2", "--N"},
+}
+
+
+@pytest.mark.parametrize("command", OPTIONS)
+def test_help_lists_exactly_the_options(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    assert set(re.findall(r"--[\w-]+", capsys.readouterr().out)) == OPTIONS[command] | {"--help"}
