@@ -79,19 +79,40 @@ class AntilinearMap:
 class AntiunitaryOp(AntilinearMap):
     """Antiunitary operator ``C = A o K`` with ``A`` unitary.
 
-    The constructor validates unitarity and rejects non-unitary input
-    instead of re-orthonormalizing it, since silent projection would mask
-    caller bugs. One Gram product is enough: for square ``A`` with singular
-    values ``s_i``, ``||A*A - I||_F`` and ``||AA* - I||_F`` both equal
-    ``sqrt(sum (s_i^2 - 1)^2)``.
+    The constructor validates unitarity and rejects non-unitary input instead
+    of re-orthonormalizing it, since silent projection would mask caller bugs.
+    One Gram product is enough: for square ``A`` with singular values ``s_i``,
+    ``||A*A - I||_F`` and ``||AA* - I||_F`` both equal ``sqrt(sum (s_i^2 - 1)^2)``.
+    :meth:`permuted_blocks` checks a lifted ``kron(R, B)`` from its factors.
     """
 
     def __init__(self, unitary_part):
         super().__init__(unitary_part)
         A = self._matrix
         dev = fro(A.conj().T @ A - np.eye(self.dim))
-        if dev > UNITARITY_TOL:
+        if not dev <= UNITARITY_TOL:  # a NaN deviation fails
             raise NotUnitary(f"unitary part deviates from unitarity by {dev:.3e}")
+
+    @classmethod
+    def permuted_blocks(cls, partner, block) -> "AntiunitaryOp":
+        """``kron(R, block) o K`` with ``R[partner[j], j] = 1``, in O(n^2).
+
+        ``partner`` must be a permutation (``ValueError``); ``kron(R, B)`` has
+        Gram deviation ``sqrt(m) ||B*B - I||_F``. Slots hold ``R[i, j] * B``,
+        ``R[i, j]`` complex, so the bytes (signs of zero too) are ``np.kron``'s.
+        """
+        B, perm = as_matrix(block, square=True), np.asarray(partner)
+        m, b = perm.size, len(B)
+        if perm.ndim != 1 or perm.dtype.kind not in "iu" or not np.array_equal(np.sort(perm), np.arange(m)):
+            raise ValueError("partner must be a permutation of 0, ..., m - 1")
+        dev = np.sqrt(m) * fro(B.conj().T @ B - np.eye(b))
+        if not dev <= UNITARITY_TOL:
+            raise NotUnitary(f"unitary part deviates from unitarity by {dev:.3e}")
+        op = cls.__new__(cls)
+        op._matrix = np.tile(0j * B, (m, m))
+        op._matrix.reshape(m, b, m, b)[perm, :, np.arange(m), :] = (1 + 0j) * B
+        op._matrix.setflags(write=False)
+        return op
 
     @property
     def unitary_part(self) -> np.ndarray:

@@ -67,10 +67,12 @@ def spectrum_sample(alpha: float, k_grid) -> SpectrumSample:
 
     The union over a dense grid approximates the full spectrum; the roots
     come from the characteristic polynomial ``(k^2 - l)^2 = alpha k^2``.
-    Raises ``ValueError`` for non-finite input and for finite momenta whose
-    eigenvalues overflow (``|k|`` beyond about 1e154).
+    Raises ``ValueError`` for a grid that is not 1-d, non-finite input and
+    finite momenta whose eigenvalues overflow (``|k|`` beyond about 1e154).
     """
     k_grid = np.asarray(k_grid, dtype=float)
+    if k_grid.ndim != 1:
+        raise ValueError(f"k_grid must be one-dimensional, got shape {k_grid.shape}")
     if not (np.isfinite(alpha) and np.isfinite(k_grid).all()):
         raise ValueError("alpha and k_grid must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -111,36 +113,43 @@ def distance_to_closed_form(alpha: float, lam: complex) -> float:
 REFLECTION_MATCH = 1e-12
 
 
-def reflection_permutation(k_grid) -> np.ndarray:
-    """Permutation matrix pairing each grid momentum with its negative.
-
-    The matrix is the boolean match ``|k_i + k_j| <= REFLECTION_MATCH
-    max(1, |k_j|)``. Raises :class:`AsymmetricGrid` unless every column
-    has exactly one match (zero may pair with itself) and the matrix is
-    symmetric, which with one entry per column makes it an involution.
-    """
-    k_grid = np.asarray(k_grid, dtype=float)
-    match = np.abs(k_grid[:, None] + k_grid) <= REFLECTION_MATCH * np.maximum(1.0, np.abs(k_grid))
-    partners = match.sum(axis=0)
-    unpaired = np.flatnonzero(partners != 1)
-    if len(unpaired):
-        j = unpaired[0]
-        raise AsymmetricGrid(
-            f"momentum {k_grid[j]} has {partners[j]} partners under k -> -k; need exactly 1"
-        )
-    if not np.array_equal(match, match.T):
+@np.errstate(over="ignore")  # a window end beyond the largest float is harmless
+def _reflection_partners(k_grid) -> np.ndarray:
+    """Partner indices of :func:`reflection_permutation`, by sorting: O(m log m)."""
+    k = np.asarray(k_grid, dtype=float)
+    if not np.isfinite(k).all():
+        raise ValueError("k_grid must be finite")
+    order, t = np.argsort(k), REFLECTION_MATCH * np.maximum(1.0, np.abs(k))
+    lo, hi = np.searchsorted(k[order], [-k - 2 * t, -k + 2 * t])  # 2 t: room for any rounding
+    col = np.repeat(np.arange(len(k)), hi - lo)  # candidate p tests row[p] for column col[p]
+    row = order[np.arange(len(col)) + np.repeat(hi - np.cumsum(hi - lo), hi - lo)]
+    hit = np.abs(k[row] + k[col]) <= t[col]
+    partners = np.bincount(col[hit], minlength=len(k))
+    if (partners != 1).any():
+        j = np.flatnonzero(partners != 1)[0]
+        raise AsymmetricGrid(f"momentum {k[j]} has {partners[j]} partners under k -> -k; need exactly 1")
+    partner = row[hit]  # col[hit] is now 0, 1, ..., m - 1
+    if not np.array_equal(partner[partner], np.arange(len(k))):
         raise AsymmetricGrid("reflection pairing is not an involution")
-    return match.astype(float)
+    return partner
+
+
+def reflection_permutation(k_grid) -> np.ndarray:
+    """Permutation matrix pairing each grid momentum with its negative:
+    ``R[i, j] = 1`` where ``|k_i + k_j| <= t_j = REFLECTION_MATCH max(1, |k_j|)``,
+    found by sorting. Raises ``ValueError`` for non-finite momenta and
+    :class:`AsymmetricGrid` unless each column has exactly one match (zero
+    may pair with itself) and the pairing is an involution (``R = R^T``)."""
+    return np.eye(len(k_grid))[_reflection_partners(k_grid)]
 
 
 def lift_conjugation(matrix_part, k_grid) -> AntiunitaryOp:
     """Lift a constant-matrix antiunitary ``(matrix) o K`` to the grid.
 
     Entrywise conjugation reflects momentum, so the lifted unitary part is
-    ``reflection (x) matrix``.
+    ``reflection (x) matrix``; :meth:`AntiunitaryOp.permuted_blocks` checks its factors.
     """
-    R = reflection_permutation(k_grid)
-    return AntiunitaryOp(np.kron(R, np.asarray(matrix_part, dtype=complex)))
+    return AntiunitaryOp.permuted_blocks(_reflection_partners(k_grid), matrix_part)
 
 
 def discretize(alpha: float, k_grid) -> tuple[np.ndarray, AntiunitaryOp, np.ndarray]:

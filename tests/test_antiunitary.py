@@ -15,6 +15,7 @@ from csaop import (
     conjugation_k,
     phase_fix,
 )
+from csaop.antiunitary import UNITARITY_TOL
 from csaop.linalg import fro
 from csaop.pauli import MINUS_I_SIGMA2
 
@@ -228,3 +229,51 @@ class TestUnitarityCheck:
         else:
             with pytest.raises(NotUnitary, match="deviates from unitarity by 2.000e-09"):
                 AntiunitaryOp(A)
+
+
+class TestPermutedBlocks:
+    """The factor check of a lifted conjugation against the dense one."""
+
+    @pytest.mark.parametrize("m", [1, 2, 80, 601])
+    @pytest.mark.parametrize("ratio", [1 - 1e-3, 1 + 1e-3, 1e-4, 1e3])
+    @pytest.mark.parametrize("grow", [True, False])
+    def test_same_decision_and_message_as_dense(self, m, ratio, grow, rng):
+        # block s U with ||(sU)*(sU) - I||_F = sqrt(2) |s^2 - 1|, scaled so
+        # that sqrt(m) times it is ratio * UNITARITY_TOL
+        gap = ratio * UNITARITY_TOL / np.sqrt(2 * m)
+        block = np.sqrt(1 + gap if grow else 1 - gap) * haar_unitary(2, rng)
+        partner = rng.permutation(m)
+        R = np.eye(m)[:, partner]
+        try:
+            dense = AntiunitaryOp(np.kron(R, block))
+        except NotUnitary as expected:
+            assert ratio > 1
+            with pytest.raises(NotUnitary) as got:
+                AntiunitaryOp.permuted_blocks(partner, block)
+            assert str(got.value) == str(expected)
+        else:
+            assert ratio < 1
+            lifted = AntiunitaryOp.permuted_blocks(partner, block)
+            assert lifted.unitary_part.tobytes() == dense.unitary_part.tobytes()
+            assert not lifted.unitary_part.flags.writeable
+
+    @pytest.mark.parametrize(
+        "partner", [[0, 0], [1, 2], [-1, 0], np.array([1.0, 0.0]), [[0, 1]], 0],
+        ids=["repeated", "out-of-range", "negative", "float", "2-d", "scalar"],
+    )
+    def test_partner_must_be_a_permutation(self, partner):
+        with pytest.raises(ValueError, match="permutation"):
+            AntiunitaryOp.permuted_blocks(partner, MINUS_I_SIGMA2)
+
+    def test_empty(self):
+        C = AntiunitaryOp.permuted_blocks(np.arange(0), MINUS_I_SIGMA2)
+        assert C.unitary_part.shape == (0, 0) and C.dim == 0
+
+    def test_nan_gram_deviation_fails(self):
+        # the Gram product of this finite matrix is inf - inf = NaN
+        A = np.array([[1e200, 1e200], [1e200, -1e200]])
+        with np.errstate(all="ignore"):
+            with pytest.raises(NotUnitary, match="nan"):
+                AntiunitaryOp(A)
+            with pytest.raises(NotUnitary, match="nan"):
+                AntiunitaryOp.permuted_blocks([0], A)

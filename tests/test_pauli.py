@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from csaop import AsymmetricGrid, check_c_real, check_c_selfadjoint
+from csaop import AsymmetricGrid, NonFinite, check_c_real, check_c_selfadjoint, pauli
 from csaop.antiunitary import AntiunitaryOp
 from csaop.linalg import fro
 from csaop.pauli import (
@@ -128,23 +128,33 @@ class TestDistanceToClosedForm:
         assert distance_to_closed_form(4.0, 3.0 + 2.0j) == pytest.approx(2.0, abs=1e-10)
 
 
-def discretize_by_momentum(alpha, k_grid):
-    """Reference for discretize and reflection_permutation: one symbol
-    block and one partner search per momentum."""
+def reflection_by_momentum(k_grid):
+    """Reference for reflection_permutation: one partner search over the
+    whole grid per momentum."""
     k_grid = np.asarray(k_grid, dtype=float)
     n = len(k_grid)
-    H = np.zeros((2 * n, 2 * n), dtype=complex)
     R = np.zeros((n, n))
     for j, k in enumerate(k_grid):
-        H[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = symbol(alpha, k)
         matches = np.flatnonzero(np.abs(k_grid + k) <= REFLECTION_MATCH * max(1.0, abs(k)))
         if len(matches) != 1:
             raise AsymmetricGrid(
                 f"momentum {k} has {len(matches)} partners under k -> -k; need exactly 1"
             )
         R[matches[0], j] = 1.0
-    if not np.allclose(R @ R, np.eye(n)):
+    if not np.array_equal(R, R.T):
         raise AsymmetricGrid("reflection pairing is not an involution")
+    return R
+
+
+def discretize_by_momentum(alpha, k_grid):
+    """Reference for discretize and reflection_permutation: one symbol
+    block and one partner search per momentum."""
+    k_grid = np.asarray(k_grid, dtype=float)
+    R = reflection_by_momentum(k_grid)
+    n = len(k_grid)
+    H = np.zeros((2 * n, 2 * n), dtype=complex)
+    for j, k in enumerate(k_grid):
+        H[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = symbol(alpha, k)
     return H, R
 
 
@@ -252,6 +262,105 @@ class TestDiscretize:
             assert check_c_selfadjoint(H, C2).residual <= 1e-12 * fro(H)
             PC2 = AntiunitaryOp(P @ C2.unitary_part)
             assert check_c_real(H, PC2).residual <= 1e-12 * fro(H)
+
+
+def farthest_partner(k, side):
+    """The momentum farthest from ``-k`` on ``side`` (+1 or -1) that still
+    pairs with ``k``: ``|p + k| <= REFLECTION_MATCH max(1, |k|)`` as
+    computed, while the next float beyond it does not."""
+    bound = REFLECTION_MATCH * max(1.0, abs(k))
+    p = -k + side * bound
+    while abs(p + k) > bound:
+        p = np.nextafter(p, -k)
+    while abs(np.nextafter(p, side * np.inf) + k) <= bound:
+        p = np.nextafter(p, side * np.inf)
+    return p
+
+
+def bound_grids():
+    """Pairs exactly at the REFLECTION_MATCH bound and one ulp past it."""
+    grids = {}
+    for k in (0.5, -0.75, 3.0, -2.5e6):
+        for side in (1, -1):
+            p = farthest_partner(k, side)
+            grids[f"at-{k:g}{side:+d}"] = [k, p]
+            grids[f"past-{k:g}{side:+d}"] = [k, np.nextafter(p, side * np.inf)]
+    return grids
+
+
+class TestSortPairing:
+    """reflection_permutation, lift_conjugation and discretize against the
+    per-momentum reference, byte for byte and message for message."""
+
+    GRIDS = {
+        **bound_grids(),
+        "shuffled-601": np.random.default_rng(7).permutation(np.linspace(-3, 3, 601)),
+        "zero": [0.0],
+        "signed-zero": [-0.0],
+        "double-zero": [0.0, -0.0],
+        "duplicate": [2.0, -2.0, 2.0],
+        "empty": [],
+    }
+
+    @pytest.mark.parametrize("k_grid", list(GRIDS.values()), ids=list(GRIDS))
+    def test_matches_reference(self, k_grid):
+        try:
+            H_ref, R_ref = discretize_by_momentum(-1.5, k_grid)
+        except AsymmetricGrid as expected:
+            for call in (reflection_permutation, lambda k: lift_conjugation(MINUS_I_SIGMA2, k),
+                         lambda k: discretize(-1.5, k)):
+                with pytest.raises(AsymmetricGrid) as got:
+                    call(k_grid)
+                assert str(got.value) == str(expected)
+            return
+        H, C2, P = discretize(-1.5, k_grid)
+        assert reflection_permutation(k_grid).tobytes() == R_ref.tobytes()
+        assert H.tobytes() == H_ref.tobytes()
+        assert C2.unitary_part.tobytes() == np.kron(R_ref, MINUS_I_SIGMA2).tobytes()
+        assert C2.unitary_part.shape == (2 * len(k_grid),) * 2
+
+    def test_bound_grids_hit_both_outcomes(self):
+        # the bound cases are only worth their name if both decisions occur
+        outcomes = set()
+        for name, k_grid in bound_grids().items():
+            try:
+                reflection_by_momentum(k_grid)
+                outcomes.add((name[:2], "paired"))
+            except AsymmetricGrid:
+                outcomes.add((name[:2], "rejected"))
+        assert outcomes == {("at", "paired"), ("pa", "rejected")}
+
+    def test_wide_grid_matches_reference(self):
+        k_grid = np.linspace(-1e6, 1e6, 2001)
+        assert reflection_permutation(k_grid).tobytes() == reflection_by_momentum(k_grid).tobytes()
+
+    @pytest.mark.parametrize("k_grid", [[-1.0, np.nan], [np.inf, -np.inf]], ids=["nan", "inf"])
+    def test_non_finite_momenta_are_named(self, k_grid):
+        for call in (reflection_permutation, lambda k: lift_conjugation(MINUS_I_SIGMA2, k)):
+            with pytest.raises(ValueError, match="must be finite"):
+                call(k_grid)
+
+    def test_grid_must_be_one_dimensional(self):
+        for call in (spectrum_sample, discretize):
+            with pytest.raises(ValueError, match="must be one-dimensional"):
+                call(1.0, [[1.0, -1.0]])
+
+    def test_non_finite_block_raises_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFinite):
+                lift_conjugation([[1, 0], [0, np.inf]], [-1.0, 1.0])
+
+    def test_construction_forms_no_dense_check(self, monkeypatch):
+        # no Gram product, m x m match or np.kron on the toy path
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense construction on the toy path")
+
+        monkeypatch.setattr(AntiunitaryOp, "__init__", refuse)
+        monkeypatch.setattr(pauli, "reflection_permutation", refuse)
+        monkeypatch.setattr(np, "kron", refuse)
+        H, C2, P = discretize(-1.5, np.linspace(-3, 3, 2001))
+        assert isinstance(C2, AntiunitaryOp) and C2.dim == H.shape[0] == P.shape[0] == 4002
 
 
 class TestConstantConjugationSearch:
