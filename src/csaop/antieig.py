@@ -35,18 +35,18 @@ overflows (or is NaN).
 Grid points are independent problems (Trefethen, "Computation of
 pseudospectra", Acta Numerica 8, 1999), so the kernel splits the shifts of
 blocks of at least ``THREAD_MIN_BLOCK`` rows into one contiguous part per
-CPU the process may run on and runs each part's batched SVD on its own
-thread: numpy's LAPACK loop releases the GIL. Each part builds its
-shifted stack in place, the stacks in flight together stay under ~64 MB,
-and every value is bit for bit the one a single thread computes. The
-closed form runs on the calling thread, a few thousand shifted blocks at
-a time.
+CPU the process may run on: the calling thread runs the first part and a
+thread pool the others, each part's batched SVD on its own thread (numpy's
+LAPACK loop releases the GIL), and every part runs under the caller's
+numpy error state, error callback included. Each part builds its shifted
+stack in place, the stacks in flight together stay under ~64 MB, and
+every value is bit for bit the one a single thread computes. The closed
+form runs on the calling thread, a few thousand shifted blocks at a time.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,35 +121,24 @@ def _cpu_count() -> int:
 
 
 def _on_threads(work, parts: list) -> list:
-    """``[work(part) for part in parts]``, every part after the first on a
-    thread of its own, all under the caller's numpy error state (which
-    ``np.errstate`` does not carry into new threads). Every started thread
-    is joined before the first exception, in part order, re-raises here."""
+    """``[work(part) for part in parts]``: the calling thread runs the first
+    part and a pool of ``len(parts) - 1`` threads the others, every part
+    under the caller's numpy error state, callback included (a new thread
+    starts from numpy's defaults). The pool joins all its threads before
+    the first exception, in part order, re-raises here."""
     if len(parts) == 1:
         return [work(parts[0])]
-    state, results, errors = np.geterr(), [None] * len(parts), [None] * len(parts)
+    from concurrent.futures import ThreadPoolExecutor  # here, not at module level: it adds ~10 ms to a cold ``import csaop``
 
-    def run(i):
-        try:
-            with np.errstate(**state):
-                results[i] = work(parts[i])
-        except BaseException as exc:  # re-raised in the caller's thread
-            errors[i] = exc
+    state = {"call": np.geterrcall(), **np.geterr()}
 
-    threads = []
-    try:
-        for i in range(1, len(parts)):
-            thread = threading.Thread(target=run, args=(i,))
-            thread.start()
-            threads.append(thread)
-        run(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for error in errors:
-        if error is not None:
-            raise error
-    return results
+    def run(part):
+        with np.errstate(**state):
+            return work(part)
+
+    with ThreadPoolExecutor(len(parts) - 1) as pool:
+        rest = pool.map(run, parts[1:])
+        return [run(parts[0]), *rest]
 
 
 def _shifted(blocks: np.ndarray, zs: np.ndarray) -> np.ndarray:
@@ -266,10 +255,12 @@ def _resolvent_norms(H: np.ndarray, zs: np.ndarray) -> np.ndarray:
     of norm 0.
 
     For blocks of at least ``THREAD_MIN_BLOCK`` rows the shifts are split
-    into one contiguous part per CPU (:func:`_cpu_count`), and each part
-    runs on its own thread, since numpy's LAPACK loop releases the GIL;
-    smaller blocks, a single shift and a one-CPU process stay on the
-    calling thread. No shift's value depends on the others or on the
+    into one contiguous part per CPU (:func:`_cpu_count`); the calling
+    thread runs the first part and a thread pool the others
+    (:func:`_on_threads`), since numpy's LAPACK loop releases the GIL, each
+    under the caller's numpy error state, error callback included; smaller
+    blocks, a single shift and a one-CPU process stay on the calling
+    thread. No shift's value depends on the others or on the
     split, so the result is bit for bit the same on any CPU count. The
     stacks of all parts in flight together take ~64 MB at most, and the
     closed form's temporaries about 1 MB.
@@ -358,9 +349,11 @@ def pseudospectrum(
     blocks of 1 or 2 rows (the toy model meets no SVD), batched SVDs per
     larger block size (a dense ``H`` is one n x n SVD per point), so each
     norm equals ``resolvent_norm(H, z)`` exactly. Blocks of at least
-    ``THREAD_MIN_BLOCK`` rows split the points into one part per CPU, each
-    on its own thread; the norms and the mask do not depend on the CPU
-    count, and all parts' shifted stacks together take ~64 MB at most.
+    ``THREAD_MIN_BLOCK`` rows split the points into one part per CPU: the
+    calling thread runs the first and a thread pool the others, all under
+    the caller's numpy error state (``np.errstate``, error callback
+    included). The norms and the mask do not depend on the CPU count, and
+    all parts' shifted stacks together take ~64 MB at most.
     Points in the spectrum are in the mask at every ``epsilon``.
     """
     if not 0 < epsilon < np.inf:

@@ -64,9 +64,20 @@ class AntilinearMap:
 
     __call__ = apply
 
+    @classmethod
+    def _unchecked(cls, matrix: np.ndarray):
+        """An instance holding ``matrix`` itself, made read-only, with no
+        validation: for a matrix whose structure the caller has shown."""
+        op = cls.__new__(cls)
+        matrix.setflags(write=False)
+        op._matrix = matrix
+        return op
+
     def adjoint(self) -> "AntilinearMap":
-        """Antilinear adjoint, satisfying (phi, D psi) = conj((D* phi, psi))."""
-        return type(self)(self._matrix.T)
+        """Antilinear adjoint, satisfying (phi, D psi) = conj((D* phi, psi)):
+        a read-only view of ``matrix.T``, of the same type. It is not checked
+        again: ``A.T`` has the singular values, so the Gram deviation, of ``A``."""
+        return self._unchecked(self._matrix.T)
 
     def squared(self) -> np.ndarray:
         """Matrix of the (linear) map ``D o D``."""
@@ -108,11 +119,9 @@ class AntiunitaryOp(AntilinearMap):
         dev = np.sqrt(m) * fro(B.conj().T @ B - np.eye(b))
         if not dev <= UNITARITY_TOL:
             raise NotUnitary(f"unitary part deviates from unitarity by {dev:.3e}")
-        op = cls.__new__(cls)
-        op._matrix = np.tile(0j * B, (m, m))
-        op._matrix.reshape(m, b, m, b)[perm, :, np.arange(m), :] = (1 + 0j) * B
-        op._matrix.setflags(write=False)
-        return op
+        matrix = np.tile(0j * B, (m, m))
+        matrix.reshape(m, b, m, b)[perm, :, np.arange(m), :] = (1 + 0j) * B
+        return cls._unchecked(matrix)
 
     @property
     def unitary_part(self) -> np.ndarray:

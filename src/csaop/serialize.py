@@ -37,9 +37,13 @@ def matrix_to_json(M) -> dict:
 def matrix_from_json(obj) -> np.ndarray:
     try:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-        values = np.array([complex(re, im) for re, im in data], dtype=complex)
+        values = np.array(
+            [complex(re, im) for re, im in data if type(re) is not bool and type(im) is not bool], dtype=complex
+        )
     except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"not a matrix object: {exc}") from exc
+    if len(values) != len(data):  # complex(True, False) would read 1 + 0j
+        raise ValueError("matrix entries must be numbers, not booleans")
     if not all(type(d) is int and d >= 0 for d in (rows, cols)):  # bool is not a dimension
         raise ValueError(f"matrix dimensions must be non-negative integers, got {rows!r}, {cols!r}")
     if len(data) != rows * cols:
@@ -69,10 +73,20 @@ def symbol_to_json(phi: dict) -> dict:
 
 
 def symbol_from_json(obj) -> dict:
+    """The symbol ``{n: c_n}``; ``ValueError`` unless every index is written
+    as ``str(n)`` (``"01"`` and ``"1_0"`` would read as 1 and 10, and two
+    spellings of one index would drop a coefficient) and every coefficient
+    is a pair of finite numbers (not booleans)."""
     try:
-        phi = {int(n): complex(re, im) for n, (re, im) in obj["fourier"].items()}
+        fourier = obj["fourier"]
+        phi = {int(n): complex(re, im) for n, (re, im) in fourier.items()}
     except (KeyError, TypeError, AttributeError) as exc:
         raise ValueError(f"not a symbol object: {exc}") from exc
+    for n, pair in fourier.items():
+        if str(int(n)) != n:
+            raise ValueError(f"symbol index {n!r} is not written as an integer")
+        if bool in map(type, pair):
+            raise ValueError("symbol coefficients must be numbers, not booleans")
     if not np.isfinite(list(phi.values())).all():
         raise ValueError("symbol coefficients must be finite")
     return phi

@@ -17,7 +17,7 @@ from csaop import (
 )
 from csaop.antiunitary import UNITARITY_TOL
 from csaop.linalg import fro
-from csaop.pauli import MINUS_I_SIGMA2
+from csaop.pauli import MINUS_I_SIGMA2, discretize
 
 from conftest import haar_unitary, random_antiunitary, random_matrix, random_vector
 
@@ -91,12 +91,33 @@ class TestAdjoint:
 
     @pytest.mark.parametrize("plain", [True, False], ids=["antilinear-map", "antiunitary"])
     def test_adjoint_keeps_the_type(self, plain, rng):
-        # AntiunitaryOp inherits adjoint(): type(self)(A.T) validates C^-1
+        # AntiunitaryOp inherits adjoint(): A.T is unitary as A is, so C^-1
+        # is an AntiunitaryOp without a second check
         D = AntilinearMap(random_matrix(4, rng)) if plain else random_antiunitary(4, seed=3)
         Ds = D.adjoint()
         assert type(Ds) is type(D)
         phi, psi = random_vector(4, rng), random_vector(4, rng)
         assert abs(np.vdot(phi, D.apply(psi)) - np.conj(np.vdot(Ds.apply(phi), psi))) <= 1e-10
+
+    def test_lifted_adjoint_is_not_checked_again(self, monkeypatch):
+        # 2001 momenta, n = 4002: a dense Gram check of C2* takes about 8.5 s
+        # (two-CPU x86, one BLAS thread)
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense unitarity check of an adjoint")
+
+        C2 = discretize(-1.5, np.linspace(-3, 3, 2001))[1]
+        monkeypatch.setattr(AntiunitaryOp, "__init__", refuse)
+        adjoint = C2.adjoint()
+        assert type(adjoint) is AntiunitaryOp
+        np.testing.assert_array_equal(adjoint.unitary_part, C2.unitary_part.T)
+        assert not adjoint.unitary_part.flags.writeable
+
+    @pytest.mark.parametrize("plain", [True, False], ids=["antilinear-map", "antiunitary"])
+    def test_adjoint_of_the_adjoint_is_the_operator(self, plain, rng):
+        D = AntilinearMap(random_matrix(4, rng)) if plain else random_antiunitary(4, seed=3)
+        twice = D.adjoint().adjoint()
+        assert type(twice) is type(D)
+        assert twice.matrix.tobytes() == D.matrix.tobytes()
 
     def test_adjoint_inverts(self, rng):
         C = random_antiunitary(6, seed=19)

@@ -511,6 +511,13 @@ class TestModelSpace:
         path = str(tmp_path / "p.json")
         assert main(["model-space", "--toeplitz", "--phi1", path, "--phi2", path, "--N", "4"]) == 2
 
+    @pytest.mark.parametrize("fourier", ['{"1": [1, 0], "01": [2, 0]}', '{"1": [true, 0]}'])
+    def test_lax_symbol_is_parse_error(self, fourier, tmp_path, capsys):
+        (tmp_path / "p.json").write_text(f'{{"fourier": {fourier}}}')
+        path = str(tmp_path / "p.json")
+        assert main(["model-space", "--toeplitz", "--phi1", path, "--phi2", path, "--N", "4"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     @pytest.mark.parametrize("coefficient", ["[1e400, 0]", "[0, NaN]"])
     def test_non_finite_symbol_is_parse_error(self, coefficient, tmp_path):
         (tmp_path / "p.json").write_text(f'{{"fourier": {{"1": {coefficient}}}}}')

@@ -4,10 +4,14 @@ Every module-level import of a ``src/csaop`` module is used in that module
 (``__init__.py``, which re-exports, and ``__future__`` imports are exempt),
 and ``csaop.__all__`` lists exactly the public names ``__init__.py``
 imports, sorted and once each. A deletion then cannot leave a stale import
-or a dangling export behind.
+or a dangling export behind. ``import csaop`` loads no thread pool: the scan
+imports it when it first splits a block across threads.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +50,12 @@ def test_all_is_sorted_unique_and_matches_the_imports():
     public = {name for name in _imported_names(tree) if not name.startswith("_")}
     assert exported == sorted(set(exported))
     assert set(exported) == public
+
+
+def test_import_loads_no_thread_pool():
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    code = "import sys, csaop; print('concurrent.futures' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "False\n"

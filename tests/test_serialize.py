@@ -39,6 +39,13 @@ def test_matrix_json_rejects_garbage():
         matrix_from_json({"cols": 2})
 
 
+@pytest.mark.parametrize("entry", [[True, False], [1.0, False], [False, 0.5]])
+def test_matrix_json_rejects_booleans(entry):
+    # complex(True, False) is 1 + 0j; a bool dimension is rejected too
+    with pytest.raises(ValueError, match="not booleans"):
+        matrix_from_json({"rows": 1, "cols": 1, "data": [entry]})
+
+
 def test_antiunitary_round_trip():
     C = random_antiunitary(3, seed=5)
     out = antiunitary_from_json(antiunitary_to_json(C))
@@ -53,6 +60,27 @@ def test_antiunitary_requires_kind():
 def test_symbol_round_trip():
     phi = {-2: 1 + 1j, 0: -3.0, 5: 2j}
     assert symbol_from_json(symbol_to_json(phi)) == phi
+
+
+@pytest.mark.parametrize(
+    "fourier",
+    [
+        {"1": [1, 0], "01": [2, 0]},  # int() reads both as 1 and keeps the last
+        {"1_0": [1, 0]},  # int() reads 10
+        {"+1": [1, 0]},
+        {" 1": [1, 0]},
+        {"-0": [1, 0]},
+    ],
+)
+def test_symbol_indices_must_be_canonical(fourier):
+    with pytest.raises(ValueError, match="not written as an integer"):
+        symbol_from_json({"fourier": fourier})
+
+
+@pytest.mark.parametrize("coefficient", [[True, 0], [1.0, False]])
+def test_symbol_rejects_boolean_coefficients(coefficient):
+    with pytest.raises(ValueError, match="not booleans"):
+        symbol_from_json({"fourier": {"1": coefficient}})
 
 
 def test_pseudospectrum_csv_layout():
