@@ -19,13 +19,20 @@ unitary:
 from __future__ import annotations
 
 import enum
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimMismatch, NotUnitary
-from .linalg import CLASSIFY_TOL, Tolerance, as_matrix, as_vector, fro
+from .linalg import CLASSIFY_TOL, DEFAULT_TOL, Tolerance, as_matrix, as_vector, cayley, fro
 
 UNITARITY_TOL = 1e-10
+
+#: Arc within which :attr:`AntiunitaryOp.square_split` merges eigenvalues of
+#: ``C^{-2}``, and distance of ``C^2`` from ``+-I`` below which it splits
+#: nothing. The residual of an ``H`` that :func:`~csaop.csa.generate_csa`
+#: builds from the split grows to about ``0.7 * gap * ||H||``: keep DEFAULT_TOL.
+C2_CLUSTER_GAP = DEFAULT_TOL.rel
 
 
 class InvolutionClass(enum.Enum):
@@ -95,6 +102,12 @@ class AntiunitaryOp(AntilinearMap):
     One Gram product is enough: for square ``A`` with singular values ``s_i``,
     ``||A*A - I||_F`` and ``||AA* - I||_F`` both equal ``sqrt(sum (s_i^2 - 1)^2)``.
     :meth:`permuted_blocks` checks a lifted ``kron(R, B)`` from its factors.
+
+    :attr:`square_split`, the eigenbasis of ``C^{-2}`` that the generator
+    projects in, is computed on first access and kept with the instance: at
+    most one n x n basis and n labels, and only for a C that is neither
+    involutive nor anti-involutive. Operators from :meth:`adjoint` and
+    :meth:`permuted_blocks` are new instances with their own.
     """
 
     def __init__(self, unitary_part):
@@ -126,6 +139,30 @@ class AntiunitaryOp(AntilinearMap):
     @property
     def unitary_part(self) -> np.ndarray:
         return self._matrix
+
+    @cached_property
+    def square_split(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Clusters of the spectrum of ``W = A^T A*``, the unitary matrix of
+        ``C^{-2}``, as read-only ``(Q, labels)``; ``None`` when ``W`` is within
+        :data:`C2_CLUSTER_GAP` of ``+-I`` (Frobenius norm).
+
+        ``Q`` is the ``eigh`` basis of :func:`~csaop.linalg.cayley` of ``W``,
+        and ``labels[i]`` is the index of the first angle of the cluster of
+        column ``i``: a cluster spans at most the gap, so a chain of close
+        eigenvalues cannot widen it. Computed once per instance, in O(n^3).
+        """
+        A, n = self._matrix, self.dim
+        W = A.T @ A.conj().T
+        if min(fro(W - np.eye(n)), fro(W + np.eye(n))) <= C2_CLUSTER_GAP:
+            return None
+        t, Q = np.linalg.eigh(cayley(W))
+        labels, start = np.zeros(n, dtype=int), -np.inf
+        for i, psi in enumerate(2 * np.arctan(t)):
+            if psi - start > C2_CLUSTER_GAP:
+                start, labels[i:] = psi, i
+        Q.setflags(write=False)
+        labels.setflags(write=False)
+        return Q, labels
 
     def apply_inverse(self, psi) -> np.ndarray:
         """``C^{-1} psi = A.T @ conj(psi)`` without building a new operator."""

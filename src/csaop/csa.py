@@ -12,7 +12,10 @@ complex-linear fixed-point equation ``T(H) = H``, ``T(H) = A^T H^T conj(A)``.
 ``T`` is Frobenius-unitary with ``T^2(H) = W H W^{-1}``, ``W = A^T A*`` the
 matrix of ``C^{-2}``, so ``T`` is a self-adjoint involution on the commutant
 of ``W`` (Wigner's normal form of antiunitaries). :func:`generate_csa`
-projects onto that commutant, then averages with ``T``.
+projects onto that commutant, then averages with ``T``. The projection
+works in the eigenbasis of ``W``, :attr:`AntiunitaryOp.square_split`: the
+first call on an operator computes it in O(n^3) (a Cayley transform and an
+``eigh``), and later calls on the same operator only take its products.
 """
 
 from __future__ import annotations
@@ -21,14 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import antiunitary
 from .antiunitary import AntiunitaryOp, conjugate_linear_map
 from .errors import NonFinite, NotCsa
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, cayley, column_norms, fro, rank_cutoff
+from .linalg import DEFAULT_TOL, Tolerance, as_matrix, column_norms, fro, rank_cutoff
 
-#: Arc within which :func:`generate_csa` merges eigenvalues of ``C^{-2}``,
-#: and distance of ``C^2`` from ``+-I`` below which it skips the projection.
-#: The residual of ``H`` grows to about ``0.7 * gap * ||H||``: keep DEFAULT_TOL.
-C2_CLUSTER_GAP = DEFAULT_TOL.rel
+#: The generator's merge arc, defined with the split in :mod:`.antiunitary`.
+C2_CLUSTER_GAP = antiunitary.C2_CLUSTER_GAP
 
 
 @dataclass(frozen=True)
@@ -98,35 +100,24 @@ def _csa_svd(H, C, tol, z: complex = 0.0, bad_shift: tuple[type[Exception], str]
     return H, M, W, s, Vh.conj().T, rank
 
 
-def _commutant_projection(W: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of ``G`` onto the commutant of the unitary ``W``,
-    in the ``eigh`` basis of its :func:`~csaop.linalg.cayley` transform."""
-    n = W.shape[0]
-    t, Q = np.linalg.eigh(cayley(W))
-    # label each angle by the first one of its cluster; a cluster spans at
-    # most the gap, so a chain of close eigenvalues cannot widen it
-    labels, start = np.zeros(n, dtype=int), -np.inf
-    for i, psi in enumerate(2 * np.arctan(t)):
-        if psi - start > C2_CLUSTER_GAP:
-            start, labels[i:] = psi, i
-    X = Q.conj().T @ G @ Q
-    X[labels[:, None] != labels] = 0
-    return Q @ X @ Q.conj().T
-
-
 def generate_csa(C: AntiunitaryOp, seed: int) -> np.ndarray:
     """Pseudo-random C-self-adjoint matrix, deterministic in ``seed``.
 
     The orthogonal projection of a complex Gaussian matrix onto the solution
     space (module docstring): unit variance along every real direction in it.
+    For a C that is neither involutive nor anti-involutive, the first call
+    on ``C`` computes :attr:`~AntiunitaryOp.square_split` in O(n^3); every
+    call then projects with its basis ``Q`` by three matrix products.
     """
     A = C.unitary_part
     n = C.dim
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    W = A.T @ A.conj().T
-    if min(fro(W - np.eye(n)), fro(W + np.eye(n))) > C2_CLUSTER_GAP:
-        G = _commutant_projection(W, G)
+    if C.square_split is not None:  # onto the commutant of C^{-2}
+        Q, labels = C.square_split
+        X = Q.conj().T @ G @ Q
+        X[labels[:, None] != labels] = 0
+        G = Q @ X @ Q.conj().T
     return (G + A.T @ G.T @ A.conj()) / 2
 
 

@@ -9,6 +9,8 @@ back by the same parsers (the CLI round-trips through these functions).
 :func:`dump_json` writes compact one-line JSON holding finite numbers only:
 a NaN or infinite value raises ``ValueError`` (CLI exit 2) and no file is
 written. Floats keep their shortest ``repr``, so they parse back bit for bit.
+:func:`load_json` rejects what the standard decoder reads leniently: NaN,
++-Infinity and a key repeated within one object.
 """
 
 from __future__ import annotations
@@ -136,10 +138,22 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name} in JSON input")
 
 
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):  # dict() would keep the last value of a repeated key
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r} in JSON input")
+            seen.add(key)
+    return obj
+
+
 def load_json(path) -> object:
-    """Parsed JSON; ``ValueError`` on the non-standard NaN and +-Infinity."""
+    """Parsed JSON; ``ValueError`` on the non-standard NaN and +-Infinity and
+    on a key repeated within one object."""
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle, parse_constant=_reject_constant)
+        return json.load(handle, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
 
 
 def dump_json(obj, path) -> None:

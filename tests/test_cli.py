@@ -518,6 +518,12 @@ class TestModelSpace:
         assert main(["model-space", "--toeplitz", "--phi1", path, "--phi2", path, "--N", "4"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_duplicate_symbol_index_is_parse_error(self, tmp_path, capsys):
+        (tmp_path / "p.json").write_text('{"fourier": {"1": [1, 0], "1": [2, 0]}}')
+        path = str(tmp_path / "p.json")
+        assert main(["model-space", "--toeplitz", "--phi1", path, "--phi2", path, "--N", "4"]) == 2
+        assert capsys.readouterr().err.startswith("error: duplicate key '1'")
+
     @pytest.mark.parametrize("coefficient", ["[1e400, 0]", "[0, NaN]"])
     def test_non_finite_symbol_is_parse_error(self, coefficient, tmp_path):
         (tmp_path / "p.json").write_text(f'{{"fourier": {{"1": {coefficient}}}}}')

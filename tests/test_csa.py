@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -19,7 +20,9 @@ from csaop import (
     refined_polar,
     refined_svd,
 )
-from csaop.linalg import direct_sum_blocks, fro, nullspace
+from csaop import antiunitary
+from csaop.antiunitary import C2_CLUSTER_GAP
+from csaop.linalg import cayley, direct_sum_blocks, fro, nullspace
 
 from conftest import (
     J2,
@@ -247,6 +250,133 @@ class TestGenerateOracle:
         assert fro(C.squared() - np.eye(16)) == pytest.approx(deviation, rel=0.1)
         for seed in range(5):
             assert check_c_selfadjoint(generate_csa(C, seed), C).is_csa
+
+
+def reference_generate_csa(C, seed):
+    """The generator as it was before the C^2 split moved onto the operator:
+    ``W``, its distance from ``+-I``, the Cayley transform, ``eigh`` and the
+    angle labels on every call. The oracle for the bytes of ``generate_csa``."""
+    A = C.unitary_part
+    n = C.dim
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    W = A.T @ A.conj().T
+    if min(fro(W - np.eye(n)), fro(W + np.eye(n))) > C2_CLUSTER_GAP:
+        t, Q = np.linalg.eigh(cayley(W))
+        labels, start = np.zeros(n, dtype=int), -np.inf
+        for i, psi in enumerate(2 * np.arctan(t)):
+            if psi - start > C2_CLUSTER_GAP:
+                start, labels[i:] = psi, i
+        X = Q.conj().T @ G @ Q
+        X[labels[:, None] != labels] = 0
+        G = Q @ X @ Q.conj().T
+    return (G + A.T @ G.T @ A.conj()) / 2
+
+
+def class_operator(kind, n, seed):
+    """A Haar-conjugated C of the given involution class: ``V V^T``,
+    ``V (I (x) J2) V^T`` (even n only) or a Haar unitary."""
+    V = haar_unitary(n, np.random.default_rng(seed))
+    if kind == "involutive":
+        return AntiunitaryOp(V @ V.T)
+    if kind == "anti-involutive":
+        return AntiunitaryOp(V @ np.kron(np.eye(n // 2), J2) @ V.T)
+    return AntiunitaryOp(V)
+
+
+SEEDS = (0, 1, 2, 7, 99, 12345)
+
+
+class TestGenerateReference:
+    @pytest.mark.parametrize(
+        "kind, n",
+        [
+            (kind, n)
+            for kind in ("involutive", "anti-involutive", "neither")
+            for n in (0, 1, 2, 3, 8, 20, 33)
+            if kind != "anti-involutive" or n % 2 == 0  # no anti-involutive C in odd dimension
+        ],
+    )
+    def test_same_bytes_as_per_call_split(self, kind, n):
+        C = class_operator(kind, n, seed=n)
+        for seed in SEEDS:
+            assert generate_csa(C, seed).tobytes() == reference_generate_csa(C, seed).tobytes()
+
+    @pytest.mark.parametrize(
+        "C", [c2_blocks(6), near_involutive(16, 1e-9, seed=1), mixed_square(seed=5)],
+        ids=["c2_blocks", "near_involutive_1e-9", "mixed_square"],
+    )
+    def test_same_bytes_on_special_squares(self, C):
+        for seed in SEEDS:
+            assert generate_csa(C, seed).tobytes() == reference_generate_csa(C, seed).tobytes()
+
+    def test_history_has_no_effect(self):
+        # interleaved across two operators and in reverse seed order
+        first, second = class_operator("neither", 9, seed=1), class_operator("neither", 9, seed=2)
+        for seed in SEEDS[::-1]:
+            for C in (second, first):
+                assert generate_csa(C, seed).tobytes() == reference_generate_csa(C, seed).tobytes()
+
+
+class TestSquareSplit:
+    @pytest.fixture
+    def cayley_calls(self, monkeypatch):
+        calls = []
+
+        def counted(W):
+            calls.append(W.shape)
+            return cayley(W)
+
+        monkeypatch.setattr(antiunitary, "cayley", counted)
+        return calls
+
+    def test_computed_once_per_operator(self, cayley_calls):
+        C = class_operator("neither", 20, seed=3)
+        for seed in range(12):
+            generate_csa(C, seed)
+        assert cayley_calls == [(20, 20)]
+
+    @pytest.mark.parametrize("kind", ["involutive", "anti-involutive"])
+    def test_none_for_plus_minus_identity(self, kind, cayley_calls):
+        C = class_operator(kind, 8, seed=4)
+        for seed in range(12):
+            generate_csa(C, seed)
+        assert C.square_split is None
+        assert cayley_calls == []
+
+    def test_read_only(self):
+        Q, labels = class_operator("neither", 6, seed=5).square_split
+        for array in (Q, labels):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_adjoint_has_its_own(self, cayley_calls):
+        C = class_operator("neither", 7, seed=6)
+        generate_csa(C, 0)
+        D = C.adjoint()  # C^{-1}
+        assert "square_split" not in vars(D)
+        for seed in range(3):
+            H = generate_csa(D, seed)
+            assert check_c_selfadjoint(H, D).residual <= 1e-9 * fro(H)
+        assert cayley_calls == [(7, 7), (7, 7)]
+
+    def test_two_threads_on_a_fresh_operator(self):
+        A = class_operator("neither", 20, seed=7).unitary_part
+        serial = [generate_csa(AntiunitaryOp(A), seed).tobytes() for seed in range(12)]
+        C, start = AntiunitaryOp(A), threading.Barrier(2)
+        results = [None, None]
+
+        def work(slot):
+            start.wait()
+            results[slot] = [generate_csa(C, seed).tobytes() for seed in range(12)]
+
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert results == [serial, serial]
 
 
 def test_import_leaves_out_scipy():

@@ -176,3 +176,24 @@ def test_dump_json_rejects_non_finite_before_opening(tmp_path, value):
         dump_json({"r": [1.0, value]}, fresh)
     assert existing.read_bytes() == b'{"r": 1.0}\n'
     assert not fresh.exists()
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"fourier": {"1": [1, 0], "1": [2, 0]}}', "'1'"),  # read as {1: 2+0j} before
+        ('{"rows": 1, "cols": 1, "rows": 2, "data": [[1, 0]]}', "'rows'"),
+    ],
+    ids=["symbol-index", "matrix-rows"],
+)
+def test_load_json_rejects_duplicate_keys(tmp_path, text, key):
+    path = tmp_path / "dup.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"duplicate key {key}"):
+        load_json(path)
+
+
+def test_load_json_keeps_equal_keys_of_different_objects(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text('{"a": {"rows": 1}, "b": {"rows": 2}, "c": [{"rows": 3}, {"rows": 4}]}')
+    assert load_json(path) == {"a": {"rows": 1}, "b": {"rows": 2}, "c": [{"rows": 3}, {"rows": 4}]}
