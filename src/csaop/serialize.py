@@ -6,9 +6,11 @@ entries flattened row-major. Antiunitary JSON wraps the unitary part as
 ``{"fourier": {"-2": [re, im], ...}}``. Everything written here is read
 back by the same parsers (the CLI round-trips through these functions).
 
-:func:`dump_json` writes compact one-line JSON holding finite numbers only:
-a NaN or infinite value raises ``ValueError`` (CLI exit 2) and no file is
-written. Floats keep their shortest ``repr``, so they parse back bit for bit.
+:func:`dump_json` writes compact one-line JSON with ``orjson`` and holds
+finite numbers only: a NaN or infinite value, or an int outside 64 bits,
+raises ``ValueError`` (CLI exit 2) and no file is written. Floats take their
+shortest round-trip spelling (Ryu: ``1e-05`` is written ``0.00001``), so the
+standard decoder reads them back bit for bit.
 :func:`load_json` rejects what the standard decoder reads leniently: NaN,
 +-Infinity and a key repeated within one object.
 """
@@ -16,6 +18,7 @@ written. Floats keep their shortest ``repr``, so they parse back bit for bit.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -156,8 +159,42 @@ def load_json(path) -> object:
         return json.load(handle, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
 
 
+def _float_subclass(value) -> float:
+    """``default`` for ``orjson.dumps``: ``np.float64`` and other float
+    subclasses as plain floats; any other type is rejected, as by ``json``."""
+    if isinstance(value, float):
+        return float(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _check_numbers(obj) -> None:
+    """``ValueError`` on the first NaN or infinite float, or int outside 64
+    bits, in ``obj``, its lists, tuples and dict values."""
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite number {obj!r} cannot be written as JSON")
+    elif isinstance(obj, int):
+        if not -(2**63) <= obj < 2**64:
+            raise ValueError("integer outside the 64-bit range cannot be written as JSON")
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            _check_numbers(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            _check_numbers(value)
+
+
 def dump_json(obj, path) -> None:
-    """One compact line; ``ValueError`` on NaN or +-inf before ``path`` is opened."""
-    text = json.dumps(obj, separators=(",", ":"), allow_nan=False)  # one-shot C encoder
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
+    """One compact line; ``ValueError`` on NaN, +-inf or an int outside 64
+    bits before ``path`` is opened."""
+    import orjson  # here, not at module level: reading a file skips its ~9 ms import
+
+    try:
+        data = orjson.dumps(obj, default=_float_subclass, option=orjson.OPT_APPEND_NEWLINE)
+    except TypeError:  # orjson.JSONEncodeError, also raised for an int outside 64 bits
+        _check_numbers(obj)
+        raise
+    if b"null" in data:  # orjson writes NaN and +-inf as null, as it does None
+        _check_numbers(obj)
+    with open(path, "wb") as handle:
+        handle.write(data)

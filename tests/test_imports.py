@@ -52,10 +52,19 @@ def test_all_is_sorted_unique_and_matches_the_imports():
     assert set(exported) == public
 
 
-def test_import_loads_no_thread_pool():
+def _loaded_after(statement: str, module: str) -> str:
+    """``"True\\n"`` if ``module`` is in ``sys.modules`` after ``statement`` runs in a fresh interpreter, else ``"False\\n"``."""
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    code = "import sys, csaop; print('concurrent.futures' in sys.modules)"
+    code = f"import sys; {statement}; print({module!r} in sys.modules)"
     result = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True
     )
-    assert result.stdout == "False\n"
+    return result.stdout
+
+
+def test_import_loads_no_thread_pool():
+    assert _loaded_after("import csaop", "concurrent.futures") == "False\n"
+
+
+def test_cli_import_loads_no_json_encoder():
+    assert _loaded_after("import csaop.cli", "orjson") == "False\n"

@@ -1,5 +1,12 @@
+import json
+import math
+import re
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from csaop import pseudospectrum
 from csaop.pauli import spectrum_sample
@@ -168,14 +175,100 @@ def test_dump_json_round_trips_floats_bit_for_bit(tmp_path, rng):
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
 def test_dump_json_rejects_non_finite_before_opening(tmp_path, value):
+    # orjson writes a non-finite float as null, so these are found by a walk
     existing, fresh = tmp_path / "old.json", tmp_path / "new.json"
     existing.write_bytes(b'{"r": 1.0}\n')
-    with pytest.raises(ValueError):
-        dump_json({"r": value}, existing)
-    with pytest.raises(ValueError):
-        dump_json({"r": [1.0, value]}, fresh)
+    for v in (value, np.float64(value)):
+        for obj in (v, {"r": v}, [1.0, v], {"a": [1.0, {"b": v}]}, [None, "null", {"c": (0.5, v)}]):
+            with pytest.raises(ValueError, match="non-finite"):
+                dump_json(obj, existing)
+            with pytest.raises(ValueError, match="non-finite"):
+                dump_json(obj, fresh)
     assert existing.read_bytes() == b'{"r": 1.0}\n'
     assert not fresh.exists()
+
+
+def test_dump_json_writes_none_as_null(tmp_path):
+    path = tmp_path / "n.json"
+    dump_json({"a": None, "b": [1.0, None]}, path)
+    assert path.read_bytes() == b'{"a":null,"b":[1.0,null]}\n'
+    assert load_json(path) == {"a": None, "b": [1.0, None]}
+
+
+def test_dump_json_null_in_keys_and_strings_is_not_a_number(tmp_path):
+    obj = {"null": "null", "nullable": [0.5, "not null", {"x": "nullnull"}], "n": -2.0}
+    path = tmp_path / "s.json"
+    dump_json(obj, path)
+    assert load_json(path) == obj
+
+
+def test_dump_json_writes_float_subclasses_as_floats(tmp_path):
+    path = tmp_path / "f.json"
+    dump_json({"r": np.float64(0.5), "s": [np.float64(-0.0), np.float64(1e-05)]}, path)
+    assert path.read_bytes() == b'{"r":0.5,"s":[-0.0,0.00001]}\n'
+
+
+@pytest.mark.parametrize("value", [2**64, -(2**63) - 1, 10**400], ids=["2^64", "-2^63-1", "10^400"])
+def test_dump_json_rejects_ints_beyond_64_bits_before_opening(tmp_path, value):
+    path = tmp_path / "i.json"
+    with pytest.raises(ValueError, match="64-bit"):
+        dump_json({"rows": 1, "data": [[value, 0]]}, path)
+    assert not path.exists()
+    dump_json([2**64 - 1, -(2**63)], path)  # the ends of the range still write
+    assert load_json(path) == [2**64 - 1, -(2**63)]
+
+
+@pytest.mark.parametrize(
+    "value", [1 + 2j, np.int64(3), np.bool_(True), {1.5}, np.ones(2)], ids=["complex", "int64", "bool_", "set", "array"]
+)
+def test_dump_json_rejects_what_json_rejects(tmp_path, value):
+    path = tmp_path / "t.json"
+    with pytest.raises(TypeError):
+        json.dumps(value)
+    with pytest.raises(TypeError):
+        dump_json({"v": [value]}, path)
+    assert not path.exists()
+
+
+def _bits_to_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+_EDGE_FLOATS = [5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, -0.0, 0.0, 1e-05, 1e16]
+_FINITE_DOUBLES = st.one_of(
+    st.integers(0, 2**64 - 1).map(_bits_to_float).filter(math.isfinite),
+    st.sampled_from(_EDGE_FLOATS + [1.7976931348623157e308, -1.7976931348623157e308]),
+)
+_JSON_VALUES = st.recursive(
+    st.one_of(_FINITE_DOUBLES, st.integers(-(2**63), 2**64 - 1), st.booleans(), st.none(), st.text()),
+    lambda children: st.one_of(st.lists(children, max_size=6), st.dictionaries(st.text(), children, max_size=6)),
+    max_leaves=40,
+)
+
+
+def _typed_leaves(obj) -> list:
+    """Every key and leaf of ``obj`` in order, with its type; floats as bits."""
+    if isinstance(obj, dict):
+        return [("dict", len(obj))] + [leaf for k, v in obj.items() for leaf in [("key", k), *_typed_leaves(v)]]
+    if isinstance(obj, list):
+        return [("list", len(obj))] + [leaf for v in obj for leaf in _typed_leaves(v)]
+    if type(obj) is float:
+        return [(float, struct.pack("<d", obj))]
+    return [(type(obj), obj)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=_JSON_VALUES)
+def test_dump_json_round_trips_every_finite_value(tmp_path_factory, obj):
+    path = tmp_path_factory.mktemp("dump") / "v.json"
+    dump_json(obj, path)
+    back = load_json(path)
+    assert back == obj
+    assert _typed_leaves(back) == _typed_leaves(obj)  # -0.0, subnormals and bools exactly
+    data = path.read_bytes()
+    assert data.endswith(b"\n") and data.count(b"\n") == 1
+    outside_strings = re.sub(rb'"(?:[^"\\]|\\.)*"', b"", data[:-1])
+    assert not re.search(rb"\s", outside_strings)
 
 
 @pytest.mark.parametrize(
