@@ -36,7 +36,6 @@ from .csa import (
 from .decomp import (
     RefinedPolar,
     RefinedSVD,
-    check_fixable_2d,
     fix_basis_involutive,
     phase_fix,
     refined_polar,
@@ -86,7 +85,6 @@ __all__ = [
     "antilinear_eigensystem",
     "check_c_real",
     "check_c_selfadjoint",
-    "check_fixable_2d",
     "classify",
     "compose_antilinear",
     "conjugate_linear_map",

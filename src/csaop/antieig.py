@@ -38,10 +38,12 @@ blocks of at least ``THREAD_MIN_BLOCK`` rows into one contiguous part per
 CPU the process may run on: the calling thread runs the first part and a
 thread pool the others, each part's batched SVD on its own thread (numpy's
 LAPACK loop releases the GIL), and every part runs under the caller's
-numpy error state, error callback included. Each part builds its shifted
-stack in place, the stacks in flight together stay under ~64 MB, and
-every value is bit for bit the one a single thread computes. The closed
-form runs on the calling thread, a few thousand shifted blocks at a time.
+numpy error state, error callback included. Smaller blocks, a single
+shift and a one-CPU process stay on the calling thread. Each part builds
+its shifted stacks in place, in chunks that keep the stacks in flight
+together under ~64 MB; the closed form takes ``CLOSED_FORM_CHUNK``
+shifted blocks at a time, about 1 MB of temporaries. No value depends on
+the split, so each is bit for bit the one a single thread computes.
 """
 
 from __future__ import annotations
@@ -57,8 +59,9 @@ from .decomp import _certify, _fixed_singular_basis
 from .errors import DimMismatch, NonFinite, ZInSpectrum
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, column_norms, direct_sum_blocks, fro
 
-#: sigma_min(H - z I) at or below this fraction of ||H - z I|| counts as
-#: "z in the spectrum".
+#: sigma_min(H - z I) at or below this fraction of ||H - z I||_F puts z in
+#: the spectrum: relative and fixed in n. It is at least 4500 times
+#: eps ||H - z I||_2, the order of a computed sigma_min's rounding error.
 SPECTRUM_CUTOFF = 1e-12
 
 
@@ -241,29 +244,16 @@ def _block_norms(blocks: np.ndarray, zs: np.ndarray, step: int) -> tuple[np.ndar
 
 @np.errstate(over="ignore")  # an overflowing entry or norm raises NonFinite: _shifted, _closed_form, _resolvent
 def _resolvent_norms(H: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """:func:`_resolvent` at each shift in ``zs``.
+    """:func:`_resolvent` at each shift in ``zs``, split into parts and
+    chunks as the module docstring tells.
 
     :func:`~csaop.linalg.direct_sum_blocks` splits ``H != 0`` into
     diagonal blocks, one index array per block size, sizes in the order
     of their first block, which fixes the order of the ``hypot`` over
-    the groups. Blocks of 1 or 2 rows go through :func:`_closed_form`,
-    ``CLOSED_FORM_CHUNK`` shifted blocks at a time, and larger blocks of
-    one size through batched SVDs of their shifted stacks. ``sigma_min``
-    is the least over all blocks and ``||H - z I||_F`` the norm of all
-    their singular values, rescaled so that it does not overflow or
-    underflow where it is representable. A 0 x 0 ``H`` is the zero map,
-    of norm 0.
-
-    For blocks of at least ``THREAD_MIN_BLOCK`` rows the shifts are split
-    into one contiguous part per CPU (:func:`_cpu_count`); the calling
-    thread runs the first part and a thread pool the others
-    (:func:`_on_threads`), since numpy's LAPACK loop releases the GIL, each
-    under the caller's numpy error state, error callback included; smaller
-    blocks, a single shift and a one-CPU process stay on the calling
-    thread. No shift's value depends on the others or on the
-    split, so the result is bit for bit the same on any CPU count. The
-    stacks of all parts in flight together take ~64 MB at most, and the
-    closed form's temporaries about 1 MB.
+    the groups. ``sigma_min`` is the least over all blocks and
+    ``||H - z I||_F`` the norm of all their singular values, rescaled so
+    that it does not overflow or underflow where it is representable. A
+    0 x 0 ``H`` is the zero map, of norm 0.
     """
     smin = np.full(len(zs), np.inf)
     frobenius = np.zeros(len(zs))
@@ -345,16 +335,15 @@ def pseudospectrum(
     ``bounds = (re_min, re_max, im_min, im_max)``; ``resolution`` points
     per axis (so ``resolution**2`` grid points, imaginary part varying
     slowest). All points go through the block kernel of
-    :func:`resolvent_norm` on ``H``'s direct-sum split: closed forms for
-    blocks of 1 or 2 rows (the toy model meets no SVD), batched SVDs per
-    larger block size (a dense ``H`` is one n x n SVD per point), so each
-    norm equals ``resolvent_norm(H, z)`` exactly. Blocks of at least
-    ``THREAD_MIN_BLOCK`` rows split the points into one part per CPU: the
-    calling thread runs the first and a thread pool the others, all under
-    the caller's numpy error state (``np.errstate``, error callback
-    included). The norms and the mask do not depend on the CPU count, and
-    all parts' shifted stacks together take ~64 MB at most.
-    Points in the spectrum are in the mask at every ``epsilon``.
+    :func:`resolvent_norm` (the toy model meets no SVD; a dense ``H`` is
+    one n x n SVD per point), so each norm equals ``resolvent_norm(H, z)``
+    exactly. Threads may share the points: the norms and the mask are bit
+    for bit the same on any CPU count, every thread runs under the
+    caller's numpy error state (``np.errstate``, error callback included),
+    and the shifted stacks in flight take ~64 MB at most.
+    Points in the spectrum are in the mask at every ``epsilon``. Raises
+    ``ValueError`` for a bad ``epsilon`` or ``resolution`` and for bounds
+    that are not finite or whose width overflows.
     """
     if not 0 < epsilon < np.inf:
         raise ValueError("epsilon must be positive and finite")
@@ -364,6 +353,9 @@ def pseudospectrum(
     re_min, re_max, im_min, im_max = map(float, bounds)
     if not np.isfinite([re_min, re_max, im_min, im_max]).all():
         raise ValueError("bounds must be finite")
+    for axis, width in (("re", re_max - re_min), ("im", im_max - im_min)):
+        if abs(width) == np.inf:
+            raise ValueError(f"bounds: {axis}_max - {axis}_min overflows")
     res = np.linspace(re_min, re_max, resolution)
     ims = np.linspace(im_min, im_max, resolution)
     zs = (res[None, :] + 1j * ims[:, None]).ravel()

@@ -26,6 +26,9 @@ import numpy as np
 from .errors import DimMismatch, NotUnitary
 from .linalg import CLASSIFY_TOL, DEFAULT_TOL, Tolerance, as_matrix, as_vector, cayley, fro
 
+#: Largest Gram deviation ``||A*A - I||_F`` of a unitary part: absolute
+#: (a unitary's singular values are 1) and fixed in n. A QR-made unitary
+#: deviates by about ``n eps`` or less (4e-14 at n = 1024).
 UNITARITY_TOL = 1e-10
 
 #: Arc within which :attr:`AntiunitaryOp.square_split` merges eigenvalues of
@@ -68,8 +71,6 @@ class AntilinearMap:
         if psi.shape[0] != self.dim:
             raise DimMismatch(f"vector of dim {psi.shape[0]} vs operator dim {self.dim}")
         return self._matrix @ np.conj(psi)
-
-    __call__ = apply
 
     @classmethod
     def _unchecked(cls, matrix: np.ndarray):

@@ -24,13 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import antiunitary
 from .antiunitary import AntiunitaryOp, conjugate_linear_map
 from .errors import NonFinite, NotCsa
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, column_norms, fro, rank_cutoff
-
-#: The generator's merge arc, defined with the split in :mod:`.antiunitary`.
-C2_CLUSTER_GAP = antiunitary.C2_CLUSTER_GAP
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,10 @@ reads the involution class of ``C`` only for a degenerate cluster (a ``C``
 that is not involutive is rejected before ``J`` is built), re-phases the
 simple clusters in one :func:`phase_fix` call and fixes each degenerate one
 with :func:`fix_basis_involutive`, the one test of whether a J-invariant
-span has a J-fixed basis (:func:`check_fixable_2d` asks it). Mixing inside
-a cluster costs up to its width ``w``; the certificate allows
-``2 sqrt(k) max(w)`` for ``k`` values. The same step on the
-``C^{-1}``-self-adjoint ``H - z I`` gives the ``psi_j`` of
-:func:`csaop.antieig.antilinear_eigensystem`.
+span has a J-fixed basis. Mixing inside a cluster costs up to its width
+``w``; the certificate allows ``2 sqrt(k) max(w)`` for ``k`` values. The
+same step on the ``C^{-1}``-self-adjoint ``H - z I`` gives the ``psi_j``
+of :func:`csaop.antieig.antilinear_eigensystem`.
 
 Each result is certified before it is returned: ``_certify`` checks the
 identity residuals (Frobenius norms) against one bound and raises
@@ -54,7 +53,9 @@ from .linalg import (
     DEFAULT_TOL, Tolerance, as_matrix, as_vector, cayley, cluster_indices, fro
 )
 
-#: Relative singular-value gap below which values count as one cluster.
+#: Gap between consecutive kept singular values, relative to the largest
+#: (the 2-norm), below which they form one cluster; fixed in n. The
+#: certificate's slack pays for the mixing inside a cluster.
 SVD_CLUSTER_GAP = 1e-6
 
 #: Least absolute tolerance of the structural gates of the fixed-basis
@@ -198,16 +199,6 @@ def fix_basis_involutive(J: AntilinearMap, E, tol: Tolerance = DEFAULT_TOL) -> n
     if np.any(np.abs(np.abs(phases) - 1.0) > bound):
         raise NotInvariant("some |<phi, J phi>| on span(E) is not 1")
     return (E @ O) * np.exp(0.5j * np.angle(phases))
-
-
-def check_fixable_2d(J: AntilinearMap, psi1, psi2, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Whether the J-invariant span of orthonormal ``psi1, psi2`` has a
-    J-fixed orthonormal basis: whether :func:`fix_basis_involutive` accepts it."""
-    try:
-        fix_basis_involutive(J, np.column_stack([as_vector(psi1), as_vector(psi2)]), tol)
-    except (NotInvolutive, NotUnitary):
-        return False
-    return True
 
 
 def refined_svd(H, C: AntiunitaryOp, tol: Tolerance = DEFAULT_TOL) -> RefinedSVD:

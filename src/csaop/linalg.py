@@ -45,7 +45,9 @@ class Tolerance:
 
 DEFAULT_TOL = Tolerance()
 
-#: Looser tolerance used where a classification gates an algorithm branch.
+#: Bound on ``||C^2 - I||_F`` and ``||C^2 + I||_F`` in
+#: :func:`~csaop.antiunitary.classify`, which gates algorithm branches:
+#: absolute (``C^2`` is unitary), fixed in n, looser than DEFAULT_TOL.
 CLASSIFY_TOL = Tolerance(abs=1e-8, rel=0.0)
 
 

@@ -115,7 +115,11 @@ REFLECTION_MATCH = 1e-12
 
 @np.errstate(over="ignore")  # a window end beyond the largest float is harmless
 def _reflection_partners(k_grid) -> np.ndarray:
-    """Partner indices of :func:`reflection_permutation`, by sorting: O(m log m)."""
+    """The momentum reflection ``k -> -k`` as indices, found by sorting in
+    O(m log m): ``partner[j] = i`` where ``|k_i + k_j| <= t_j =
+    REFLECTION_MATCH max(1, |k_j|)``. Raises ``ValueError`` for non-finite
+    momenta and :class:`AsymmetricGrid` unless each momentum has exactly one
+    match (zero may pair with itself) and the pairing is an involution."""
     k = np.asarray(k_grid, dtype=float)
     if not np.isfinite(k).all():
         raise ValueError("k_grid must be finite")
@@ -132,15 +136,6 @@ def _reflection_partners(k_grid) -> np.ndarray:
     if not np.array_equal(partner[partner], np.arange(len(k))):
         raise AsymmetricGrid("reflection pairing is not an involution")
     return partner
-
-
-def reflection_permutation(k_grid) -> np.ndarray:
-    """Permutation matrix pairing each grid momentum with its negative:
-    ``R[i, j] = 1`` where ``|k_i + k_j| <= t_j = REFLECTION_MATCH max(1, |k_j|)``,
-    found by sorting. Raises ``ValueError`` for non-finite momenta and
-    :class:`AsymmetricGrid` unless each column has exactly one match (zero
-    may pair with itself) and the pairing is an involution (``R = R^T``)."""
-    return np.eye(len(k_grid))[_reflection_partners(k_grid)]
 
 
 def lift_conjugation(matrix_part, k_grid) -> AntiunitaryOp:

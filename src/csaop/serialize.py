@@ -12,7 +12,8 @@ raises ``ValueError`` (CLI exit 2) and no file is written. Floats take their
 shortest round-trip spelling (Ryu: ``1e-05`` is written ``0.00001``), so the
 standard decoder reads them back bit for bit.
 :func:`load_json` rejects what the standard decoder reads leniently: NaN,
-+-Infinity and a key repeated within one object.
++-Infinity and a key repeated within one object, and raises ``ValueError``,
+not ``RecursionError``, on nesting too deep to decode.
 """
 
 from __future__ import annotations
@@ -153,10 +154,13 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def load_json(path) -> object:
-    """Parsed JSON; ``ValueError`` on the non-standard NaN and +-Infinity and
-    on a key repeated within one object."""
+    """Parsed JSON; ``ValueError`` on the non-standard NaN and +-Infinity, on
+    a key repeated within one object and on nesting beyond the recursion limit."""
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
+        try:
+            return json.load(handle, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
 
 
 def _float_subclass(value) -> float:

@@ -1,6 +1,7 @@
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -412,6 +413,23 @@ class TestPseudospectrum:
         for bounds in [(np.nan, 1, -1, 1), (-1, 1, -1, np.inf)]:
             with pytest.raises(ValueError, match="bounds must be finite"):
                 pseudospectrum(np.eye(2), 0.1, bounds, 10)
+
+    @pytest.mark.parametrize(
+        "bounds, axis", [((-1.7e308, 1.7e308, 0, 1), "re"), ((0, 1, 1.7e308, -1.7e308), "im")], ids=["re", "im"]
+    )
+    def test_window_wider_than_the_float_range(self, bounds, axis):
+        # before, linspace warned and made the first point NaN, and the scan raised NonFinite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"{axis}_max - {axis}_min overflows"):
+                pseudospectrum(np.zeros((1, 1)), 0.1, bounds, 2)
+
+    def test_widest_finite_window_is_scanned(self):
+        # width 1.7e308 is still a float: its ends are grid points
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = pseudospectrum(np.zeros((1, 1)), 0.1, (-0.85e308, 0.85e308, 0, 1), 2)
+        assert grid.zs.real.tolist() == [-0.85e308, 0.85e308] * 2
 
 
 def _block_diagonal(*blocks):

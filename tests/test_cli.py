@@ -431,6 +431,15 @@ class TestPseudospec:
         assert code == 2
         assert "bounds must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid, axis", [("-1.7e308,1.7e308,0,1", "re"), ("0,1,-1.7e308,1.7e308", "im")])
+    def test_window_wider_than_the_float_range_is_parse_error(self, grid, axis, tmp_path, capsys):
+        dump_json(matrix_to_json(np.zeros((1, 1))), tmp_path / "h.json")
+        argv = ["pseudospec", "--H", str(tmp_path / "h.json"), "--epsilon", "0.1", f"--grid={grid}", "--res", "2"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: bounds: {axis}_max - {axis}_min overflows\n"
+
 
 class TestPauliSpectrum:
     def test_parabola_csv(self, tmp_path, capsys):
@@ -559,6 +568,19 @@ def test_domain_errors_exit_one(error, request, tmp_path, capsys):
     assert main([command, "--H", str(h_path), "--C", str(c_path), *extra]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err
+
+
+@pytest.mark.parametrize("flag", ["--H", "--C", "--phi1"])
+def test_deeply_nested_json_is_parse_error(flag, diag_pair, tmp_path, capsys):
+    deep = str(tmp_path / "deep.json")
+    (tmp_path / "deep.json").write_text("[" * 10**5 + "]" * 10**5)
+    if flag == "--phi1":
+        argv = ["model-space", "--toeplitz", "--phi1", deep, "--phi2", deep, "--N", "4"]
+    else:
+        argv = ["check", *diag_pair]
+        argv[argv.index(flag) + 1] = deep
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: JSON nested too deeply\n"
 
 
 def _exit_code(argv):

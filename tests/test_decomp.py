@@ -14,7 +14,6 @@ from csaop import (
     NotUnitary,
     NumericalFailure,
     UnsupportedDegeneracy,
-    check_fixable_2d,
     classify,
     fix_basis_involutive,
     generate_csa,
@@ -258,28 +257,34 @@ class TestFixBasisInvolutive:
 
 
 class TestCheckFixable2d:
+    """Whether a J-invariant plane has a J-fixed basis: fix_basis_involutive
+    returns one if so, and raises NotInvolutive or NotUnitary if not."""
+
+    @staticmethod
+    def assert_fixed_basis(J, E):
+        phis = fix_basis_involutive(J, E)
+        assert fro(phis.conj().T @ phis - np.eye(E.shape[1])) <= 1e-12
+        assert fro(J.matrix @ np.conj(phis) - phis) <= 10 * DEFAULT_TOL.bound(1.0)
+
     def test_involutive_always_true(self):
-        J = AntilinearMap(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert check_fixable_2d(J, np.eye(2)[:, 0], np.eye(2)[:, 1])
+        self.assert_fixed_basis(AntilinearMap(np.array([[0.0, 1.0], [1.0, 0.0]])), np.eye(2))
 
     def test_anti_involutive_obstruction(self):
-        C = AntiunitaryOp(MINUS_I_SIGMA2)
-        assert not check_fixable_2d(C, np.eye(2)[:, 0], np.eye(2)[:, 1])
+        with pytest.raises(NotInvolutive):
+            fix_basis_involutive(AntiunitaryOp(MINUS_I_SIGMA2), np.eye(2))
 
     def test_plain_conjugation(self):
-        assert check_fixable_2d(conj_k(2), np.eye(2)[:, 0], np.eye(2)[:, 1])
+        self.assert_fixed_basis(conj_k(2), np.eye(2))
 
     def test_partial_j_not_fixable(self):
         # diag(1, 0) o K is symmetric on the plane but kills e_2, so J^2 != I there
-        J = AntilinearMap(np.diag([1.0, 0.0]))
-        assert not check_fixable_2d(J, np.eye(2)[:, 0], np.eye(2)[:, 1])
         with pytest.raises(NotInvolutive):
-            fix_basis_involutive(J, np.eye(2))
+            fix_basis_involutive(AntilinearMap(np.diag([1.0, 0.0])), np.eye(2))
 
     def test_non_invariant_rejected(self):
         J = AntilinearMap(np.fliplr(np.eye(4)))
         with pytest.raises(NotInvariant):
-            check_fixable_2d(J, np.eye(4)[:, 0], np.eye(4)[:, 1])
+            fix_basis_involutive(J, np.eye(4)[:, :2])
 
     @pytest.mark.parametrize("factor", [0.5, 0.8, 0.95, 1.2])
     def test_agrees_with_fix_basis_involutive(self, factor):
@@ -289,13 +294,11 @@ class TestCheckFixable2d:
         # involution decides
         delta = factor * DEFAULT_TOL.bound(1.0)
         J = AntilinearMap(np.array([[0.0, np.exp(1j * delta)], [1.0, 0.0]]))
-        try:
-            fix_basis_involutive(J, np.eye(2))
-            fixed = True
-        except NotInvolutive:
-            fixed = False
-        assert fixed == (factor * np.sqrt(2) <= 1.0)
-        assert check_fixable_2d(J, np.eye(2)[:, 0], np.eye(2)[:, 1]) is fixed
+        if factor * np.sqrt(2) <= 1.0:
+            self.assert_fixed_basis(J, np.eye(2))
+        else:
+            with pytest.raises(NotInvolutive):
+                fix_basis_involutive(J, np.eye(2))
 
 
 def takagi_2x2(S):

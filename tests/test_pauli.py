@@ -16,7 +16,6 @@ from csaop.pauli import (
     discretize,
     distance_to_closed_form,
     lift_conjugation,
-    reflection_permutation,
     spectrum_sample,
     symbol,
 )
@@ -129,8 +128,8 @@ class TestDistanceToClosedForm:
 
 
 def reflection_by_momentum(k_grid):
-    """Reference for reflection_permutation: one partner search over the
-    whole grid per momentum."""
+    """Reference for the momentum reflection, as the dense permutation
+    matrix R: one partner search over the whole grid per momentum."""
     k_grid = np.asarray(k_grid, dtype=float)
     n = len(k_grid)
     R = np.zeros((n, n))
@@ -146,8 +145,14 @@ def reflection_by_momentum(k_grid):
     return R
 
 
+def partners_of(R):
+    """``partner[j] = i`` where ``R[i, j] = 1``: the permutation matrix ``R``
+    as the index array that :func:`pauli._reflection_partners` returns."""
+    return np.nonzero(R.T)[1]
+
+
 def discretize_by_momentum(alpha, k_grid):
-    """Reference for discretize and reflection_permutation: one symbol
+    """Reference for discretize and the momentum reflection: one symbol
     block and one partner search per momentum."""
     k_grid = np.asarray(k_grid, dtype=float)
     R = reflection_by_momentum(k_grid)
@@ -172,7 +177,7 @@ class TestDiscretize:
         A_ref = np.kron(R_ref, MINUS_I_SIGMA2)
         assert np.signbit(A_ref.real).any()
         assert H.tobytes() == H_ref.tobytes()
-        assert reflection_permutation(k_grid).tobytes() == R_ref.tobytes()
+        assert np.array_equal(pauli._reflection_partners(k_grid), partners_of(R_ref))
         assert C2.unitary_part.tobytes() == A_ref.tobytes()
         assert P.tobytes() == np.kron(np.eye(len(k_grid)), SIGMA1).tobytes()
 
@@ -201,9 +206,10 @@ class TestDiscretize:
     def test_asymmetric_grid_message_matches_reference(self, k_grid):
         with pytest.raises(AsymmetricGrid) as expected:
             discretize_by_momentum(1.0, k_grid)
-        with pytest.raises(AsymmetricGrid) as got:
-            reflection_permutation(k_grid)
-        assert str(got.value) == str(expected.value)
+        for call in (lambda k: lift_conjugation(MINUS_I_SIGMA2, k), lambda k: discretize(1.0, k)):
+            with pytest.raises(AsymmetricGrid) as got:
+                call(k_grid)
+            assert str(got.value) == str(expected.value)
 
     def test_c2_selfadjoint_small_grid(self):
         H, C2, _ = discretize(2.0, [-1.0, 1.0])
@@ -289,7 +295,7 @@ def bound_grids():
 
 
 class TestSortPairing:
-    """reflection_permutation, lift_conjugation and discretize against the
+    """The momentum pairing, lift_conjugation and discretize against the
     per-momentum reference, byte for byte and message for message."""
 
     GRIDS = {
@@ -307,14 +313,13 @@ class TestSortPairing:
         try:
             H_ref, R_ref = discretize_by_momentum(-1.5, k_grid)
         except AsymmetricGrid as expected:
-            for call in (reflection_permutation, lambda k: lift_conjugation(MINUS_I_SIGMA2, k),
-                         lambda k: discretize(-1.5, k)):
+            for call in (lambda k: lift_conjugation(MINUS_I_SIGMA2, k), lambda k: discretize(-1.5, k)):
                 with pytest.raises(AsymmetricGrid) as got:
                     call(k_grid)
                 assert str(got.value) == str(expected)
             return
         H, C2, P = discretize(-1.5, k_grid)
-        assert reflection_permutation(k_grid).tobytes() == R_ref.tobytes()
+        assert np.array_equal(pauli._reflection_partners(k_grid), partners_of(R_ref))
         assert H.tobytes() == H_ref.tobytes()
         assert C2.unitary_part.tobytes() == np.kron(R_ref, MINUS_I_SIGMA2).tobytes()
         assert C2.unitary_part.shape == (2 * len(k_grid),) * 2
@@ -332,11 +337,12 @@ class TestSortPairing:
 
     def test_wide_grid_matches_reference(self):
         k_grid = np.linspace(-1e6, 1e6, 2001)
-        assert reflection_permutation(k_grid).tobytes() == reflection_by_momentum(k_grid).tobytes()
+        R_ref = reflection_by_momentum(k_grid)
+        assert np.array_equal(pauli._reflection_partners(k_grid), partners_of(R_ref))
 
     @pytest.mark.parametrize("k_grid", [[-1.0, np.nan], [np.inf, -np.inf]], ids=["nan", "inf"])
     def test_non_finite_momenta_are_named(self, k_grid):
-        for call in (reflection_permutation, lambda k: lift_conjugation(MINUS_I_SIGMA2, k)):
+        for call in (lambda k: lift_conjugation(MINUS_I_SIGMA2, k), lambda k: discretize(-1.5, k)):
             with pytest.raises(ValueError, match="must be finite"):
                 call(k_grid)
 
@@ -352,12 +358,11 @@ class TestSortPairing:
                 lift_conjugation([[1, 0], [0, np.inf]], [-1.0, 1.0])
 
     def test_construction_forms_no_dense_check(self, monkeypatch):
-        # no Gram product, m x m match or np.kron on the toy path
+        # no Gram product or np.kron on the toy path
         def refuse(*args, **kwargs):
             raise AssertionError("dense construction on the toy path")
 
         monkeypatch.setattr(AntiunitaryOp, "__init__", refuse)
-        monkeypatch.setattr(pauli, "reflection_permutation", refuse)
         monkeypatch.setattr(np, "kron", refuse)
         H, C2, P = discretize(-1.5, np.linspace(-3, 3, 2001))
         assert isinstance(C2, AntiunitaryOp) and C2.dim == H.shape[0] == P.shape[0] == 4002

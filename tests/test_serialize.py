@@ -286,6 +286,14 @@ def test_load_json_rejects_duplicate_keys(tmp_path, text, key):
         load_json(path)
 
 
+def test_load_json_rejects_deep_nesting(tmp_path):
+    # deeper than the decoder's recursion limit on every supported Python
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 10**5 + "]" * 10**5)
+    with pytest.raises(ValueError, match="JSON nested too deeply"):
+        load_json(path)
+
+
 def test_load_json_keeps_equal_keys_of_different_objects(tmp_path):
     path = tmp_path / "m.json"
     path.write_text('{"a": {"rows": 1}, "b": {"rows": 2}, "c": [{"rows": 3}, {"rows": 4}]}')
