@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimMismatch, NotUnitary
-from .linalg import CLASSIFY_TOL, DEFAULT_TOL, Tolerance, as_matrix, as_vector, cayley, fro
+from .linalg import CLASSIFY_TOL, DEFAULT_TOL, as_matrix, as_vector, cayley, fro
 
 #: Largest Gram deviation ``||A*A - I||_F`` of a unitary part: absolute
 #: (a unitary's singular values are 1) and fixed in n. A QR-made unitary
@@ -32,9 +32,9 @@ from .linalg import CLASSIFY_TOL, DEFAULT_TOL, Tolerance, as_matrix, as_vector, 
 UNITARITY_TOL = 1e-10
 
 #: Arc within which :attr:`AntiunitaryOp.square_split` merges eigenvalues of
-#: ``C^{-2}``, and distance of ``C^2`` from ``+-I`` below which it splits
-#: nothing. The residual of an ``H`` that :func:`~csaop.csa.generate_csa`
-#: builds from the split grows to about ``0.7 * gap * ||H||``: keep DEFAULT_TOL.
+#: ``C^{-2}``, and bound on ``||A -+ A^T||_F`` below which it splits nothing.
+#: The residual of an ``H`` that :func:`~csaop.csa.generate_csa` builds from
+#: the split grows to about ``0.7 * gap * ||H||``: keep DEFAULT_TOL.
 C2_CLUSTER_GAP = DEFAULT_TOL.rel
 
 
@@ -144,8 +144,8 @@ class AntiunitaryOp(AntilinearMap):
     @cached_property
     def square_split(self) -> tuple[np.ndarray, np.ndarray] | None:
         """Clusters of the spectrum of ``W = A^T A*``, the unitary matrix of
-        ``C^{-2}``, as read-only ``(Q, labels)``; ``None`` when ``W`` is within
-        :data:`C2_CLUSTER_GAP` of ``+-I`` (Frobenius norm).
+        ``C^{-2}``, as read-only ``(Q, labels)``; ``None`` when ``A`` is within
+        :data:`C2_CLUSTER_GAP` of ``+-A^T``, so ``W`` of ``+-I`` (Frobenius norm).
 
         ``Q`` is the ``eigh`` basis of :func:`~csaop.linalg.cayley` of ``W``,
         and ``labels[i]`` is the index of the first angle of the cluster of
@@ -153,10 +153,9 @@ class AntiunitaryOp(AntilinearMap):
         eigenvalues cannot widen it. Computed once per instance, in O(n^3).
         """
         A, n = self._matrix, self.dim
-        W = A.T @ A.conj().T
-        if min(fro(W - np.eye(n)), fro(W + np.eye(n))) <= C2_CLUSTER_GAP:
+        if min(_square_distances(A)) <= C2_CLUSTER_GAP:
             return None
-        t, Q = np.linalg.eigh(cayley(W))
+        t, Q = np.linalg.eigh(cayley(A.T @ A.conj().T))
         labels, start = np.zeros(n, dtype=int), -np.inf
         for i, psi in enumerate(2 * np.arctan(t)):
             if psi - start > C2_CLUSTER_GAP:
@@ -178,18 +177,24 @@ def conjugation_k(n: int) -> AntiunitaryOp:
     return AntiunitaryOp(np.eye(n))
 
 
-def classify(C: AntilinearMap, tol: Tolerance = CLASSIFY_TOL) -> InvolutionClass:
+def _square_distances(A: np.ndarray) -> tuple[float, float]:
+    """``||A -+ A^T||_F`` for unitary ``A``: they equal ``||C^2 -+ I||_F``, as
+    ``(A conj(A) -+ I) A^T = A -+ A^T``, and ``||W -+ I||_F``, as ``(W -+ I) A``
+    ``= A^T -+ A`` for ``W = A^T A*``, the matrix of ``C^{-2}``."""
+    return fro(A - A.T), fro(A + A.T)
+
+
+def classify(C: AntiunitaryOp) -> InvolutionClass:
     """Classify ``C^2`` as +I (involutive), -I (anti-involutive), or neither.
 
-    The default tolerance is looser than arithmetic tolerance because the
-    classification gates algorithm branches downstream.
+    ``C^2 = +-I`` iff ``A = +-A^T`` for the unitary part ``A``, so
+    :func:`_square_distances` is compared with :data:`~csaop.linalg.CLASSIFY_TOL`,
+    in O(n^2) and with no ``C^2`` formed.
     """
-    square = C.squared()
-    eye = np.eye(C.dim)
-    bound = tol.bound(1.0)
-    if fro(square - eye) <= bound:
+    minus, plus = _square_distances(C.unitary_part)
+    if minus <= CLASSIFY_TOL.bound(1.0):
         return InvolutionClass.INVOLUTIVE
-    if fro(square + eye) <= bound:
+    if plus <= CLASSIFY_TOL.bound(1.0):
         return InvolutionClass.ANTI_INVOLUTIVE
     return InvolutionClass.NEITHER
 

@@ -45,9 +45,9 @@ class Tolerance:
 
 DEFAULT_TOL = Tolerance()
 
-#: Bound on ``||C^2 - I||_F`` and ``||C^2 + I||_F`` in
-#: :func:`~csaop.antiunitary.classify`, which gates algorithm branches:
-#: absolute (``C^2`` is unitary), fixed in n, looser than DEFAULT_TOL.
+#: Bound on ``||A -+ A^T||_F`` in :func:`~csaop.antiunitary.classify`, which
+#: gates algorithm branches: absolute (``A`` is unitary), fixed in n, looser
+#: than DEFAULT_TOL.
 CLASSIFY_TOL = Tolerance(abs=1e-8, rel=0.0)
 
 

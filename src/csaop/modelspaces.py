@@ -7,8 +7,8 @@ a_{N-1})``. Only monomial inner functions are supported; general inner
 functions would require approximation theory with no exact content.
 
 Symbols of multiplication operators are finitely supported Fourier
-coefficient maps ``{n: coefficient}`` (trigonometric polynomials), for
-which unit-circle sampling at enough points is exact.
+coefficient maps ``{n: coefficient}`` (trigonometric polynomials), so an
+identity between symbols is a finite set of identities between coefficients.
 """
 
 from __future__ import annotations
@@ -19,10 +19,14 @@ import numpy as np
 
 from .antiunitary import AntilinearMap, AntiunitaryOp, InvolutionClass, classify
 from .csa import CsaReport, check_c_selfadjoint
-from .errors import DimMismatch, HypothesisViolated, OddDimension
+from .errors import DimMismatch, HypothesisViolated, NonFinite, OddDimension
 from .linalg import DEFAULT_TOL, Tolerance, as_matrix, fro
 
 Symbol = dict[int, complex]
+
+#: Largest imaginary part :func:`theta_condition_check` accepts, relative to
+#: the largest coefficient magnitude (about 5000 eps) and so at any scale.
+THETA_IMAG_TOL = 1e-12
 
 
 def _flip(n: int) -> np.ndarray:
@@ -116,8 +120,11 @@ def evaluate_symbol(phi: Symbol, z) -> np.ndarray:
 
 
 def _magnitude(*symbols: Symbol) -> float:
-    """Largest coefficient magnitude over the symbols (0 if all are empty)."""
-    return max((abs(complex(c)) for phi in symbols for c in phi.values()), default=0.0)
+    """Largest coefficient magnitude (0 if none); NonFinite unless finite."""
+    mag = float(np.max([abs(complex(c)) for phi in symbols for c in phi.values()], initial=0.0))
+    if not mag < np.inf:  # NaN too
+        raise NonFinite("symbol coefficients must have finite magnitudes")
+    return mag
 
 
 def max_support(phi: Symbol) -> int:
@@ -129,20 +136,14 @@ def theta_condition_check(theta: Symbol) -> bool:
     """Whether an analytic symbol satisfies
     ``theta(conj(z)) = theta(-conj(z)) = conj(theta(z))``.
 
-    At the coefficient level this says: all coefficients real, supported
-    on even indices, with imaginary parts zero up to ``1e-12`` times the
-    largest coefficient magnitude capped at 1 (a small symbol is judged at
-    its own scale). Requires nonnegative support (analytic symbols only).
+    At the coefficient level: even indices only, imaginary parts within
+    :data:`THETA_IMAG_TOL` times the largest magnitude at every scale
+    (:class:`NonFinite` if not finite). Needs nonnegative support.
     """
     if any(int(n) < 0 and c != 0 for n, c in theta.items()):
         raise ValueError("theta must be supported on nonnegative indices")
-    bound = 1e-12 * min(1.0, _magnitude(theta))
-    for n, c in theta.items():
-        if c == 0:
-            continue
-        if int(n) % 2 != 0 or abs(complex(c).imag) > bound:
-            return False
-    return True
+    bound = THETA_IMAG_TOL * _magnitude(theta)
+    return all(c == 0 or (int(n) % 2 == 0 and abs(complex(c).imag) <= bound) for n, c in theta.items())
 
 
 def build_T(phi1: Symbol, phi2: Symbol, N: int) -> np.ndarray:
@@ -164,31 +165,31 @@ def build_T(phi1: Symbol, phi2: Symbol, N: int) -> np.ndarray:
     return table[n % 2, m - n + N - 1]
 
 
-def check_condition_and(phi1: Symbol, phi2: Symbol, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Unit-circle test of the two symbol identities equivalent to the
-    parity-split operator being self-adjoint up to the pairing conjugation:
+def check_condition_and(phi1: Symbol, phi2: Symbol) -> bool:
+    """Test of the two symbol identities equivalent to the parity-split
+    operator being self-adjoint up to the pairing conjugation:
 
         -conj(z) phi1(z) + z phi2(z) = z phi1(conj(z)) - conj(z) phi2(conj(z))
          conj(z) phi1(z) + z phi2(z) = z phi1(-conj(z)) + conj(z) phi2(-conj(z))
 
-    Both sides are trigonometric polynomials with frequencies within
-    ``max support + 1``, so sampling ``2 * max support + 4`` equispaced
-    points is exact (two extra points over the frequency span avoid an
-    aliasing cancellation between the two extreme frequencies). The bound
-    is ``tol.bound`` at the largest coefficient magnitude capped at 1, so a
-    small symbol is judged at its own scale.
+    With ``conj(z) = 1/z``, ``phi1 = sum a_n z^n`` and ``phi2 = sum b_n z^n``,
+    the ``z^k`` coefficients of the differences of the two sides, zero unless
+    ``|k| <= s + 1`` for the larger support ``s``, are
+
+        d1_k = b_{k-1} - a_{k+1} - a_{1-k} + b_{-1-k}
+        d2_k = a_{k+1} + b_{k-1} + (-1)^k (a_{1-k} + b_{-1-k})
+
+    Each must be within ``DEFAULT_TOL.bound`` at the largest coefficient
+    magnitude, so at every scale; :class:`NonFinite` for a non-finite one.
     """
+    bound = DEFAULT_TOL.bound(_magnitude(phi1, phi2))
     s = max(max_support(phi1), max_support(phi2))
-    M = 2 * s + 4
-    z = np.exp(2j * np.pi * np.arange(M) / M)
-    zb = np.conj(z)
-    p1, p2 = evaluate_symbol(phi1, z), evaluate_symbol(phi2, z)
-    p1b, p2b = evaluate_symbol(phi1, zb), evaluate_symbol(phi2, zb)
-    p1nb, p2nb = evaluate_symbol(phi1, -zb), evaluate_symbol(phi2, -zb)
-    first = (-zb * p1 + z * p2) - (z * p1b - zb * p2b)
-    second = (zb * p1 + z * p2) - (z * p1nb + zb * p2nb)
-    bound = tol.bound(min(1.0, _magnitude(phi1, phi2)))
-    return bool(np.all(np.abs(first) <= bound) and np.all(np.abs(second) <= bound))
+    a, b = (np.array([phi.get(d, 0) for d in range(-s - 2, s + 3)], complex) for phi in (phi1, phi2))
+    a_next, b_prev = a[2:], b[:-2]  # a_{k+1}, b_{k-1} for k = -(s+1) ... s+1
+    a_refl, b_refl = a_next[::-1], b_prev[::-1]  # a_{1-k}, b_{-1-k}
+    d1 = b_prev - a_next - a_refl + b_refl
+    d2 = a_next + b_prev + (-1.0) ** np.arange(-s - 1, s + 2) * (a_refl + b_refl)
+    return bool(np.all(np.abs(d1) <= bound) and np.all(np.abs(d2) <= bound))
 
 
 @dataclass(frozen=True)
@@ -223,9 +224,7 @@ class BlockAntilinear:
         return AntilinearMap(B)
 
 
-def block_antiunitary_check(
-    B: BlockAntilinear, tol: Tolerance = DEFAULT_TOL
-) -> tuple[bool, bool]:
+def block_antiunitary_check(B: BlockAntilinear) -> tuple[bool, bool]:
     """Blockwise antiunitarity and anti-involutivity residuals.
 
     With ``M`` the assembled matrix, the six block identities equivalent to
@@ -233,20 +232,17 @@ def block_antiunitary_check(
     ``M^T conj(M) - I``; for the second flag, the six identities equivalent
     to ``C* = -C`` together with ``C^2 = -I`` are the blocks of ``M + M^T``
     and ``M conj(M) + I``. Each flag compares the largest block Frobenius
-    norm with the bound. Returns ``(antiunitary, anti_involutive)``.
+    norm with ``DEFAULT_TOL.bound(1)``. Returns ``(antiunitary,
+    anti_involutive)``, ``(True, True)`` for 0x0 blocks.
     """
-    M = B.assembled().matrix
-    n = B.d11.dim
+    M, n = B.assembled().matrix, B.d11.dim
     eye = np.eye(2 * n)
 
-    def worst(*products):
-        return np.linalg.norm(np.stack(products).reshape(-1, 2, n, 2, n), axis=(2, 4)).max()
+    def within(*products):
+        norms = np.linalg.norm(np.stack(products).reshape(len(products), 2, n, 2, n), axis=(2, 4))
+        return bool(norms.max() <= DEFAULT_TOL.bound(1.0))
 
-    bound = tol.bound(1.0)
-    return (
-        bool(worst(M @ M.conj().T - eye, M.T @ np.conj(M) - eye) <= bound),
-        bool(worst(M + M.T, M @ np.conj(M) + eye) <= bound),
-    )
+    return within(M @ M.conj().T - eye, M.T @ np.conj(M) - eye), within(M + M.T, M @ np.conj(M) + eye)
 
 
 def prop11_check(

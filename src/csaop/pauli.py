@@ -35,7 +35,7 @@ import numpy as np
 
 from .antiunitary import AntiunitaryOp
 from .errors import AsymmetricGrid
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL
 
 SIGMA1 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA2 = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -198,9 +198,7 @@ def constant_conjugation_residual(alpha: float, A) -> float:
     )
 
 
-def constant_conjugation_search(
-    alpha: float, tol: Tolerance = DEFAULT_TOL
-) -> tuple[bool, np.ndarray | None]:
+def constant_conjugation_search(alpha: float) -> tuple[bool, np.ndarray | None]:
     """Find a constant 2x2 involutive antiunitary intertwining the model.
 
     In closed form: an involutive antiunitary ``C = A o K`` has
@@ -211,13 +209,13 @@ def constant_conjugation_search(
     when ``|d| = 1`` and ``|alpha| = 1``, so the search is the check
     ``|alpha| = 1``, made by certifying the phase-normalized witness
     ``diag(1, -sign alpha)`` (``sigma3`` at ``alpha = 1``, the identity at
-    ``alpha = -1``) with :func:`constant_conjugation_residual`. That
-    residual is ``sqrt(2) ||alpha| - 1|``, or at least 1 when alpha is 0.
-    Raises ``ValueError`` for a non-finite ``alpha``.
+    ``alpha = -1``) with :func:`constant_conjugation_residual` against
+    ``DEFAULT_TOL.bound(1)``. That residual is ``sqrt(2) ||alpha| - 1|``, or
+    at least 1 when alpha is 0. Raises ``ValueError`` for a non-finite alpha.
     """
     if not np.isfinite(alpha):
         raise ValueError("alpha must be finite")
     A = np.diag([1.0, -np.sign(alpha)]).astype(complex)
-    if constant_conjugation_residual(alpha, A) > tol.bound(1.0):
+    if constant_conjugation_residual(alpha, A) > DEFAULT_TOL.bound(1.0):
         return False, None
     return True, A

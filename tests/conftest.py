@@ -10,7 +10,10 @@ exactly where the tests use it.
 import numpy as np
 import pytest
 
-from csaop import AntiunitaryOp
+from csaop import AntiunitaryOp, InvolutionClass
+from csaop.antiunitary import C2_CLUSTER_GAP
+from csaop.linalg import CLASSIFY_TOL, DEFAULT_TOL, cayley, fro
+from csaop.modelspaces import evaluate_symbol, max_support
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -35,6 +38,100 @@ def c2_blocks(n):
 
 def random_antiunitary(n, seed):
     return AntiunitaryOp(haar_unitary(n, np.random.default_rng(seed)))
+
+
+def class_operator(kind, n, seed):
+    """A Haar-conjugated C of the given involution class: ``V V^T``,
+    ``V (I (x) J2) V^T`` (even n only) or a Haar unitary."""
+    V = haar_unitary(n, np.random.default_rng(seed))
+    if kind == "involutive":
+        return AntiunitaryOp(V @ V.T)
+    if kind == "anti-involutive":
+        return AntiunitaryOp(V @ np.kron(np.eye(n // 2), J2) @ V.T)
+    return AntiunitaryOp(V)
+
+
+def mixed_square(seed):
+    """Haar-conjugated block C whose C^2 has eigenvalues +1, -1 and
+    e^{+-0.7i}, each twice."""
+    twist = np.array([[0.0, 1.0], [np.exp(0.7j), 0.0]])  # C^2 = diag(e^{-0.7i}, e^{0.7i})
+    blocks = [np.eye(2), J2, twist, twist]
+    A0 = np.zeros((8, 8), dtype=complex)
+    for k, block in enumerate(blocks):
+        A0[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = block
+    V = haar_unitary(8, np.random.default_rng(seed))
+    return AntiunitaryOp(V @ A0 @ V.T)
+
+
+def near_involutive(n, deviation, seed, sign=1):
+    """``C = B exp(i eps K)`` with ``||C^2 - sign I||_F`` about ``deviation``,
+    ``B = V V^T`` (sign 1) or ``V (I (x) J2) V^T`` (sign -1, even n)."""
+    rng = np.random.default_rng(seed)
+    V = haar_unitary(n, rng)
+    K = random_matrix(n, rng)
+    w, U = np.linalg.eigh(K + K.conj().T)
+    B = V @ (np.eye(n) if sign == 1 else np.kron(np.eye(n // 2), J2)) @ V.T
+
+    def unitary(eps):
+        return B @ (U * np.exp(1j * eps * w)) @ U.conj().T
+
+    def square_deviation(eps):
+        A = unitary(eps)
+        return fro(A @ np.conj(A) - sign * np.eye(n))
+
+    # the deviation is linear in eps at these sizes
+    return AntiunitaryOp(unitary(1e-3 * deviation / square_deviation(1e-3)))
+
+
+def square_deviations(C):
+    """``(||C^2 - I||_F, ||C^2 + I||_F)`` from the dense square ``C.squared()``."""
+    square, eye = C.squared(), np.eye(C.dim)
+    return fro(square - eye), fro(square + eye)
+
+
+def classify_by_square(C):
+    """Reference for ``classify``: the dense ``C^2`` against ``+-I``."""
+    minus, plus = square_deviations(C)
+    if minus <= CLASSIFY_TOL.bound(1.0):
+        return InvolutionClass.INVOLUTIVE
+    if plus <= CLASSIFY_TOL.bound(1.0):
+        return InvolutionClass.ANTI_INVOLUTIVE
+    return InvolutionClass.NEITHER
+
+
+def square_split_by_w(C):
+    """Reference for ``AntiunitaryOp.square_split``: forms ``W = A^T A*`` and
+    tests its distance from ``+-I`` before the Cayley transform, ``eigh`` and
+    the angle labels."""
+    A, n = C.unitary_part, C.dim
+    W = A.T @ A.conj().T
+    if min(fro(W - np.eye(n)), fro(W + np.eye(n))) <= C2_CLUSTER_GAP:
+        return None
+    t, Q = np.linalg.eigh(cayley(W))
+    labels, start = np.zeros(n, dtype=int), -np.inf
+    for i, psi in enumerate(2 * np.arctan(t)):
+        if psi - start > C2_CLUSTER_GAP:
+            start, labels[i:] = psi, i
+    return Q, labels
+
+
+def condition_and_by_sampling(phi1, phi2, tol=DEFAULT_TOL):
+    """Reference for ``modelspaces.check_condition_and``: both identities at
+    ``2 s + 4`` equispaced unit-circle points (exact for frequencies within
+    ``s + 1``; the two extra points avoid an aliasing cancellation between
+    the extreme frequencies), judged at the magnitude capped at 1."""
+    s = max(max_support(phi1), max_support(phi2))
+    M = 2 * s + 4
+    z = np.exp(2j * np.pi * np.arange(M) / M)
+    zb = np.conj(z)
+    p1, p2 = evaluate_symbol(phi1, z), evaluate_symbol(phi2, z)
+    p1b, p2b = evaluate_symbol(phi1, zb), evaluate_symbol(phi2, zb)
+    p1nb, p2nb = evaluate_symbol(phi1, -zb), evaluate_symbol(phi2, -zb)
+    first = (-zb * p1 + z * p2) - (z * p1b - zb * p2b)
+    second = (zb * p1 + z * p2) - (z * p1nb + zb * p2nb)
+    magnitude = max((abs(complex(c)) for phi in (phi1, phi2) for c in phi.values()), default=0.0)
+    bound = tol.bound(min(1.0, magnitude))
+    return bool(np.all(np.abs(first) <= bound) and np.all(np.abs(second) <= bound))
 
 
 def random_matrix(n, rng):

@@ -21,19 +21,21 @@ from csaop import (
     refined_svd,
 )
 from csaop import antiunitary
-from csaop.antiunitary import C2_CLUSTER_GAP
 from csaop.linalg import cayley, direct_sum_blocks, fro, nullspace
 
 from conftest import (
-    J2,
     c2_blocks,
+    class_operator,
     conj_k,
     haar_unitary,
     hadamard_conjugation,
+    mixed_square,
+    near_involutive,
     overflowing_csa,
     overflowing_diagonal,
     random_antiunitary,
     random_matrix,
+    square_split_by_w,
     symmetrized_csa,
 )
 
@@ -184,36 +186,6 @@ def constraint_basis(C):
     return nullspace(np.array(columns).T).T.real
 
 
-def mixed_square(seed):
-    """Haar-conjugated block C whose C^2 has eigenvalues +1, -1 and
-    e^{+-0.7i}, each twice."""
-    twist = np.array([[0.0, 1.0], [np.exp(0.7j), 0.0]])  # C^2 = diag(e^{-0.7i}, e^{0.7i})
-    blocks = [np.eye(2), J2, twist, twist]
-    A0 = np.zeros((8, 8), dtype=complex)
-    for k, block in enumerate(blocks):
-        A0[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = block
-    V = haar_unitary(8, np.random.default_rng(seed))
-    return AntiunitaryOp(V @ A0 @ V.T)
-
-
-def near_involutive(n, deviation, seed):
-    """``C = (V V^T) exp(i eps K)`` with ``||C^2 - I||_F`` about ``deviation``."""
-    rng = np.random.default_rng(seed)
-    V = haar_unitary(n, rng)
-    K = random_matrix(n, rng)
-    w, U = np.linalg.eigh(K + K.conj().T)
-
-    def unitary(eps):
-        return V @ V.T @ (U * np.exp(1j * eps * w)) @ U.conj().T
-
-    def square_deviation(eps):
-        A = unitary(eps)
-        return fro(A @ np.conj(A) - np.eye(n))
-
-    # the deviation is linear in eps at these sizes
-    return AntiunitaryOp(unitary(1e-3 * deviation / square_deviation(1e-3)))
-
-
 class TestGenerateOracle:
     @pytest.mark.parametrize(
         "C",
@@ -254,34 +226,20 @@ class TestGenerateOracle:
 
 def reference_generate_csa(C, seed):
     """The generator as it was before the C^2 split moved onto the operator:
-    ``W``, its distance from ``+-I``, the Cayley transform, ``eigh`` and the
-    angle labels on every call. The oracle for the bytes of ``generate_csa``."""
+    :func:`square_split_by_w` (``W``, its distance from ``+-I``, the Cayley
+    transform, ``eigh`` and the angle labels) on every call. The oracle for
+    the bytes of ``generate_csa``."""
     A = C.unitary_part
     n = C.dim
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    W = A.T @ A.conj().T
-    if min(fro(W - np.eye(n)), fro(W + np.eye(n))) > C2_CLUSTER_GAP:
-        t, Q = np.linalg.eigh(cayley(W))
-        labels, start = np.zeros(n, dtype=int), -np.inf
-        for i, psi in enumerate(2 * np.arctan(t)):
-            if psi - start > C2_CLUSTER_GAP:
-                start, labels[i:] = psi, i
+    split = square_split_by_w(C)
+    if split is not None:
+        Q, labels = split
         X = Q.conj().T @ G @ Q
         X[labels[:, None] != labels] = 0
         G = Q @ X @ Q.conj().T
     return (G + A.T @ G.T @ A.conj()) / 2
-
-
-def class_operator(kind, n, seed):
-    """A Haar-conjugated C of the given involution class: ``V V^T``,
-    ``V (I (x) J2) V^T`` (even n only) or a Haar unitary."""
-    V = haar_unitary(n, np.random.default_rng(seed))
-    if kind == "involutive":
-        return AntiunitaryOp(V @ V.T)
-    if kind == "anti-involutive":
-        return AntiunitaryOp(V @ np.kron(np.eye(n // 2), J2) @ V.T)
-    return AntiunitaryOp(V)
 
 
 SEEDS = (0, 1, 2, 7, 99, 12345)

@@ -4,6 +4,7 @@ import pytest
 from csaop import (
     HypothesisViolated,
     InvolutionClass,
+    NonFinite,
     OddDimension,
     check_c_selfadjoint,
     classify,
@@ -28,7 +29,7 @@ from csaop.modelspaces import (
 )
 from csaop.pauli import MINUS_I_SIGMA2
 
-from conftest import haar_unitary, random_vector
+from conftest import condition_and_by_sampling, haar_unitary, random_vector
 
 
 def random_symbol(rng, support, density=0.8):
@@ -37,6 +38,31 @@ def random_symbol(rng, support, density=0.8):
         if rng.uniform() < density:
             phi[int(n)] = complex(rng.standard_normal(), rng.standard_normal())
     return phi
+
+
+def valid_symbol_pair(rng, K):
+    """A pair that meets both identities of ``check_condition_and``.
+
+    With ``u_k = a_{k+1}`` and ``v_k = b_{k-1}``, ``d1 = 0`` makes
+    ``q = v - u`` odd in k, and ``d2 = 0`` makes ``w = u + v`` odd on even k
+    and even on odd k. Draw q and w on ``1 <= k <= K``; the supports reach
+    ``K + 1``."""
+    q, w = np.zeros(2 * K + 1, complex), np.zeros(2 * K + 1, complex)
+    for k in range(1, K + 1):
+        qk, wk = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        q[K + k], q[K - k] = qk, -qk
+        w[K + k], w[K - k] = wk, (-1) ** (k + 1) * wk
+    u, v = (w - q) / 2, (w + q) / 2
+    phi1 = {k + 1: u[K + k] for k in range(-K, K + 1) if u[K + k] != 0}
+    phi2 = {k - 1: v[K + k] for k in range(-K, K + 1) if v[K + k] != 0}
+    return phi1, phi2
+
+
+def scaled(phi, t):
+    return {n: t * c for n, c in phi.items()}
+
+
+SCALES = 10.0 ** np.arange(-300, 301, 25)
 
 
 class TestConjugationCGamma:
@@ -179,6 +205,27 @@ class TestThetaCondition:
     def test_small_symbol_judged_at_its_own_scale(self, t):
         # an imaginary part as large as the symbol itself fails at any scale
         assert not theta_condition_check({0: t, 2: t * 1j})
+
+    def test_large_symbol_judged_at_its_own_scale(self):
+        # imaginary part 1e-13 of the symbol's size
+        assert theta_condition_check({0: 1e6, 2: 1e6 + 1e-7j})
+
+    def test_scaling_leaves_the_outcome(self, rng):
+        families = []
+        for _ in range(4):
+            real_even = {n: float(rng.standard_normal()) for n in (0, 2, 4, 6)}
+            size = max(map(abs, real_even.values()))  # imaginary parts relative to it
+            families.append((real_even, True))
+            families.append(({**real_even, 2: real_even[2] + 1e-13j * size}, True))
+            families.append(({**real_even, 2: real_even[2] + 1e-9j * size}, False))
+            families.append(({**real_even, 3: 0.5 * size}, False))
+        for theta, valid in families:
+            assert [theta_condition_check(scaled(theta, t)) for t in SCALES] == [valid] * len(SCALES)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0, np.inf)])
+    def test_non_finite_coefficient_raises(self, bad):
+        with pytest.raises(NonFinite):
+            theta_condition_check({0: 1.0, 2: bad})
 
     def test_matches_circle_sampling_oracle(self, rng):
         # sample the defining identities at 64 unit-circle points
@@ -350,6 +397,53 @@ class TestConditionAnd:
                 1.0, fro(T)
             )
 
+    def test_large_symbols_judged_at_their_own_scale(self):
+        # the two coefficients differ by about 1e-16 relative
+        assert check_condition_and({2: 1e8 * 0.3}, {-2: 1e8 * (0.1 + 0.2)})
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(np.nan, 0)])
+    def test_non_finite_coefficient_raises(self, bad):
+        with pytest.raises(NonFinite):
+            check_condition_and({0: bad}, {})
+
+    def test_valid_construction(self, rng):
+        for K in range(0, 6):
+            phi1, phi2 = valid_symbol_pair(rng, K)
+            assert max(map(max_support, (phi1, phi2)), default=0) <= K + 1
+            assert check_condition_and(phi1, phi2)
+            assert condition_and_by_sampling(phi1, phi2)
+
+    def test_accepts_all_that_sampling_accepts(self):
+        # valid constructions, perturbations of them and unstructured pairs, support up to 6
+        rng = np.random.default_rng(2718)
+        counts = {"both": 0, "neither": 0, "only_coefficients": 0}
+        for trial in range(600):
+            K = trial % 6
+            phi1, phi2 = valid_symbol_pair(rng, K)
+            kind = trial % 3
+            if kind == 1:  # one coefficient moved by 1e-14 ... 1e-6
+                target = phi1 if rng.uniform() < 0.5 else phi2
+                n = int(rng.integers(-K - 1, K + 2))
+                target[n] = target.get(n, 0) + 10.0 ** rng.uniform(-14, -6) * np.exp(2j * np.pi * rng.uniform())
+            elif kind == 2:
+                phi1, phi2 = (random_symbol(rng, range(-6, 7), density=0.4) for _ in range(2))
+            sampled, coefficients = condition_and_by_sampling(phi1, phi2), check_condition_and(phi1, phi2)
+            assert coefficients or not sampled, (phi1, phi2)
+            counts["both" if sampled else "only_coefficients" if coefficients else "neither"] += 1
+        assert counts["both"] >= 250 and counts["neither"] >= 250
+
+    def test_scaling_leaves_the_outcome(self):
+        rng = np.random.default_rng(31)
+        families = [(({2: 0.3}, {-2: 0.1 + 0.2}), True), (({0: 1.0, 1: 0.3j}, {2: 0.7}), False)]
+        for K in range(6):
+            phi1, phi2 = valid_symbol_pair(rng, K)
+            families.append(((phi1, phi2), True))
+            families.append(((phi1, {**phi2, K - 1: phi2.get(K - 1, 0) + 1e-6}), False))
+            families.append(((random_symbol(rng, range(-6, 7)), random_symbol(rng, range(-6, 7))), False))
+        for (phi1, phi2), valid in families:
+            outcomes = [check_condition_and(scaled(phi1, t), scaled(phi2, t)) for t in SCALES]
+            assert outcomes == [valid] * len(SCALES), (phi1, phi2)
+
     def test_violating_pair_gives_non_selfadjoint_compression(self):
         phi1, phi2 = {1: 1.0}, {}
         assert not check_condition_and(phi1, phi2)
@@ -386,6 +480,13 @@ class TestBlockAntilinear:
             False,
             False,
         )
+
+    def test_empty_blocks(self):
+        # as classify (involutive) and prop11_check (C-self-adjoint) at dimension 0
+        empty = np.zeros((0, 0))
+        assert block_antiunitary_check(BlockAntilinear.from_matrices(empty, empty, empty, empty)) == (True, True)
+        assert classify(AntiunitaryOp(empty)) is InvolutionClass.INVOLUTIVE
+        assert prop11_check(empty, AntiunitaryOp(empty), 1.0).is_csa
 
     def test_involutive_diagonal_is_not_anti_involutive(self):
         eye = np.eye(2)
