@@ -251,9 +251,11 @@ def prop11_check(
     """Block model ``[[p^2, alpha p], [p, p^2]]`` against the off-diagonal
     pairing conjugation built from an involutive ``D2``.
 
-    Requires ``D2`` involutive and the intertwining ``D2 p D2 = -p*``;
-    under those hypotheses the block matrix is C-self-adjoint for every
-    real ``alpha``, which the returned report verifies directly.
+    Requires ``D2`` involutive and the intertwining ``D2 p D2 = -p*``,
+    judged at ``tol.bound(||p||_F)`` so that the verdict does not change
+    with the scale of ``p``; under those hypotheses the block matrix is
+    C-self-adjoint for every real ``alpha``, which the returned report
+    verifies directly (:class:`NonFinite` when an entry overflows).
     """
     p = as_matrix(p, square=True)
     if classify(D2) is not InvolutionClass.INVOLUTIVE:
@@ -263,10 +265,13 @@ def prop11_check(
         raise DimMismatch("D2 and p have different dimensions")
     sandwich = b @ np.conj(p) @ np.conj(b)
     defect = fro(sandwich + p.conj().T)
-    if defect > tol.bound(max(1.0, fro(p))):
+    if defect > tol.bound(fro(p)):
         raise HypothesisViolated(f"||D2 p D2 + p*|| = {defect:.3e} exceeds tolerance")
-    p2 = p @ p
-    T = np.block([[p2, alpha * p], [p, p2]])
+    with np.errstate(over="ignore", invalid="ignore"):  # judged on T below
+        p2 = p @ p
+        T = np.block([[p2, alpha * p], [p, p2]])
+    if not np.isfinite(T).all():
+        raise NonFinite("the block matrix overflows")
     zero = np.zeros_like(b)
     C_block = AntiunitaryOp(np.block([[zero, b], [-b, zero]]))
     return check_c_selfadjoint(T, C_block, tol)

@@ -13,11 +13,17 @@ shortest round-trip spelling (Ryu: ``1e-05`` is written ``0.00001``), so the
 standard decoder reads them back bit for bit.
 :func:`load_json` rejects what the standard decoder reads leniently: NaN,
 +-Infinity and a key repeated within one object, and raises ``ValueError``,
-not ``RecursionError``, on nesting too deep to decode.
+not ``RecursionError``, on nesting too deep to decode. It reads with
+``orjson`` when a screen of the bytes shows that ``orjson`` returns what the
+standard decoder would: no backslash, no integer of 19 or more digits,
+nesting no deeper than :data:`ORJSON_MAX_DEPTH` and no key string twice in
+the document. Every other document, and every one ``orjson`` rejects, goes
+to the standard decoder, so each rejection keeps its exception and message.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 
@@ -153,14 +159,75 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+#: Deepest nesting of brackets outside strings that :func:`load_json` hands
+#: to ``orjson``, which reads 10**5 levels. The standard decoder stops at the
+#: interpreter's recursion limit (1000 by default, less the caller's own
+#: stack), and a deeper document is left to it, so that it still raises
+#: "JSON nested too deeply". CLI inputs nest 3 levels deep.
+ORJSON_MAX_DEPTH = 128
+
+# The screen's alphabet: every digit becomes "0", "{" and "}" become "[" and
+# "]", ".", '"' and ":" stay, whitespace is deleted and every other byte
+# becomes ",". Brackets are then the only bytes from "[" up.
+_SCREEN_TABLE = bytes(
+    48 if 48 <= b <= 57 else 91 if b in b"[{" else 93 if b in b"]}" else b if b in b'.":' else 44
+    for b in range(256)
+)
+_LONG_DIGITS = b"0" * 19  # orjson 3.8 reads an int outside [-2**63, 2**64) as a float
+
+
+def _orjson_reads_like_json(data: bytes) -> bool:
+    """Whether ``orjson.loads(data)``, if it succeeds, returns exactly what
+    :func:`json.loads` returns: no backslash, no run of 19 or more digits
+    but a fraction's, nesting outside strings no deeper than
+    :data:`ORJSON_MAX_DEPTH` and pairwise distinct key strings. Each check
+    is a ``bytes`` method or a whole-array numpy operation."""
+    if b"\\" in data:  # with no escape, a string is its raw bytes and its quotes pair up in order
+        return False
+    screen = data.translate(_SCREEN_TABLE, b" \t\n\r")
+    codes = np.frombuffer(screen, dtype=np.uint8)
+    quotes = np.flatnonzero(codes == ord('"'))
+    if len(quotes) % 2:
+        return False
+    is_key = np.take(codes, quotes[1::2] + 1, mode="clip") == ord(":")  # a key's closing quote meets ":"
+    if is_key.any():
+        spans = np.flatnonzero(np.frombuffer(data, dtype=np.uint8) == ord('"')).reshape(-1, 2)[is_key]
+        keys = list(map(data.__getitem__, map(slice, (spans[:, 0] + 1).tolist(), spans[:, 1].tolist())))
+        if len(set(keys)) < len(keys):
+            return False
+    # a run of 19 or more digits that does not follow "." adds to the first count only
+    runs = screen.count(_LONG_DIGITS)
+    if runs and runs > screen.count(b"." + _LONG_DIGITS):
+        return False
+    brackets = np.flatnonzero(codes >= ord("["))
+    if len(brackets) <= ORJSON_MAX_DEPTH:
+        return True
+    brackets = brackets[np.searchsorted(quotes, brackets) % 2 == 0]  # outside strings
+    steps = ord("[") + 1 - codes[brackets].astype(np.int64)  # "[" is +1, "]" is -1
+    return int(np.cumsum(steps).max(initial=0)) <= ORJSON_MAX_DEPTH
+
+
 def load_json(path) -> object:
     """Parsed JSON; ``ValueError`` on the non-standard NaN and +-Infinity, on
-    a key repeated within one object and on nesting beyond the recursion limit."""
-    with open(path, "r", encoding="utf-8") as handle:
+    a key repeated within one object and on nesting beyond the recursion limit.
+
+    Read with ``orjson`` when :func:`_orjson_reads_like_json` passes the
+    bytes and ``orjson`` accepts them; otherwise with the standard decoder,
+    which gives every rejection its exception and message."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    if _orjson_reads_like_json(data):
+        import orjson  # here, not at module level, as in dump_json
+
         try:
-            return json.load(handle, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
-        except RecursionError:
-            raise ValueError("JSON nested too deeply") from None
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()  # decoded as open(path, "r") decodes
+    try:
+        return json.loads(text, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
 
 
 def _float_subclass(value) -> float:
@@ -191,7 +258,7 @@ def _check_numbers(obj) -> None:
 def dump_json(obj, path) -> None:
     """One compact line; ``ValueError`` on NaN, +-inf or an int outside 64
     bits before ``path`` is opened."""
-    import orjson  # here, not at module level: reading a file skips its ~9 ms import
+    import orjson  # here, not at module level: importing csaop skips its ~9 ms import
 
     try:
         data = orjson.dumps(obj, default=_float_subclass, option=orjson.OPT_APPEND_NEWLINE)

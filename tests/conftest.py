@@ -7,6 +7,9 @@ projection onto the solution space only when ``C^2 = +-I``, which is
 exactly where the tests use it.
 """
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from csaop import AntiunitaryOp, InvolutionClass
 from csaop.antiunitary import C2_CLUSTER_GAP
 from csaop.linalg import CLASSIFY_TOL, DEFAULT_TOL, cayley, fro
 from csaop.modelspaces import evaluate_symbol, max_support
+from csaop.serialize import _reject_constant, _unique_keys
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -132,6 +136,27 @@ def condition_and_by_sampling(phi1, phi2, tol=DEFAULT_TOL):
     magnitude = max((abs(complex(c)) for phi in (phi1, phi2) for c in phi.values()), default=0.0)
     bound = tol.bound(min(1.0, magnitude))
     return bool(np.all(np.abs(first) <= bound) and np.all(np.abs(second) <= bound))
+
+
+def load_json_by_stdlib(path):
+    """Reference for ``serialize.load_json``: the standard decoder alone, on
+    the file as text, with the NaN/Infinity and repeated-key hooks."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
+        except RecursionError:
+            raise ValueError("JSON nested too deeply") from None
+
+
+def typed_leaves(obj) -> list:
+    """Every key and leaf of ``obj`` in order, with its type; floats as bits."""
+    if isinstance(obj, dict):
+        return [("dict", len(obj))] + [leaf for k, v in obj.items() for leaf in [("key", k), *typed_leaves(v)]]
+    if isinstance(obj, list):
+        return [("list", len(obj))] + [leaf for v in obj for leaf in typed_leaves(v)]
+    if type(obj) is float:
+        return [(float, struct.pack("<d", obj))]
+    return [(type(obj), obj)]
 
 
 def random_matrix(n, rng):

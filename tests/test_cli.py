@@ -725,3 +725,34 @@ def test_help_lists_exactly_the_options(command, capsys):
         main([command, "--help"])
     assert info.value.code == 0
     assert set(re.findall(r"--[\w-]+", capsys.readouterr().out)) == OPTIONS[command] | {"--help"}
+
+
+@pytest.mark.parametrize("writer", ["dump_json", "json.dumps"])
+def test_inputs_are_read_without_the_standard_decoder(writer, tmp_path, monkeypatch, capsys):
+    # json.dumps with its default separators is the format perfbench writes
+    def write(obj, path):
+        dump_json(obj, path) if writer == "dump_json" else path.write_text(json.dumps(obj))
+        return str(path)
+
+    C = hadamard_conjugation(4)
+    H = 1e-3 * generate_csa(C, seed=3)  # entries such as 0.000123..., a fraction of 19 or more digits
+    h, c = write(matrix_to_json(H), tmp_path / "h.json"), write(antiunitary_to_json(C), tmp_path / "c.json")
+    phi1 = write(symbol_to_json({2: 1.0, 0: 0.5 - 0.25j}), tmp_path / "p1.json")
+    phi2 = write(symbol_to_json({-2: 1.0, 0: 0.5 - 0.25j}), tmp_path / "p2.json")
+    commands = [
+        ["check", "--H", h, "--C", c],
+        ["polar", "--H", h, "--C", c],
+        ["refined-svd", "--H", h, "--C", c],
+        ["anti-eig", "--H", h, "--C", c, "--z", "0,3"],
+        ["pseudospec", "--H", h, "--epsilon", "0.1", "--grid", "-2,2,-2,2", "--res", "3"],
+        ["gen-csa", "--C", c, "--seed", "1"],
+        ["model-space", "--toeplitz", "--phi1", phi1, "--phi2", phi2, "--N", "6"],
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the standard decoder read an input")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    for argv in commands:
+        assert main(argv) == 0, argv
+    assert capsys.readouterr().out.count("\n") == len(commands)

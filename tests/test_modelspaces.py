@@ -542,3 +542,28 @@ class TestProp11:
         M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         p = 0.5 * (M - M.T)
         assert prop11_check(p, conjugation_k(3), -0.7).is_csa
+
+    def test_scaling_leaves_the_outcome(self, rng):
+        # with D2 = V V^T, p = V q V* meets D2 p D2 = -p* for antisymmetric q
+        V = haar_unitary(3, rng)
+        M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        q, D2 = M - M.T, AntiunitaryOp(V @ V.T)
+        cases = [
+            (np.array([[0.0, 1.0], [-1.0, 0.0]]), conjugation_k(2), True),
+            (V @ q @ V.conj().T, D2, True),
+            (np.array([[1e-3, 1.0], [-1.0, 1e-3]]), conjugation_k(2), False),  # defect 2e-3 ||p||_F
+            (V @ (q + 1e-6 * M) @ V.conj().T, D2, False),
+        ]
+
+        def outcome(p, D2):
+            try:
+                return prop11_check(p, D2, 3.0).is_csa
+            except HypothesisViolated:
+                return "violated"
+            except NonFinite:  # ||p^2||_F overflows in the block matrix
+                return "overflow"
+
+        for p, D2, valid in cases:
+            holds = [True if t <= 1e150 else "overflow" for t in SCALES]
+            expected = holds if valid else ["violated"] * len(SCALES)
+            assert [outcome(t * p, D2) for t in SCALES] == expected

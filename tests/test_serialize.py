@@ -23,7 +23,7 @@ from csaop.serialize import (
     symbol_to_json,
 )
 
-from conftest import random_antiunitary, random_matrix
+from conftest import random_antiunitary, random_matrix, typed_leaves
 
 
 def test_matrix_round_trip(rng):
@@ -246,17 +246,6 @@ _JSON_VALUES = st.recursive(
 )
 
 
-def _typed_leaves(obj) -> list:
-    """Every key and leaf of ``obj`` in order, with its type; floats as bits."""
-    if isinstance(obj, dict):
-        return [("dict", len(obj))] + [leaf for k, v in obj.items() for leaf in [("key", k), *_typed_leaves(v)]]
-    if isinstance(obj, list):
-        return [("list", len(obj))] + [leaf for v in obj for leaf in _typed_leaves(v)]
-    if type(obj) is float:
-        return [(float, struct.pack("<d", obj))]
-    return [(type(obj), obj)]
-
-
 @settings(max_examples=200, deadline=None)
 @given(obj=_JSON_VALUES)
 def test_dump_json_round_trips_every_finite_value(tmp_path_factory, obj):
@@ -264,7 +253,7 @@ def test_dump_json_round_trips_every_finite_value(tmp_path_factory, obj):
     dump_json(obj, path)
     back = load_json(path)
     assert back == obj
-    assert _typed_leaves(back) == _typed_leaves(obj)  # -0.0, subnormals and bools exactly
+    assert typed_leaves(back) == typed_leaves(obj)  # -0.0, subnormals and bools exactly
     data = path.read_bytes()
     assert data.endswith(b"\n") and data.count(b"\n") == 1
     outside_strings = re.sub(rb'"(?:[^"\\]|\\.)*"', b"", data[:-1])
