@@ -41,9 +41,10 @@ LAPACK loop releases the GIL), and every part runs under the caller's
 numpy error state, error callback included. Smaller blocks, a single
 shift and a one-CPU process stay on the calling thread. Each part builds
 its shifted stacks in place, in chunks that keep the stacks in flight
-together under ~64 MB; the closed form takes ``CLOSED_FORM_CHUNK``
-shifted blocks at a time, about 1 MB of temporaries. No value depends on
-the split, so each is bit for bit the one a single thread computes.
+together under ``SVD_STACK_ENTRIES`` entries, 16 MB; the closed form
+takes ``CLOSED_FORM_CHUNK`` shifted blocks at a time, about 1 MB of
+temporaries. No value depends on the split, so each is bit for bit the
+one a single thread computes.
 """
 
 from __future__ import annotations
@@ -222,6 +223,20 @@ def _closed_form(blocks: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.nda
 #: chunks of 2**11 and 2**13 blocks were no faster.
 CLOSED_FORM_CHUNK = 2**12
 
+#: Entries of the shifted stacks that all parts of a block size hold at
+#: once, 16 MB of complex128: each part takes ``SVD_STACK_ENTRIES // (parts
+#: x blocks x m^2)`` shifts (at least one) per batched SVD. The time per
+#: SVD does not depend on the batch, so a larger budget only adds memory.
+#: On a two-CPU x86 machine (one BLAS thread), against ``2**22``: the
+#: benchmark's ``scan`` peak RSS fell from 101 to 60.5 MB (``2**19``:
+#: 52 MB) at the same ops/s within noise; a dense n = 120 scan at 256
+#: shifts took a median 344 ms against 339 ms, n = 256 at 64 shifts
+#: 510 ms against 521 ms (12 interleaved rounds). Chunks of 2 shifts
+#: serialize the two threads (584 ms at n = 120; on one CPU they cost
+#: nothing, 552 against 553 ms), so a chunk should keep about 8 shifts or
+#: more: ``2**20`` gives 36 at n = 120 and 8 at n = 256 on two CPUs.
+SVD_STACK_ENTRIES = 2**20
+
 
 def _block_norms(blocks: np.ndarray, zs: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
     """``sigma_min`` and the norm of all singular values of ``blocks - z I``
@@ -262,8 +277,8 @@ def _resolvent_norms(H: np.ndarray, zs: np.ndarray) -> np.ndarray:
         count = max(1, min(_cpu_count(), len(zs))) if m >= THREAD_MIN_BLOCK else 1
         if m <= 2:  # see CLOSED_FORM_CHUNK
             step = max(1, CLOSED_FORM_CHUNK // len(index))
-        else:
-            step = max(1, 2**22 // (count * len(index) * m * m))  # ~64 MB of stacks in flight
+        else:  # see SVD_STACK_ENTRIES
+            step = max(1, SVD_STACK_ENTRIES // (count * len(index) * m * m))
         parts = _on_threads(lambda part: _block_norms(blocks, part, step), np.array_split(zs, count))
         block_min, block_norm = map(np.concatenate, zip(*parts))  # back in shift order
         smin = np.minimum(smin, block_min)
@@ -340,7 +355,8 @@ def pseudospectrum(
     exactly. Threads may share the points: the norms and the mask are bit
     for bit the same on any CPU count, every thread runs under the
     caller's numpy error state (``np.errstate``, error callback included),
-    and the shifted stacks in flight take ~64 MB at most.
+    and the shifted stacks in flight take ~16 MB at most
+    (``SVD_STACK_ENTRIES``).
     Points in the spectrum are in the mask at every ``epsilon``. Raises
     ``ValueError`` for a bad ``epsilon`` or ``resolution`` and for bounds
     that are not finite or whose width overflows.

@@ -4,7 +4,8 @@ Each subcommand reads matrix/antiunitary JSON files (see ``serialize``),
 runs one library operation, prints a one-line summary to stdout, and
 optionally writes a JSON or CSV artifact. Exit status: 0 on success, 1 on
 domain errors (not C-self-adjoint, unsupported degeneracy, shift in the
-spectrum, ...), 2 on I/O or parse errors.
+spectrum, ...), 2 on I/O or parse errors and on a request too large to
+allocate (``--res``, ``--n``).
 
 :func:`main` is the one front end: it loads ``--H`` and then ``--C``,
 builds the ``Tolerance`` and writes ``--out``. A handler gets the parsed
@@ -226,7 +227,7 @@ def main(argv=None) -> int:
     except CsaopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError) as exc:  # json.JSONDecodeError is a ValueError
+    except (OSError, ValueError, KeyError, MemoryError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

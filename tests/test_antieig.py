@@ -712,22 +712,62 @@ class TestThreadedScan:
 
     def test_benchmark_scan_plan(self, monkeypatch, rng):
         # the plan of the benchmark's dense op, n = 120 at 256 shifts on two
-        # CPUs: two parts of 128 shifts, each one batched SVD (its stack fits
-        # the 2**22-entry budget), one on the calling thread and one on a
-        # pool thread. Smaller chunks ran the scan far slower, and a pool
-        # that leaves the caller idle held ~5 MB more RSS
+        # CPUs: two parts of 128 shifts, one on the calling thread and one
+        # on a pool thread, each in batched SVDs of 36, 36, 36 and 20 shifts
+        # (SVD_STACK_ENTRIES: 16 MB of stacks in flight). Chunks of 2 shifts
+        # serialized the two threads, and a pool that leaves the caller idle
+        # held ~5 MB more RSS
         monkeypatch.setattr(antieig, "_cpu_count", lambda: 2)
-        svd, calls = np.linalg.svd, []
+        svd, calls = np.linalg.svd, {}
 
         def recording_svd(a, *args, **kwargs):
-            calls.append((np.shape(a), threading.get_ident()))
+            calls.setdefault(threading.get_ident(), []).append(np.shape(a))
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         pseudospectrum(random_complex_symmetric(120, rng), 0.1, (-2.0, 2.0, -2.0, 2.0), 16)
-        assert sorted(shape for shape, _ in calls) == [(128, 1, 120, 120)] * 2
-        threads = {ident for _, ident in calls}
-        assert len(threads) == 2 and threading.get_ident() in threads
+        assert len(calls) == 2 and threading.get_ident() in calls
+        for shapes in calls.values():
+            assert shapes == [(36, 1, 120, 120)] * 3 + [(20, 1, 120, 120)]
+
+    @pytest.mark.parametrize("chunks", ["one", "two", "several"])
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_chunks_do_not_change_the_values(self, chunks, count, monkeypatch, rng):
+        # 49 shifts in parts of 49 (one CPU) or 25 and 24 (two), each part
+        # in one chunk, two or chunks of 4 shifts, the last chunk shorter;
+        # the twenty 4 x 4 blocks are chunked too. Signs of zero included
+        monkeypatch.setattr(antieig, "_cpu_count", lambda: count)
+        H = _negative_zeros(rng)
+        zs = pseudospectrum(np.eye(1), 0.1, (-1.0, 1.0, -1.5, 1.5), 7).zs
+        whole = antieig._resolvent_norms(H, zs)
+        longest = -(-len(zs) // count)
+        step = {"one": longest, "two": -(-longest // 2), "several": 4}[chunks]
+        monkeypatch.setattr(antieig, "SVD_STACK_ENTRIES", step * count * THREAD_MIN_BLOCK**2)
+        svd, calls = np.linalg.svd, []
+
+        def recording_svd(a, *args, **kwargs):
+            calls.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        assert antieig._resolvent_norms(H, zs).tobytes() == whole.tobytes()
+        dense = sorted(shape[0] for shape in calls if shape[2] == THREAD_MIN_BLOCK)
+        parts = np.array_split(zs, count)
+        assert sum(dense) == len(zs) and len(dense) == sum(-(-len(part) // step) for part in parts)
+        assert min(dense) < step or chunks == "one"  # a remainder chunk
+
+    def test_benchmark_scan_stacks_fit_the_budget(self, monkeypatch, rng):
+        # the benchmark's dense op: n = 120 at 256 shifts on two CPUs held
+        # ~59 MB of stacks at a budget of 2**22 entries, 64 MB
+        monkeypatch.setattr(antieig, "_cpu_count", lambda: 2)
+        H = random_complex_symmetric(120, rng)
+        tracemalloc.start()
+        try:
+            pseudospectrum(H, 0.1, (-2.0, 2.0, -2.0, 2.0), 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * 2**24  # SVD_STACK_ENTRIES of complex128: 16 MB
 
     def test_error_callback_reaches_every_thread(self, cpus, monkeypatch):
         # the hypot over subnormal singular values underflows; under

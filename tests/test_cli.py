@@ -440,6 +440,15 @@ class TestPseudospec:
             assert main(argv) == 2
         assert capsys.readouterr().err == f"error: bounds: {axis}_max - {axis}_min overflows\n"
 
+    def test_grid_too_large_to_allocate_is_parse_error(self, tmp_path, capsys):
+        # 10**14 grid points: the 1.6 PB array of shifts cannot be allocated
+        dump_json(matrix_to_json(np.eye(2)), tmp_path / "h.json")
+        argv = ["pseudospec", "--H", str(tmp_path / "h.json"), "--epsilon", "0.1",
+                "--grid", "-1,1,-1,1", "--res", "10000000"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
 
 class TestPauliSpectrum:
     def test_parabola_csv(self, tmp_path, capsys):
@@ -475,6 +484,12 @@ class TestPauliSpectrum:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    def test_grid_too_large_to_allocate_is_parse_error(self, capsys):
+        # 10**12 momenta: linspace cannot allocate its 8 TB
+        assert main(["pauli-spectrum", "--alpha", "1", "--kmax", "3", "--n", "1000000000000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
 
 
 class TestModelSpace:
