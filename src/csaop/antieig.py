@@ -58,7 +58,7 @@ from .antiunitary import AntiunitaryOp
 from .csa import _csa_svd
 from .decomp import _certify, _fixed_singular_basis
 from .errors import DimMismatch, NonFinite, ZInSpectrum
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, column_norms, direct_sum_blocks, fro
+from .linalg import DEFAULT_TOL, Tolerance, _shifted, as_matrix, column_norms, direct_sum_blocks, fro
 
 #: sigma_min(H - z I) at or below this fraction of ||H - z I||_F puts z in
 #: the spectrum: relative and fixed in n. It is at least 4500 times
@@ -143,25 +143,6 @@ def _on_threads(work, parts: list) -> list:
     with ThreadPoolExecutor(len(parts) - 1) as pool:
         rest = pool.map(run, parts[1:])
         return [run(parts[0]), *rest]
-
-
-def _shifted(blocks: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """The stack of ``blocks - z I``, one slice per shift in ``zs``, written
-    straight into one new array, with no stack-sized temporary.
-
-    Each entry takes the arithmetic of ``blocks - zs * eye``: ``b - z * 0``
-    off the diagonal (which turns some -0.0 parts into +0.0; LAPACK's
-    singular values can depend on signs of zero) and ``b - z * 1`` on it.
-    Raises :class:`NonFinite` when a shifted entry overflows, so LAPACK
-    never sees one.
-    """
-    count, m = blocks.shape[:2]
-    stack = np.subtract(blocks, (zs * 0)[:, None, None, None], out=np.empty((len(zs), count, m, m), complex))
-    diagonal = stack.reshape(len(zs), count, m * m)[..., :: m + 1]
-    np.subtract(np.diagonal(blocks, axis1=1, axis2=2), (zs * 1)[:, None, None], out=diagonal)
-    if not np.isfinite(diagonal).all():  # off the diagonal, b - z * 0 is b up to the sign of a zero
-        raise NonFinite("||H - zI||_F overflows")
-    return stack
 
 
 def _largest_part(x: np.ndarray) -> np.ndarray:

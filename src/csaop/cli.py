@@ -12,11 +12,21 @@ builds the ``Tolerance`` and writes ``--out``. A handler gets the parsed
 arguments, H, C and the tolerance (``None`` where its subcommand has no
 such option), prints its summary and returns a builder of its artifact,
 CSV text or a JSON object, which runs only when ``--out`` is given.
+
+:func:`build_parser` builds the argparse tree on its first call and
+returns that same parser from then on, so a process that calls
+:func:`main` many times parses every call with one parser. argparse keeps
+no state between parses: each gets a fresh namespace, and help and
+errors go to the ``sys.stdout`` and ``sys.stderr`` of the moment. Callers
+must not change the parser that :func:`build_parser` returns. A malformed
+option value exits 2, before any file is read, with argparse's
+``argument --opt: ...`` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 
@@ -30,16 +40,28 @@ from .linalg import DEFAULT_TOL, Tolerance, fro
 def _parse_complex(text: str) -> complex:
     try:
         real, imag = (float(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"expected 're,im', got {text!r}") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 're,im', got {text!r}") from None
     return complex(real, imag)
 
 
 def _parse_bounds(text: str) -> tuple[float, float, float, float]:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"expected 're_min,re_max,im_min,im_max', got {text!r}")
-    return tuple(float(p) for p in parts)  # type: ignore[return-value]
+    try:
+        re_min, re_max, im_min, im_max = (float(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 're_min,re_max,im_min,im_max', got {text!r}") from None
+    return re_min, re_max, im_min, im_max
+
+
+def _parse_seed(text: str) -> int:
+    """A seed ``numpy.random.default_rng`` takes: an integer from 0 up, of any size."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return seed
 
 
 def _check(args, H, C, tol):
@@ -134,6 +156,7 @@ def _model_space(args, H, C, tol):
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     h_file = argparse.ArgumentParser(add_help=False)
     h_file.add_argument("--H", required=True, metavar="PATH", help="matrix JSON file")
@@ -163,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--real", action="store_true", help="check C H C^-1 = H instead of H*")
 
     p = command("gen-csa", _gen_csa, "generate a random C-self-adjoint matrix", c_file)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_parse_seed, required=True)
 
     command("polar", _polar, "refined polar decomposition H = C^-1 J |H|", h_file, c_file, tol)
     command("refined-svd", _refined_svd, "singular-value expansion with J-fixed vectors", h_file, c_file, tol)
@@ -188,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--example", type=int, choices=(1, 2), help="structured 4x4 fixture")
     mode.add_argument("--gamma", type=int, metavar="N", help="natural conjugation on dim N")
     mode.add_argument("--toeplitz", action="store_true", help="build a parity-split compression")
-    p.add_argument("--seed", type=int, default=0, help="fixture parameter seed")
+    p.add_argument("--seed", type=_parse_seed, default=0, help="fixture parameter seed")
     p.add_argument("--phi1", metavar="PATH", help="symbol JSON (toeplitz mode)")
     p.add_argument("--phi2", metavar="PATH", help="symbol JSON (toeplitz mode)")
     p.add_argument("--N", type=int, help="compression dimension (toeplitz mode)")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .antiunitary import AntiunitaryOp, conjugate_linear_map
 from .errors import NonFinite, NotCsa
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, column_norms, fro, rank_cutoff
+from .linalg import DEFAULT_TOL, Tolerance, _shifted, as_matrix, column_norms, fro, rank_cutoff
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,7 @@ def _csa_svd(H, C, tol, z: complex = 0.0, bad_shift: tuple[type[Exception], str]
         error, message = bad_shift
         raise error(message.format(z))
     with np.errstate(over="ignore"):  # an overflowing entry or norm raises NonFinite below
-        M = H - z * np.eye(H.shape[0]) if z else H
-        if not np.isfinite(M).all():  # before LAPACK, which fails on it
-            raise NonFinite("||H - zI||_F overflows")
+        M = _shifted(H[None], np.array([z]))[0, 0] if z else H
         W, s, Vh = np.linalg.svd(M)
         if not np.hypot.reduce(s) < np.inf:
             raise NonFinite("||H - zI||_F overflows")

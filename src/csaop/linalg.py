@@ -112,6 +112,26 @@ def as_vector(v) -> np.ndarray:
     return v
 
 
+def _shifted(blocks: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """The stack of ``blocks - z I``, one slice per shift in ``zs``, written
+    straight into one new array, with no stack-sized temporary. ``blocks``
+    is a finite ``(count, m, m)`` array and ``zs`` a 1-d complex array.
+
+    Each entry takes the arithmetic of ``blocks - zs * eye``: ``b - z * 0``
+    off the diagonal (which turns some -0.0 parts into +0.0; LAPACK's
+    singular values can depend on signs of zero) and ``b - z * 1`` on it.
+    Raises :class:`NonFinite` when a shifted entry overflows, so LAPACK
+    never sees one.
+    """
+    count, m = blocks.shape[:2]
+    stack = np.subtract(blocks, (zs * 0)[:, None, None, None], out=np.empty((len(zs), count, m, m), complex))
+    diagonal = stack.reshape(len(zs), count, m * m)[..., :: m + 1]
+    np.subtract(np.diagonal(blocks, axis1=1, axis2=2), (zs * 1)[:, None, None], out=diagonal)
+    if not np.isfinite(diagonal).all():  # off the diagonal, b - z * 0 is b up to the sign of a zero
+        raise NonFinite("||H - zI||_F overflows")
+    return stack
+
+
 def rank_cutoff(sigma: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:
     """Threshold below which singular values count as zero."""
     return tol.abs * (float(sigma[0]) if len(sigma) else 0.0)

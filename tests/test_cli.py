@@ -3,12 +3,13 @@ import itertools
 import json
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from csaop import AntiunitaryOp, antieig, csa, decomp, generate_csa, serialize
-from csaop.cli import main
+from csaop.cli import build_parser, main
 from csaop.modelspaces import example2_conjugation, example2_matrix
 from csaop.serialize import (
     antiunitary_to_json,
@@ -630,6 +631,95 @@ def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["check", "--nonsense"])
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["anti-eig", "--z", "a,b"], "argument --z: expected 're,im', got 'a,b'"),
+        (["pseudospec", "--epsilon", "0.1", "--grid", "1,2,3", "--res", "3"],
+         "argument --grid: expected 're_min,re_max,im_min,im_max', got '1,2,3'"),
+        (["pseudospec", "--epsilon", "0.1", "--grid", "a,1,-1,1", "--res", "3"],
+         "argument --grid: expected 're_min,re_max,im_min,im_max', got 'a,1,-1,1'"),
+        (["gen-csa", "--seed", "-1"], "argument --seed: expected a non-negative integer, got '-1'"),
+        (["gen-csa", "--seed", "1.5"], "argument --seed: expected a non-negative integer, got '1.5'"),
+        (["model-space", "--example", "1", "--seed", "-5"],
+         "argument --seed: expected a non-negative integer, got '-5'"),
+    ],
+    ids=["z-letters", "grid-three-parts", "grid-letters", "gen-csa-seed-negative",
+         "gen-csa-seed-fraction", "model-space-seed-negative"],
+)
+def test_malformed_value_is_reported_by_its_option(argv, message, tmp_path, capsys):
+    # --H and --C name files that do not exist: the value is rejected before any file is read
+    files = {"--H": str(tmp_path / "h.json"), "--C": str(tmp_path / "c.json")}
+    needs = {"anti-eig": ["--H", "--C"], "pseudospec": ["--H"], "gen-csa": ["--C"], "model-space": []}[argv[0]]
+    with pytest.raises(SystemExit) as info:
+        main([argv[0], *itertools.chain.from_iterable((flag, files[flag]) for flag in needs), *argv[1:]])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: {message}\n") and "_parse" not in captured.err
+
+
+@pytest.mark.parametrize("seed", [0, 10**23])
+def test_any_non_negative_seed_is_taken(seed, tmp_path, capsys):
+    C = random_antiunitary(3, seed=4)
+    c_path, out = tmp_path / "c.json", tmp_path / "h.json"
+    dump_json(antiunitary_to_json(C), c_path)
+    assert main(["gen-csa", "--C", str(c_path), "--seed", str(seed), "--out", str(out)]) == 0
+    assert matrix_from_json(load_json(out)).tobytes() == generate_csa(C, seed).tobytes()
+    assert main(["model-space", "--example", "1", "--seed", str(seed)]) == 0
+    assert f"seed={seed} " in capsys.readouterr().out.splitlines()[1]
+
+
+def test_one_parser_per_process():
+    assert build_parser() is build_parser()
+
+
+def _transcripts(calls, capsys):
+    """Exit code, stdout, stderr and ``--out`` bytes of each call in ``calls``,
+    run in turn twice: with one parser for the whole sequence, and with a
+    new parser for each call."""
+    runs = []
+    for fresh in (False, True):
+        build_parser.cache_clear()
+        run = []
+        for argv in calls:
+            if fresh:
+                build_parser.cache_clear()
+            code = _exit_code(argv)
+            captured = capsys.readouterr()
+            out = Path(argv[argv.index("--out") + 1]) if "--out" in argv else None
+            run.append((code, captured.out, captured.err, out.read_bytes() if out and out.exists() else None))
+            if out:
+                out.unlink(missing_ok=True)
+        if not fresh:
+            assert build_parser.cache_info().misses == 1
+        runs.append(run)
+    return runs
+
+
+@pytest.mark.parametrize(
+    "sequence", ["real-then-plain", "tolerance-then-default", "error-then-valid", "help-then-valid"]
+)
+def test_a_parser_reused_across_calls_parses_as_a_new_one(sequence, tmp_path, capsys):
+    # the nilpotent 2x2 is not K-self-adjoint at the default tolerance and
+    # is at an absolute tolerance of 10 (residual sqrt(2))
+    h, c, out = tmp_path / "h.json", tmp_path / "c.json", str(tmp_path / "out.json")
+    dump_json(matrix_to_json(np.array([[0.0, 1.0], [0.0, 0.0]])), h)
+    dump_json(antiunitary_to_json(conj_k(2)), c)
+    check = ["check", "--H", str(h), "--C", str(c), "--out", out]
+    first, code = {
+        "real-then-plain": ([*check, "--real"], 0),
+        "tolerance-then-default": ([*check, "--tol-abs", "10", "--tol-rel", "0"], 0),
+        "error-then-valid": ([*check, "--tol-abs", "ten"], 2),
+        "help-then-valid": (["check", "--help"], 0),
+    }[sequence]
+    shared, fresh = _transcripts([first, check], capsys)
+    assert shared == fresh
+    assert shared[0][0] == code
+    assert shared[1][:3] == (0, "c_selfadjoint residual=1.414214e+00 is_csa=false\n", "")
+    assert json.loads(shared[1][3])["is_csa"] is False
 
 
 @pytest.fixture

@@ -20,8 +20,8 @@ from csaop import (
     refined_polar,
     refined_svd,
 )
-from csaop import antiunitary
-from csaop.linalg import cayley, direct_sum_blocks, fro, nullspace
+from csaop import antiunitary, csa
+from csaop.linalg import DEFAULT_TOL, cayley, direct_sum_blocks, fro, nullspace
 
 from conftest import (
     c2_blocks,
@@ -34,6 +34,7 @@ from conftest import (
     overflowing_csa,
     overflowing_diagonal,
     random_antiunitary,
+    random_complex_symmetric,
     random_matrix,
     square_split_by_w,
     symmetrized_csa,
@@ -457,3 +458,31 @@ class TestKernelPairing:
         with pytest.raises(NonFinite, match="overflows"):
             kernel_pairing(H, conj_k(8), 1.797e308j)
         assert capfd.readouterr() == ("", "")
+
+
+class TestShiftedMatrix:
+    """``_csa_svd`` builds ``M = H - z I`` entry by entry, not through ``z * eye``."""
+
+    @staticmethod
+    def _signed_zeros(n, rng):
+        """A complex symmetric (K-self-adjoint) H with zero parts of either sign."""
+        H = random_complex_symmetric(n, rng)
+        for part in (H.real, H.imag):
+            zero = np.triu(rng.random((n, n)) < 0.4)
+            part[zero] = np.where(rng.random((n, n)) < 0.5, -0.0, 0.0)[zero]
+            part[zero.T] = part.T[zero.T]
+        return H
+
+    def test_shift_is_h_minus_z_eye(self, rng):
+        # every bit, signs of zero included: LAPACK's singular values can
+        # depend on them
+        parts = [-0.0, 0.0, -1.5, 2.0, 1e-300]
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            H = self._signed_zeros(n, rng)
+            z = complex(*rng.choice(parts, 2))
+            _, M, *_ = csa._csa_svd(H, conj_k(n), DEFAULT_TOL, z)
+            if z:
+                assert M.tobytes() == (H - z * np.eye(n)).tobytes(), (H, z)
+            else:
+                assert M is H
