@@ -41,10 +41,12 @@ LAPACK loop releases the GIL), and every part runs under the caller's
 numpy error state, error callback included. Smaller blocks, a single
 shift and a one-CPU process stay on the calling thread. Each part builds
 its shifted stacks in place, in chunks that keep the stacks in flight
-together under ``SVD_STACK_ENTRIES`` entries, 16 MB; the closed form
-takes ``CLOSED_FORM_CHUNK`` shifted blocks at a time, about 1 MB of
-temporaries. No value depends on the split, so each is bit for bit the
-one a single thread computes.
+together under ``SVD_STACK_ENTRIES`` entries, 16 MB. The closed form runs
+in plain arithmetic, ``CLOSED_FORM_CHUNK`` shifted blocks at a time in
+1 MB of buffers that every chunk reuses, and rescales by powers of two
+only the (shift, block) pairs whose squares leave ``PLAIN_RANGE``. No
+value depends on the split or the chunks, so each is bit for bit the one
+a single thread computes.
 """
 
 from __future__ import annotations
@@ -150,9 +152,99 @@ def _largest_part(x: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs(x.real), np.abs(x.imag))
 
 
-def _squared(x: np.ndarray) -> np.ndarray:
-    """``|x|^2``, entrywise."""
-    return np.square(x.real) + np.square(x.imag)
+def _squared(x: np.ndarray, out=None, work=None) -> np.ndarray:
+    """``|x|^2``, entrywise; into ``out``, with ``work`` as scratch, when given."""
+    return np.add(np.square(x.real, out=out), np.square(x.imag, out=work), out=out)
+
+
+def _scaled(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
+    """``sigma_min`` and ``||B - z I||_F`` of the shifted blocks ``B - z I =
+    [[a, b], [c, d]]``, entrywise over arrays of one shape, each block first
+    multiplied by the power of two that brings its largest real or
+    imaginary part into ``[1/2, 1)`` (exact, and a zero block stays zero),
+    so no square overflows or underflows and the ``hypot`` is a plain root
+    of squares; scaled back, the results overflow only where the norm
+    does. Raises :class:`NonFinite` when an entry overflows, before any
+    arithmetic on it."""
+    top = np.maximum(_largest_part(a), _largest_part(d))
+    top = np.maximum(top, np.maximum(_largest_part(b), _largest_part(c)))
+    if not np.all(top < np.inf):
+        raise NonFinite("||H - zI||_F overflows")
+    # 2**-e for top in [2**(e-1), 2**e), capped at 2**1023 for a subnormal top
+    scale = np.ldexp(1.0, np.minimum(-np.frexp(top)[1], 1023))
+    a, b, c, d = a * scale, b * scale, c * scale, d * scale
+    p = _squared(a) + _squared(b)
+    q = _squared(c) + _squared(d)
+    f = p + q
+    # np.multiply, not ``a * c.conj()``: for a temporary of 256 KB or more
+    # the operator may run as ``c.conj() * a``, which rounds differently
+    x = np.multiply(a, c.conj()) + np.multiply(b, d.conj())
+    smax = np.sqrt((f + np.sqrt(np.square(p - q) + 4 * _squared(x))) / 2)
+    smin = np.abs(a * d - b * c) / np.where(f > 0, smax, 1.0)
+    return smin / scale, np.sqrt(f) / scale
+
+
+#: Squared norms ``f = ||B - z I||_F^2`` of a shifted 2 x 2 block for which
+#: :func:`_closed_form` keeps its plain arithmetic; the other (shift,
+#: block) pairs take :func:`_scaled`. In range no term of degree 4 (each at
+#: most ``f^2``) passes ``2**480``, and every term that can reach the last
+#: bit of ``sigma_max`` (at least ``2**-110 f^2``) stays above ``2**-590``,
+#: far from the subnormals. So the plain ``sigma_max`` and norm are the
+#: scaled ones times exact powers of two, and so is ``sigma_min`` down to
+#: ``2**-700 sigma_max`` (far inside ``SPECTRUM_CUTOFF``), up to the
+#: rounding of the ``hypot`` in ``abs``.
+PLAIN_RANGE = (2.0**-240, 2.0**240)
+
+
+class _ClosedForm:
+    """:func:`_closed_form` of one stack of 1 x 1 or 2 x 2 ``blocks``, called
+    on chunks of at most ``rows`` shifts. The terms of a 2 x 2 block that no
+    shift changes (``|b|^2``, ``|c|^2``, ``bc``, and ``b`` and ``conj(c)``
+    spread over the rows) are taken once, and every call writes into the
+    same buffers, so the arrays that one call returns are overwritten by
+    the next."""
+
+    def __init__(self, blocks: np.ndarray, rows: int):
+        self.diagonal = [blocks[:, i, i] for i in range(blocks.shape[1])]
+        if len(self.diagonal) == 2:
+            self.b, self.c = blocks[:, 0, 1], blocks[:, 1, 0]
+            self.b_squared, self.c_squared, self.bc = _squared(self.b), _squared(self.c), self.b * self.c
+            shape = (rows, len(blocks))
+            # numpy's complex multiply takes twice as long with a broadcast
+            # operand, so the factors b and conj(c) fill whole rows
+            self.b_rows = np.broadcast_to(self.b, shape).copy()
+            self.c_conj_rows = np.broadcast_to(self.c.conj(), shape).copy()
+            self.complex = [np.empty(shape, complex) for _ in range(4)]
+            self.real = [np.empty(shape) for _ in range(4)]
+
+    def __call__(self, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if len(self.diagonal) == 1:
+            s = np.abs(self.diagonal[0] - zs[:, None])  # inf where the entry overflows
+            return s, s
+        a, d, x, y = (buffer[: len(zs)] for buffer in self.complex)
+        p, q, f, t = (buffer[: len(zs)] for buffer in self.real)
+        low, high = PLAIN_RANGE
+        # every product keeps the operand order of _scaled: numpy's complex
+        # multiply fuses a multiply-add, so x * y and y * x can differ
+        with np.errstate(all="ignore"):  # the pairs out of range are redone below
+            np.subtract(self.diagonal[0], zs[:, None], out=a)
+            np.subtract(self.diagonal[1], zs[:, None], out=d)
+            np.add(_squared(a, p, t), self.b_squared, out=p)  # |a|^2 + |b|^2
+            np.add(self.c_squared, _squared(d, q, t), out=q)  # |c|^2 + |d|^2
+            np.add(p, q, out=f)
+            rescued = None if low <= f.min() and f.max() <= high else ~((low <= f) & (f <= high))
+            np.multiply(self.b_rows[: len(zs)], np.conjugate(d, out=y), out=y)
+            np.add(np.multiply(a, self.c_conj_rows[: len(zs)], out=x), y, out=x)  # a conj(c) + b conj(d)
+            np.square(np.subtract(p, q, out=p), out=p)
+            np.add(p, np.multiply(_squared(x, q, t), 4, out=q), out=p)  # (p - q)^2 + 4 |x|^2
+            smax = np.sqrt(np.divide(np.add(f, np.sqrt(p, out=p), out=p), 2, out=p), out=p)
+            np.subtract(np.multiply(a, d, out=y), self.bc, out=y)  # ad - bc
+            smin = np.divide(np.abs(y, out=q), smax, out=q)
+            norm = np.sqrt(f, out=f)
+        if rescued is not None:
+            block = np.nonzero(rescued)[1]
+            smin[rescued], norm[rescued] = _scaled(a[rescued], self.b[block], self.c[block], d[rescued])
+        return smin, norm
 
 
 def _closed_form(blocks: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -169,40 +261,31 @@ def _closed_form(blocks: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.nda
     would lose half the digits to cancellation when the two singular
     values are close. So ``sigma_max`` comes to a few ulps, and
     ``sigma_min = |ad - bc| / sigma_max`` to a few ulps of ``sigma_max``,
-    as from an SVD. Each shifted block is first multiplied by the power of
-    two that brings its largest real or imaginary part into ``[1/2, 1)``
-    (exact, and a zero block stays zero), so no square overflows or
-    underflows and the ``hypot`` is a plain root of squares; scaled back,
-    the results overflow only where the norm does. A shifted entry that
-    overflows gives an infinite norm (1 x 1) or raises :class:`NonFinite`
-    before any arithmetic on it (2 x 2).
+    as from an SVD.
+
+    A (shift, block) pair whose ``f`` lies in ``PLAIN_RANGE`` takes this
+    in plain arithmetic. Every other pair, chosen pair by pair so that
+    chunking never changes a value, takes :func:`_scaled`: the same
+    formula on the block rescaled by a power of two. On the pairs in range
+    the two agree bit for bit on the spin toy model, whose off-diagonal
+    entries are real, and within 2 ulps on any block (bit for bit where
+    the C library's ``hypot`` is scale-invariant, as glibc's is). A shifted
+    entry that overflows gives an infinite norm (1 x 1) or raises
+    :class:`NonFinite` (2 x 2), with no warning.
     """
-    diagonal = [blocks[:, i, i] - zs[:, None] for i in range(blocks.shape[1])]
-    if len(diagonal) == 1:
-        s = np.abs(diagonal[0])  # inf where the entry overflows
-        return s, s
-    (a, d), b, c = diagonal, blocks[:, 0, 1], blocks[:, 1, 0]
-    top = np.maximum(_largest_part(a), _largest_part(d))
-    top = np.maximum(top, np.maximum(_largest_part(b), _largest_part(c)))
-    if not np.all(top < np.inf):
-        raise NonFinite("||H - zI||_F overflows")
-    # 2**-e for top in [2**(e-1), 2**e), capped at 2**1023 for a subnormal top
-    scale = np.ldexp(1.0, np.minimum(-np.frexp(top)[1], 1023))
-    a, b, c, d = a * scale, b * scale, c * scale, d * scale
-    p = _squared(a) + _squared(b)
-    q = _squared(c) + _squared(d)
-    f = p + q
-    smax = np.sqrt((f + np.sqrt(np.square(p - q) + 4 * _squared(a * c.conj() + b * d.conj()))) / 2)
-    smin = np.abs(a * d - b * c) / np.where(f > 0, smax, 1.0)
-    return smin / scale, np.sqrt(f) / scale
+    return _ClosedForm(blocks, len(zs))(zs)
 
 
-#: Shifted blocks per call of :func:`_closed_form`; its temporaries take
-#: 184 bytes a 2 x 2 block, under 1 MB in all. On a two-CPU x86 machine,
-#: chunks of 2**12 blocks ran 1.6x as fast per block as one chunk of 80
-#: blocks x 256 shifts, and 2x as fast as one of 600 blocks x 1024 shifts;
-#: chunks of 2**11 and 2**13 blocks were no faster.
-CLOSED_FORM_CHUNK = 2**12
+#: Shifted blocks per call of :class:`_ClosedForm`, whose buffers take 128
+#: bytes a 2 x 2 block, 1 MB in all, inside a core's L2 cache. On a
+#: two-CPU x86 machine (2 MB of L2 a core) a call cost about 45 us of numpy
+#: overhead plus 34 ns a block at 2**13 to 2**14 blocks, and 42 ns a block
+#: at 122,000 blocks (15 MB). 600 blocks x 4096 shifts took 120 ms at 2**12
+#: blocks a chunk, 96 ms at 2**13 and 92 ms at 2**14. A toy scan of 80
+#: blocks x 256 shifts gains little: 2.45-2.48 ms a benchmark toy op at
+#: 2**12 against 2.34-2.49 ms at 2**13, whose fresh buffers can cost ~290
+#: page faults a scan in a process that runs nothing larger.
+CLOSED_FORM_CHUNK = 2**13
 
 #: Entries of the shifted stacks that all parts of a block size hold at
 #: once, 16 MB of complex128: each part takes ``SVD_STACK_ENTRIES // (parts
@@ -222,14 +305,15 @@ SVD_STACK_ENTRIES = 2**20
 def _block_norms(blocks: np.ndarray, zs: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
     """``sigma_min`` and the norm of all singular values of ``blocks - z I``
     at each shift in ``zs``, ``step`` shifts at a time: for blocks of 1 or
-    2 rows from :func:`_closed_form` and :func:`~csaop.linalg.column_norms`
+    2 rows from :class:`_ClosedForm` and :func:`~csaop.linalg.column_norms`
     over its block norms, else from one batched SVD and the ``hypot`` of
     its values."""
     smin, norm = np.empty(len(zs)), np.empty(len(zs))
+    closed_form = _ClosedForm(blocks, min(step, len(zs))) if blocks.shape[1] <= 2 else None
     for start in range(0, len(zs), step):
         part = slice(start, start + step)
-        if blocks.shape[1] <= 2:
-            s, norms = _closed_form(blocks, zs[part])  # per block
+        if closed_form is not None:
+            s, norms = closed_form(zs[part])  # per block
             smin[part], norm[part] = s.min(axis=1), column_norms(norms.T)
         else:
             s = np.linalg.svd(_shifted(blocks, zs[part]), compute_uv=False)
@@ -238,7 +322,7 @@ def _block_norms(blocks: np.ndarray, zs: np.ndarray, step: int) -> tuple[np.ndar
     return smin, norm
 
 
-@np.errstate(over="ignore")  # an overflowing entry or norm raises NonFinite: _shifted, _closed_form, _resolvent
+@np.errstate(over="ignore")  # an overflowing entry or norm raises NonFinite: _shifted, _scaled, _resolvent
 def _resolvent_norms(H: np.ndarray, zs: np.ndarray) -> np.ndarray:
     """:func:`_resolvent` at each shift in ``zs``, split into parts and
     chunks as the module docstring tells.

@@ -19,7 +19,8 @@ returns that same parser from then on, so a process that calls
 no state between parses: each gets a fresh namespace, and help and
 errors go to the ``sys.stdout`` and ``sys.stderr`` of the moment. Callers
 must not change the parser that :func:`build_parser` returns. A malformed
-option value exits 2, before any file is read, with argparse's
+option value, or a count below its least (``--res`` under 2, ``--n`` and
+``--N`` under 1), exits 2, before any file is read, with argparse's
 ``argument --opt: ...`` line.
 """
 
@@ -62,6 +63,21 @@ def _parse_seed(text: str) -> int:
     if seed is None or seed < 0:
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return seed
+
+
+def _parse_at_least(name: str, least: int):
+    """An argparse type: an integer of at least ``least``, reported as ``name``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{name} must be an integer, got {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{name} must be at least {least}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _check(args, H, C, tol):
@@ -111,8 +127,6 @@ def _pseudospec(args, H, C, tol):
 
 
 def _pauli_spectrum(args, H, C, tol):
-    if args.n < 1:
-        raise ValueError("--n must be at least 1")
     if not np.isfinite(args.kmax):
         raise ValueError("--kmax must be finite")  # before linspace turns it into nan
     # near |kmax| = 1e308 the grid overflows quietly; spectrum_sample rejects it
@@ -199,12 +213,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("pseudospec", _pseudospec, "resolvent-norm grid scan", h_file)
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--grid", type=_parse_bounds, required=True, metavar="RE0,RE1,IM0,IM1")
-    p.add_argument("--res", type=int, required=True, help="grid points per axis (>= 2)")
+    p.add_argument(
+        "--res", type=_parse_at_least("resolution", 2), required=True, help="grid points per axis (>= 2)"
+    )
 
     p = command("pauli-spectrum", _pauli_spectrum, "exact symbol spectrum of the spin toy model")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--kmax", type=float, required=True)
-    p.add_argument("--n", type=int, required=True, help="momentum grid points")
+    p.add_argument("--n", type=_parse_at_least("n", 1), required=True, help="momentum grid points (>= 1)")
 
     p = command("model-space", _model_space, "model-space fixtures and Toeplitz compressions")
     mode = p.add_mutually_exclusive_group(required=True)
@@ -214,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_parse_seed, default=0, help="fixture parameter seed")
     p.add_argument("--phi1", metavar="PATH", help="symbol JSON (toeplitz mode)")
     p.add_argument("--phi2", metavar="PATH", help="symbol JSON (toeplitz mode)")
-    p.add_argument("--N", type=int, help="compression dimension (toeplitz mode)")
+    p.add_argument("--N", type=_parse_at_least("N", 1), help="compression dimension (toeplitz mode, >= 1)")
 
     return parser
 

@@ -110,15 +110,6 @@ def example2_matrix(a11, a13, a14, a23, a24, a33) -> np.ndarray:
     )
 
 
-def evaluate_symbol(phi: Symbol, z) -> np.ndarray:
-    """Evaluate ``sum_n phi[n] z^n`` at points ``z`` (scalar or array)."""
-    z = np.asarray(z, dtype=complex)
-    out = np.zeros_like(z)
-    for n, coeff in phi.items():
-        out = out + coeff * z ** int(n)
-    return out
-
-
 def _magnitude(*symbols: Symbol) -> float:
     """Largest coefficient magnitude (0 if none); NonFinite unless finite."""
     mag = float(np.max([abs(complex(c)) for phi in symbols for c in phi.values()], initial=0.0))

@@ -16,7 +16,7 @@ import pytest
 from csaop import AntiunitaryOp, InvolutionClass
 from csaop.antiunitary import C2_CLUSTER_GAP
 from csaop.linalg import CLASSIFY_TOL, DEFAULT_TOL, cayley, fro
-from csaop.modelspaces import evaluate_symbol, max_support
+from csaop.modelspaces import max_support
 from csaop.serialize import _reject_constant, _unique_keys
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -117,6 +117,16 @@ def square_split_by_w(C):
         if psi - start > C2_CLUSTER_GAP:
             start, labels[i:] = psi, i
     return Q, labels
+
+
+def evaluate_symbol(phi, z):
+    """Sampling oracle for the model-space symbol identities: ``sum_n phi[n]
+    z^n`` at the points ``z`` (scalar or array)."""
+    z = np.asarray(z, dtype=complex)
+    out = np.zeros_like(z)
+    for n, coeff in phi.items():
+        out = out + coeff * z ** int(n)
+    return out
 
 
 def condition_and_by_sampling(phi1, phi2, tol=DEFAULT_TOL):

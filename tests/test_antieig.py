@@ -988,6 +988,169 @@ class TestClosedForm:
         assert antieig._resolvent_norms(H, zs).tobytes() == whole.tobytes()
 
 
+def _largest_part(x):
+    return np.maximum(np.abs(x.real), np.abs(x.imag))
+
+
+def _squared(x):
+    return np.square(x.real) + np.square(x.imag)
+
+
+def scaled_closed_form(blocks, zs):
+    """Reference for the closed form: the scan's kernel before plain
+    arithmetic, which rescaled every shifted block by the power of two that
+    brings its largest real or imaginary part into [1/2, 1). The scan fed
+    it at most CLOSED_FORM_CHUNK blocks at a time: from 2**14 blocks on,
+    numpy may evaluate ``a * c.conj()`` as ``c.conj() * a``, which rounds
+    differently."""
+    diagonal = [blocks[:, i, i] - zs[:, None] for i in range(blocks.shape[1])]
+    if len(diagonal) == 1:
+        s = np.abs(diagonal[0])
+        return s, s
+    (a, d), b, c = diagonal, blocks[:, 0, 1], blocks[:, 1, 0]
+    top = np.maximum(_largest_part(a), _largest_part(d))
+    top = np.maximum(top, np.maximum(_largest_part(b), _largest_part(c)))
+    if not np.all(top < np.inf):
+        raise NonFinite("||H - zI||_F overflows")
+    scale = np.ldexp(1.0, np.minimum(-np.frexp(top)[1], 1023))
+    a, b, c, d = a * scale, b * scale, c * scale, d * scale
+    p = _squared(a) + _squared(b)
+    q = _squared(c) + _squared(d)
+    f = p + q
+    smax = np.sqrt((f + np.sqrt(np.square(p - q) + 4 * _squared(a * c.conj() + b * d.conj()))) / 2)
+    smin = np.abs(a * d - b * c) / np.where(f > 0, smax, 1.0)
+    return smin / scale, np.sqrt(f) / scale
+
+
+class _ScaledKernel:
+    """Stands in for ``antieig._ClosedForm`` in a scan: each chunk through
+    :func:`scaled_closed_form`."""
+
+    def __init__(self, blocks, rows):
+        self.blocks = blocks
+
+    def __call__(self, zs):
+        return scaled_closed_form(self.blocks, zs)
+
+
+def _within_two_ulps(found, reference):
+    return np.all(np.abs(found - reference) <= 2 * np.spacing(reference))
+
+
+@pytest.mark.filterwarnings("error")
+class TestPlainClosedForm:
+    """The closed form in plain arithmetic, with the scaled formula only for
+    the (shift, block) pairs whose squared norm leaves PLAIN_RANGE, against
+    the scaled formula everywhere."""
+
+    #: the benchmark's two toy windows and one across the real axis
+    WINDOWS = [(-1.0, 10.0, -4.5, 4.5), (-1.0, 12.0, -2.0, 2.0), (-0.5, 9.5, -3.0, 3.0)]
+
+    @staticmethod
+    def reference_scan(H, epsilon, bounds, res, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(antieig, "_ClosedForm", _ScaledKernel)
+            return pseudospectrum(H, epsilon, bounds, res)
+
+    @staticmethod
+    def recording_scaled(monkeypatch):
+        scaled, sizes = antieig._scaled, []
+
+        def recording(a, *args):
+            sizes.append(a.size)
+            return scaled(a, *args)
+
+        monkeypatch.setattr(antieig, "_scaled", recording)
+        return sizes
+
+    @pytest.mark.parametrize("momenta", [21, 80, 601])
+    @pytest.mark.parametrize("alpha", [-1.5, -1.0, 0.0, 0.5, 2.0])
+    def test_toy_model_bit_for_bit(self, alpha, momenta, monkeypatch):
+        # 21 momenta put k = 0, two 1 x 1 zero blocks, beside the symbols
+        H, _, _ = pauli.discretize(alpha, np.linspace(-3.0, 3.0, momenta))
+        rescued = self.recording_scaled(monkeypatch)
+        for bounds in self.WINDOWS:
+            reference = self.reference_scan(H, 0.1, bounds, 16, monkeypatch)
+            grid = pseudospectrum(H, 0.1, bounds, 16)
+            assert grid.resolvent_norms.tobytes() == reference.resolvent_norms.tobytes()
+            np.testing.assert_array_equal(grid.in_pseudospectrum, reference.in_pseudospectrum)
+        assert rescued == []  # every toy pair in plain arithmetic
+
+    @pytest.mark.parametrize("t", np.logspace(-120, 120, 13))
+    def test_random_blocks_within_two_ulps(self, t, rng, monkeypatch):
+        # t up to 1e20 keeps the squares in range; from 1e40 on every pair
+        # takes the scaled formula, and so the same bits (t and 1/t alike)
+        blocks = t * _stack(200, rng)
+        zs = t * TestClosedForm.ZS["grid"]
+        smin, norms = antieig._closed_form(blocks, zs)
+        reference = scaled_closed_form(blocks, zs)
+        assert _within_two_ulps(smin, reference[0]) and _within_two_ulps(norms, reference[1])
+        if not 1e-30 < t < 1e30:
+            assert smin.tobytes() == reference[0].tobytes() and norms.tobytes() == reference[1].tobytes()
+        H = _block_diagonal(*blocks)
+        bounds = (-2.0 * t, 2.0 * t, -2.0 * t, 2.0 * t)
+        grid = pseudospectrum(H, 0.05 * t, bounds, 9)
+        expected = self.reference_scan(H, 0.05 * t, bounds, 9, monkeypatch)
+        assert _within_two_ulps(grid.resolvent_norms, expected.resolvent_norms)
+        np.testing.assert_array_equal(grid.in_pseudospectrum, expected.in_pseudospectrum)
+        assert 0 < np.count_nonzero(grid.in_pseudospectrum) < len(grid.zs)
+
+    def test_blocks_the_scaled_formula_leaves_unscaled(self, rng):
+        # b = 0.75 + ... is the largest part at every shift, so the scaled
+        # formula multiplies by 2**0 and the same operations must give the
+        # same bits, whatever the C library's hypot does
+        blocks = 0.2 * (rng.random((300, 2, 2)) - 0.5) + 0.2j * (rng.random((300, 2, 2)) - 0.5)
+        blocks[:, 0, 1] += 0.75
+        zs = 0.2 * (rng.random(20) - 0.5) + 0.2j * (rng.random(20) - 0.5)
+        found, expected = antieig._closed_form(blocks, zs), scaled_closed_form(blocks, zs)
+        for values, reference in zip(found, expected):
+            assert values.tobytes() == reference.tobytes()
+
+    def test_a_chunk_on_both_sides_of_the_range(self, rng, monkeypatch):
+        # blocks of size 1e-100, 1 and 1e100 at shifts of size 1e-100: in
+        # every chunk some squared norms fall below PLAIN_RANGE, some inside
+        # and some above it
+        blocks = np.concatenate([1e-100 * _stack(4, rng), _stack(4, rng), 1e100 * _stack(4, rng)])
+        blocks = blocks[rng.permutation(len(blocks))]
+        zs = 1e-100 * TestClosedForm.ZS["grid"]
+        smin, norms = scaled_closed_form(blocks, zs)
+        low, high = antieig.PLAIN_RANGE
+        outside = ~((low <= norms**2) & (norms**2 <= high))
+        assert outside.any() and not outside.all()
+        rescued = self.recording_scaled(monkeypatch)
+        found = antieig._closed_form(blocks, zs)
+        assert rescued == [np.count_nonzero(outside)]
+        for values, expected in zip(found, (smin, norms)):
+            assert values[outside].tobytes() == expected[outside].tobytes()
+            assert _within_two_ulps(values, expected)
+        # chunks of one, seven and all 25 shifts give the same bits
+        for rows in (1, 7, 25):
+            kernel = antieig._ClosedForm(blocks, rows)
+            starts = range(0, len(zs), rows)
+            chunks = [[x.copy() for x in kernel(zs[start : start + rows])] for start in starts]
+            for values, chunked in zip(found, zip(*chunks)):
+                assert values.tobytes() == np.concatenate(chunked).tobytes()
+
+    @pytest.mark.parametrize("alpha", [-1.5, 0.0, 0.5])
+    def test_shift_on_a_diagonal_entry(self, alpha, rng, monkeypatch):
+        # z = k^2 zeroes both diagonal entries of the symbol at k:
+        # [[0, k], [alpha k, 0]], singular at alpha = 0
+        k = np.linspace(-3.0, 3.0, 21)
+        H, _, _ = pauli.discretize(alpha, k)
+        zs = (k * k).astype(complex)
+        norms = antieig._resolvent_norms(H, zs)
+        with monkeypatch.context() as patch:
+            patch.setattr(antieig, "_ClosedForm", _ScaledKernel)
+            assert norms.tobytes() == antieig._resolvent_norms(H, zs).tobytes()
+        assert np.all(np.isinf(norms)) == (alpha == 0.0)
+        # random blocks, each shifted by its own first diagonal entry
+        blocks = _stack(50, rng)
+        smin, block_norms = antieig._closed_form(blocks, blocks[:, 0, 0])
+        reference = scaled_closed_form(blocks, blocks[:, 0, 0])
+        assert _within_two_ulps(smin, reference[0]) and _within_two_ulps(block_norms, reference[1])
+        TestClosedForm.assert_matches_svd(blocks, blocks[:, 0, 0])
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("epsilon", [1e-310, np.float64(1e-310)])
 def test_spectrum_points_are_inside_when_one_over_epsilon_overflows(epsilon):

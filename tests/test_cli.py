@@ -525,7 +525,7 @@ class TestModelSpace:
     def test_toeplitz_zero_dimension_is_reported(self, tmp_path, capsys):
         path = tmp_path / "p.json"
         dump_json(symbol_to_json({0: 1.0}), path)
-        code = main(
+        code = _exit_code(
             ["model-space", "--toeplitz", "--phi1", str(path), "--phi2", str(path), "--N", "0"]
         )
         assert code == 2
@@ -659,6 +659,42 @@ def test_malformed_value_is_reported_by_its_option(argv, message, tmp_path, caps
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.endswith(f"error: {message}\n") and "_parse" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["pseudospec", "--H", "MISSING", "--epsilon", "0.1", "--grid", "-1,1,-1,1", "--res", "1"],
+         "argument --res: resolution must be at least 2, got '1'"),
+        (["pseudospec", "--H", "MISSING", "--epsilon", "0.1", "--grid", "-1,1,-1,1", "--res", "-3"],
+         "argument --res: resolution must be at least 2, got '-3'"),
+        (["pseudospec", "--H", "MISSING", "--epsilon", "0.1", "--grid", "-1,1,-1,1", "--res", "2.5"],
+         "argument --res: resolution must be an integer, got '2.5'"),
+        (["pauli-spectrum", "--alpha", "1", "--kmax", "3", "--n", "0"],
+         "argument --n: n must be at least 1, got '0'"),
+        (["model-space", "--toeplitz", "--phi1", "MISSING", "--phi2", "MISSING", "--N", "0"],
+         "argument --N: N must be at least 1, got '0'"),
+    ],
+    ids=["res-one", "res-negative", "res-fraction", "n-zero", "N-zero"],
+)
+def test_count_below_its_least_is_reported_by_its_option(argv, message, tmp_path, capsys):
+    # the files do not exist: the count is rejected before any file is read
+    missing = str(tmp_path / "missing.json")
+    with pytest.raises(SystemExit) as info:
+        main([missing if token == "MISSING" else token for token in argv])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: {message}\n") and "missing.json" not in captured.err
+
+
+def test_least_counts_are_taken(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    dump_json(symbol_to_json({0: 1.0}), path)
+    assert main(["pauli-spectrum", "--alpha", "1", "--kmax", "3", "--n", "1"]) == 0
+    assert main(["model-space", "--toeplitz", "--phi1", str(path), "--phi2", str(path), "--N", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "points=1 " in out and "toeplitz N=1" in out
 
 
 @pytest.mark.parametrize("seed", [0, 10**23])

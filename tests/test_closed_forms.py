@@ -144,10 +144,11 @@ class TestSquareSplitOracle:
 
 def test_predicates_form_no_dense_product(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("dense square or sampled symbol")
+        raise AssertionError("dense square")
 
     monkeypatch.setattr(AntilinearMap, "squared", refuse)
-    monkeypatch.setattr(modelspaces, "evaluate_symbol", refuse)
+    # the symbol sampler is the tests' oracle (conftest.evaluate_symbol), not a name of the package
+    assert not hasattr(modelspaces, "evaluate_symbol")
     assert classify(c2_blocks(4)) is InvolutionClass.ANTI_INVOLUTIVE
     assert classify(class_operator("neither", 6, seed=1)) is InvolutionClass.NEITHER
     assert class_operator("neither", 6, seed=1).square_split is not None

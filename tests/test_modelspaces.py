@@ -19,7 +19,6 @@ from csaop.modelspaces import (
     check_condition_and,
     conjugation_c_alphabeta,
     conjugation_c_gamma,
-    evaluate_symbol,
     example1_matrix,
     example2_conjugation,
     example2_matrix,
@@ -29,7 +28,7 @@ from csaop.modelspaces import (
 )
 from csaop.pauli import MINUS_I_SIGMA2
 
-from conftest import condition_and_by_sampling, haar_unitary, random_vector
+from conftest import condition_and_by_sampling, evaluate_symbol, haar_unitary, random_vector
 
 
 def random_symbol(rng, support, density=0.8):
