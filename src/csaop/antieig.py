@@ -27,10 +27,10 @@ momentum symbol per block); ``sigma_min(H - z I)`` is the least
 their singular values. Blocks of 1 or 2 rows, the toy model's included,
 take both from a closed form with no LAPACK call; larger blocks of one
 size take batched SVDs of their shifted stacks, and a dense ``H`` is a
-single block. One spectrum rule, shared with the eigensystem, puts
-``z`` in the spectrum when ``sigma_min <= SPECTRUM_CUTOFF * ||H - z I||_F``
-and raises :class:`NonFinite` when that norm, or an entry of ``H - z I``,
-overflows (or is NaN).
+single block. One spectrum rule, :func:`_in_spectrum`, shared with the
+eigensystem, puts ``z`` in the spectrum when ``sigma_min <= SPECTRUM_CUTOFF
+* ||H - z I||_F``; the scan raises :class:`NonFinite` when that norm, or an
+entry of ``H - z I``, overflows (or is NaN).
 
 Grid points are independent problems (Trefethen, "Computation of
 pseudospectra", Acta Numerica 8, 1999), so the kernel splits the shifts of
@@ -92,7 +92,8 @@ class PseudospectrumGrid:
     ``in_pseudospectrum`` marks points with ``resolvent_norm > 1/epsilon``
     and points numerically in the spectrum, which carry ``resolvent_norm =
     inf`` and lie in every epsilon-pseudospectrum, even where ``1/epsilon``
-    overflows to ``inf``.
+    overflows to ``inf``. A norm is also ``inf``, and marked, where ``1 /
+    sigma_min`` overflows (``sigma_min`` below about ``5.6e-309``).
     """
 
     epsilon: float
@@ -101,14 +102,18 @@ class PseudospectrumGrid:
     in_pseudospectrum: np.ndarray
 
 
+def _in_spectrum(smin, norm):
+    """The spectrum rule: whether ``sigma_min(H - z I) <= SPECTRUM_CUTOFF ||H - z I||_F``."""
+    return smin <= SPECTRUM_CUTOFF * norm
+
+
 @np.errstate(divide="ignore", over="ignore")  # 1 / smin past the float range: inf
 def _resolvent(smin, norm):
-    """``1 / smin``, or ``inf`` (``z`` in the spectrum) where ``smin <=
-    SPECTRUM_CUTOFF * norm``, per shift: ``smin = sigma_min(H - z I)`` and
-    ``norm = ||H - z I||_F``, which must be finite (else :class:`NonFinite`)."""
+    """``1 / smin`` (``inf`` where it overflows), or ``inf`` where
+    :func:`_in_spectrum` holds; ``norm`` must be finite (else :class:`NonFinite`)."""
     if not np.all(norm < np.inf):
         raise NonFinite("||H - zI||_F overflows")
-    return np.where(smin <= SPECTRUM_CUTOFF * norm, np.inf, 1.0 / smin)
+    return np.where(_in_spectrum(smin, norm), np.inf, 1.0 / smin)
 
 
 #: Least block size whose shifts :func:`_resolvent_norms` splits across the
@@ -185,7 +190,7 @@ def _scaled(a, b, c, d) -> tuple[np.ndarray, np.ndarray]:
 
 
 #: Squared norms ``f = ||B - z I||_F^2`` of a shifted 2 x 2 block for which
-#: :func:`_closed_form` keeps its plain arithmetic; the other (shift,
+#: :class:`_ClosedForm` keeps its plain arithmetic; the other (shift,
 #: block) pairs take :func:`_scaled`. In range no term of degree 4 (each at
 #: most ``f^2``) passes ``2**480``, and every term that can reach the last
 #: bit of ``sigma_max`` (at least ``2**-110 f^2``) stays above ``2**-590``,
@@ -197,12 +202,31 @@ PLAIN_RANGE = (2.0**-240, 2.0**240)
 
 
 class _ClosedForm:
-    """:func:`_closed_form` of one stack of 1 x 1 or 2 x 2 ``blocks``, called
-    on chunks of at most ``rows`` shifts. The terms of a 2 x 2 block that no
-    shift changes (``|b|^2``, ``|c|^2``, ``bc``, and ``b`` and ``conj(c)``
-    spread over the rows) are taken once, and every call writes into the
-    same buffers, so the arrays that one call returns are overwritten by
-    the next."""
+    """``sigma_min`` and the Frobenius norm of ``B - z I`` for each block
+    ``B`` of a stack of 1 x 1 or 2 x 2 ``blocks`` at each of the (at most
+    ``rows``) shifts ``zs`` of a call, as two ``len(zs) x len(blocks)``
+    arrays, in closed form (no LAPACK call).
+
+    ``[h - z]`` has both equal to ``|h - z|``. ``[[a, b], [c, d]]`` has ``f
+    = ||B - z I||_F^2 = p + q`` (``p``, ``q`` its squared row norms) and
+    ``|ad - bc| = sigma_max sigma_min``, and the eigenvalues of ``(B - z
+    I)(B - z I)*`` give ``sigma_max^2 = (f + hypot(p - q, 2 |a conj(c) + b
+    conj(d)|)) / 2``: a sum of nonnegative terms, where ``(sqrt(f + 2 |ad -
+    bc|) + sqrt(f - 2 |ad - bc|)) / 2`` would lose half the digits to
+    cancellation when the two singular values are close. So ``sigma_max``
+    comes to a few ulps, and ``sigma_min = |ad - bc| / sigma_max`` to a few
+    ulps of ``sigma_max``, as from an SVD.
+
+    A (shift, block) pair whose ``f`` lies in ``PLAIN_RANGE`` takes this in
+    plain arithmetic, every other pair (chosen pair by pair, so chunking
+    never changes a value) :func:`_scaled`, the same formula on the block
+    rescaled by a power of two. In range the two agree bit for bit on the
+    toy model, whose off-diagonal entries are real, and within 2 ulps on
+    any block (bit for bit where ``hypot`` is scale-invariant, as glibc's
+    is). An overflowing shifted entry gives an infinite norm (1 x 1) or
+    raises :class:`NonFinite` (2 x 2), with no warning. Terms that no shift
+    changes are taken once, and every call writes into the same buffers,
+    so the arrays that one call returns are overwritten by the next."""
 
     def __init__(self, blocks: np.ndarray, rows: int):
         self.diagonal = [blocks[:, i, i] for i in range(blocks.shape[1])]
@@ -245,35 +269,6 @@ class _ClosedForm:
             block = np.nonzero(rescued)[1]
             smin[rescued], norm[rescued] = _scaled(a[rescued], self.b[block], self.c[block], d[rescued])
         return smin, norm
-
-
-def _closed_form(blocks: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``sigma_min`` and the Frobenius norm of ``B - z I`` for each block
-    ``B`` of ``blocks`` (1 or 2 rows) at each shift ``z`` in ``zs``, as two
-    ``len(zs) x len(blocks)`` arrays, in closed form (no LAPACK call).
-
-    A 1 x 1 block ``[h - z]`` has both equal to ``|h - z|``. A 2 x 2 block
-    ``[[a, b], [c, d]]`` has ``f = ||B - z I||_F^2 = p + q`` (``p``, ``q``
-    its squared row norms) and ``|ad - bc| = sigma_max sigma_min``, and the
-    eigenvalues of ``(B - z I)(B - z I)*`` give ``sigma_max^2 = (f +
-    hypot(p - q, 2 |a conj(c) + b conj(d)|)) / 2``: a sum of nonnegative
-    terms, where ``(sqrt(f + 2 |ad - bc|) + sqrt(f - 2 |ad - bc|)) / 2``
-    would lose half the digits to cancellation when the two singular
-    values are close. So ``sigma_max`` comes to a few ulps, and
-    ``sigma_min = |ad - bc| / sigma_max`` to a few ulps of ``sigma_max``,
-    as from an SVD.
-
-    A (shift, block) pair whose ``f`` lies in ``PLAIN_RANGE`` takes this
-    in plain arithmetic. Every other pair, chosen pair by pair so that
-    chunking never changes a value, takes :func:`_scaled`: the same
-    formula on the block rescaled by a power of two. On the pairs in range
-    the two agree bit for bit on the spin toy model, whose off-diagonal
-    entries are real, and within 2 ulps on any block (bit for bit where
-    the C library's ``hypot`` is scale-invariant, as glibc's is). A shifted
-    entry that overflows gives an infinite norm (1 x 1) or raises
-    :class:`NonFinite` (2 x 2), with no warning.
-    """
-    return _ClosedForm(blocks, len(zs))(zs)
 
 
 #: Shifted blocks per call of :class:`_ClosedForm`, whose buffers take 128
@@ -354,12 +349,13 @@ def _resolvent_norms(H: np.ndarray, zs: np.ndarray) -> np.ndarray:
 def resolvent_norm(H, z: complex) -> float:
     """Operator norm ``||(H - z I)^{-1}|| = 1 / sigma_min(H - z I)``.
 
-    Returns ``inf`` when ``z`` is numerically in the spectrum; raises
-    ``ValueError`` for a non-finite ``z`` and :class:`NonFinite` when
-    ``||H - z I||_F`` or one of its entries overflows. This is the block
-    scan of :func:`pseudospectrum` at the one point ``z`` (closed forms
-    for blocks of 1 or 2 rows, an SVD per larger block), on the calling
-    thread (one shift makes one part), so the two agree exactly.
+    Returns ``inf`` when ``z`` is numerically in the spectrum and where ``1
+    / sigma_min`` overflows (``sigma_min`` below about ``5.6e-309``); raises
+    ``ValueError`` for a non-finite ``z`` and :class:`NonFinite` when ``||H
+    - z I||_F`` or one of its entries overflows. This is the block scan of
+    :func:`pseudospectrum` at the one point ``z`` (closed forms for blocks
+    of 1 or 2 rows, an SVD per larger block), on the calling thread (one
+    shift makes one part), so the two agree exactly.
     """
     H, z = as_matrix(H, square=True), complex(z)
     if not np.isfinite(z):
@@ -377,20 +373,20 @@ def antilinear_eigensystem(
     (matrix ``A^T conj(W V*)``, ``U = W V*``) in M's singular subspaces:
     ``C^{-1} U psi = psi`` is ``U psi = C psi``, so
     ``M psi = U |M| psi = lambda U psi = lambda C psi``. Raises
-    :class:`ZInSpectrum` when ``z`` is numerically in the spectrum,
-    :class:`NonFinite` when ``||H - z I||_F`` overflows, ``ValueError``
-    when ``z`` is not finite, :class:`DimMismatch` for a 0 x 0 ``H``
-    (no lambda_1), and :class:`UnsupportedDegeneracy` when a cluster of
-    M's singular values (gap ``SVD_CLUSTER_GAP * s[0]``, as in
-    :func:`~csaop.decomp.refined_svd`) is degenerate and ``C`` is not
-    involutive: for a C that is neither, two lambdas within
-    ``1e-6 ||M||_2`` of each other suffice.
+    :class:`ZInSpectrum` exactly where :func:`_in_spectrum` holds (not where
+    only ``1 / lambda_1`` overflows), :class:`NonFinite` when ``||H - z
+    I||_F`` overflows, ``ValueError`` for a non-finite ``z``,
+    :class:`DimMismatch` for a 0 x 0 ``H`` (no lambda_1), and
+    :class:`UnsupportedDegeneracy` when a cluster of M's singular values
+    (gap ``SVD_CLUSTER_GAP * s[0]``, as in :func:`~csaop.decomp.refined_svd`)
+    is degenerate and ``C`` is not involutive: for a C that is neither, two
+    lambdas within ``1e-6 ||M||_2`` of each other suffice.
     """
     H, M, W, s, V, _ = _csa_svd(H, C, tol, z, (ValueError, "z must be finite"))
     z, n = complex(z), H.shape[0]
     if n == 0:
         raise DimMismatch("a 0 x 0 H has no antilinear eigenvalues")
-    if _resolvent(s[-1], np.hypot.reduce(s)) == np.inf:
+    if _in_spectrum(s[-1], np.hypot.reduce(s)):
         raise ZInSpectrum(f"sigma_min(H - zI) = {s[-1]:.3e}; shift z = {z} is in the spectrum")
     A = C.unitary_part
     phis, _, slack = _fixed_singular_basis(A.T, W, V, s, C, tol)

@@ -3,9 +3,10 @@
 Each subcommand reads matrix/antiunitary JSON files (see ``serialize``),
 runs one library operation, prints a one-line summary to stdout, and
 optionally writes a JSON or CSV artifact. Exit status: 0 on success, 1 on
-domain errors (not C-self-adjoint, unsupported degeneracy, shift in the
-spectrum, ...), 2 on I/O or parse errors and on a request too large to
-allocate (``--res``, ``--n``).
+a ``CsaopError`` (not C-self-adjoint, shift in the spectrum, ...), 2 on
+``OSError``, ``ValueError`` (each ``serialize`` reader raises one for any
+malformed object) and ``MemoryError`` (``--res``, ``--n`` too large to
+allocate). Nothing else is caught.
 
 :func:`main` is the one front end: it loads ``--H`` and then ``--C``,
 builds the ``Tolerance`` and writes ``--out``. A handler gets the parsed
@@ -38,20 +39,19 @@ from .errors import CsaopError
 from .linalg import DEFAULT_TOL, Tolerance, fro
 
 
-def _parse_complex(text: str) -> complex:
-    try:
-        real, imag = (float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected 're,im', got {text!r}") from None
-    return complex(real, imag)
+def _parse_floats(form: str):
+    """An argparse type: a tuple of as many comma-separated floats as ``form`` (``'re,im'``) names."""
 
+    def parse(text: str) -> tuple[float, ...]:
+        try:
+            values = tuple(map(float, text.split(",")))
+        except ValueError:
+            values = ()
+        if len(values) != form.count(",") + 1:
+            raise argparse.ArgumentTypeError(f"expected {form!r}, got {text!r}")
+        return values
 
-def _parse_bounds(text: str) -> tuple[float, float, float, float]:
-    try:
-        re_min, re_max, im_min, im_max = (float(part) for part in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected 're_min,re_max,im_min,im_max', got {text!r}") from None
-    return re_min, re_max, im_min, im_max
+    return parse
 
 
 def _parse_seed(text: str) -> int:
@@ -111,11 +111,9 @@ def _refined_svd(args, H, C, tol):
 
 
 def _anti_eig(args, H, C, tol):
-    system = antieig.antilinear_eigensystem(H, C, args.z, tol)
-    print(
-        f"anti-eig count={len(system.lambdas)} lambda1={system.lambdas[0]:.6e} "
-        f"resolvent_norm={1.0 / system.lambdas[0]:.6e}"  # ||R(z)|| = 1 / lambda_1
-    )
+    system = antieig.antilinear_eigensystem(H, C, complex(*args.z), tol)
+    lambda1 = float(system.lambdas[0])  # ||R(z)|| = 1 / lambda1: a Python float, inf past 1e308 with no warning
+    print(f"anti-eig count={len(system.lambdas)} lambda1={lambda1:.6e} resolvent_norm={1.0 / lambda1:.6e}")
     return lambda: serialize.eigensystem_to_json(system)
 
 
@@ -208,11 +206,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(
         "anti-eig", _anti_eig, "antilinear eigenvalue problem (H - zI) psi = lambda C psi", h_file, c_file, tol
     )
-    p.add_argument("--z", type=_parse_complex, required=True, metavar="RE,IM")
+    p.add_argument("--z", type=_parse_floats("re,im"), required=True, metavar="RE,IM")
 
     p = command("pseudospec", _pseudospec, "resolvent-norm grid scan", h_file)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--grid", type=_parse_bounds, required=True, metavar="RE0,RE1,IM0,IM1")
+    p.add_argument(
+        "--grid", type=_parse_floats("re_min,re_max,im_min,im_max"), required=True, metavar="RE0,RE1,IM0,IM1"
+    )
     p.add_argument(
         "--res", type=_parse_at_least("resolution", 2), required=True, help="grid points per axis (>= 2)"
     )
@@ -266,7 +266,7 @@ def main(argv=None) -> int:
     except CsaopError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, KeyError, MemoryError) as exc:  # json.JSONDecodeError is a ValueError
+    except (OSError, ValueError, MemoryError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,6 +5,7 @@ entries flattened row-major. Antiunitary JSON wraps the unitary part as
 ``{"kind": "antiunitary", "unitary_part": <matrix>}``. Symbols are
 ``{"fourier": {"-2": [re, im], ...}}``. Everything written here is read
 back by the same parsers (the CLI round-trips through these functions).
+Each reader raises ``ValueError``, naming its object, on any malformed one.
 
 :func:`dump_json` writes compact one-line JSON with ``orjson`` and holds
 finite numbers only: a NaN or infinite value, or an int outside 64 bits,
@@ -49,10 +50,12 @@ def matrix_to_json(M) -> dict:
 def matrix_from_json(obj) -> np.ndarray:
     try:
         rows, cols, data = obj["rows"], obj["cols"], obj["data"]
+        if not isinstance(data, list):
+            raise TypeError(f"data must be a list, not {type(data).__name__}")
         values = np.array(
             [complex(re, im) for re, im in data if type(re) is not bool and type(im) is not bool], dtype=complex
         )
-    except (KeyError, TypeError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # ValueError: an entry that is not a pair
         raise ValueError(f"not a matrix object: {exc}") from exc
     if len(values) != len(data):  # complex(True, False) would read 1 + 0j
         raise ValueError("matrix entries must be numbers, not booleans")
@@ -70,8 +73,8 @@ def antiunitary_to_json(C: AntiunitaryOp) -> dict:
 
 
 def antiunitary_from_json(obj) -> AntiunitaryOp:
-    if not isinstance(obj, dict) or obj.get("kind") != "antiunitary":
-        raise ValueError('expected {"kind": "antiunitary", ...}')
+    if not isinstance(obj, dict) or obj.get("kind") != "antiunitary" or not isinstance(obj.get("unitary_part"), dict):
+        raise ValueError('expected {"kind": "antiunitary", "unitary_part": <matrix object>}')
     return AntiunitaryOp(matrix_from_json(obj["unitary_part"]))
 
 
@@ -92,7 +95,7 @@ def symbol_from_json(obj) -> dict:
     try:
         fourier = obj["fourier"]
         phi = {int(n): complex(re, im) for n, (re, im) in fourier.items()}
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, AttributeError, ValueError, OverflowError) as exc:  # ValueError: "1e3", a triple
         raise ValueError(f"not a symbol object: {exc}") from exc
     for n, pair in fourier.items():
         if str(int(n)) != n:

@@ -286,6 +286,36 @@ class TestHugeNorms:
         np.testing.assert_array_equal(grid.in_pseudospectrum, reference.in_pseudospectrum)
 
 
+class TestScaleMap:
+    """ROADMAP item 4's map ``H -> tH``, ``z -> tz`` over the eigensystem,
+    for a complex symmetric H with C = K and z within 1e-9 of an eigenvalue
+    (sigma_min / ||H - z I||_F about 1.5e-10, above ``SPECTRUM_CUTOFF``).
+    At t <= 1e-300, ``1 / lambda_1`` overflows; z stays outside the
+    spectrum, and the eigenvalue itself stays inside it."""
+
+    TS = [1e300, 1e100, 1.0, 1e-100, 1e-290, 1e-300, 1e-305]
+
+    @staticmethod
+    def pair():
+        H = random_complex_symmetric(4, np.random.default_rng(0))
+        return H, np.linalg.eigvals(H)[0]
+
+    @pytest.mark.parametrize("t", TS)
+    def test_near_shift_returns_at_every_scale(self, t):
+        H, eigenvalue = self.pair()
+        z = eigenvalue + 1e-9
+        reference = antilinear_eigensystem(H, conj_k(4), z).lambdas
+        assert SPECTRUM_CUTOFF < reference[0] / np.hypot.reduce(reference) < 1e-9
+        system = antilinear_eigensystem(t * H, conj_k(4), t * z)
+        assert np.max(np.abs(system.lambdas / t - reference)) <= 1e-14 * fro(H)
+
+    @pytest.mark.parametrize("t", TS)
+    def test_eigenvalue_is_in_the_spectrum_at_every_scale(self, t):
+        H, eigenvalue = self.pair()
+        with pytest.raises(ZInSpectrum):
+            antilinear_eigensystem(t * H, conj_k(4), t * eigenvalue)
+
+
 def _huge_pair(norm):
     """Involutive Haar C at n = 6 and a C-self-adjoint H with ||H||_F = norm."""
     rng = np.random.default_rng(6)
@@ -922,7 +952,7 @@ class TestClosedForm:
 
     @staticmethod
     def assert_matches_svd(blocks, zs):
-        smin, norms = antieig._closed_form(blocks, zs)
+        smin, norms = antieig._ClosedForm(blocks, len(zs))(zs)
         m = blocks.shape[1]
         s = np.linalg.svd(blocks[None] - zs[:, None, None, None] * np.eye(m), compute_uv=False)
         # 16 ulps of the block's sigma_max, or one ulp of a subnormal result
@@ -938,7 +968,7 @@ class TestClosedForm:
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_zero_blocks_are_exact(self, m):
-        smin, norms = antieig._closed_form(np.zeros((3, m, m)), np.zeros(2))
+        smin, norms = antieig._ClosedForm(np.zeros((3, m, m)), 2)(np.zeros(2))
         assert not smin.any() and not norms.any()
 
     def test_jordan_block_near_its_eigenvalue(self):
@@ -1082,7 +1112,7 @@ class TestPlainClosedForm:
         # takes the scaled formula, and so the same bits (t and 1/t alike)
         blocks = t * _stack(200, rng)
         zs = t * TestClosedForm.ZS["grid"]
-        smin, norms = antieig._closed_form(blocks, zs)
+        smin, norms = antieig._ClosedForm(blocks, len(zs))(zs)
         reference = scaled_closed_form(blocks, zs)
         assert _within_two_ulps(smin, reference[0]) and _within_two_ulps(norms, reference[1])
         if not 1e-30 < t < 1e30:
@@ -1102,7 +1132,7 @@ class TestPlainClosedForm:
         blocks = 0.2 * (rng.random((300, 2, 2)) - 0.5) + 0.2j * (rng.random((300, 2, 2)) - 0.5)
         blocks[:, 0, 1] += 0.75
         zs = 0.2 * (rng.random(20) - 0.5) + 0.2j * (rng.random(20) - 0.5)
-        found, expected = antieig._closed_form(blocks, zs), scaled_closed_form(blocks, zs)
+        found, expected = antieig._ClosedForm(blocks, len(zs))(zs), scaled_closed_form(blocks, zs)
         for values, reference in zip(found, expected):
             assert values.tobytes() == reference.tobytes()
 
@@ -1118,7 +1148,7 @@ class TestPlainClosedForm:
         outside = ~((low <= norms**2) & (norms**2 <= high))
         assert outside.any() and not outside.all()
         rescued = self.recording_scaled(monkeypatch)
-        found = antieig._closed_form(blocks, zs)
+        found = antieig._ClosedForm(blocks, len(zs))(zs)
         assert rescued == [np.count_nonzero(outside)]
         for values, expected in zip(found, (smin, norms)):
             assert values[outside].tobytes() == expected[outside].tobytes()
@@ -1145,7 +1175,7 @@ class TestPlainClosedForm:
         assert np.all(np.isinf(norms)) == (alpha == 0.0)
         # random blocks, each shifted by its own first diagonal entry
         blocks = _stack(50, rng)
-        smin, block_norms = antieig._closed_form(blocks, blocks[:, 0, 0])
+        smin, block_norms = antieig._ClosedForm(blocks, len(blocks))(blocks[:, 0, 0])
         reference = scaled_closed_form(blocks, blocks[:, 0, 0])
         assert _within_two_ulps(smin, reference[0]) and _within_two_ulps(block_norms, reference[1])
         TestClosedForm.assert_matches_svd(blocks, blocks[:, 0, 0])

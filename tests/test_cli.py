@@ -290,6 +290,15 @@ class TestAntiEig:
         assert code == 2
         assert "z must be finite" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_resolvent_norm_prints_inf(self, tmp_path, capsys):
+        # sigma_min = 1e-309 is 1e-9 of ||H - zI||_F: outside the spectrum, 1 / lambda_1 overflows
+        dump_json(matrix_to_json(np.diag([1e-300, 2e-300])), tmp_path / "h.json")
+        dump_json(antiunitary_to_json(conj_k(2)), tmp_path / "c.json")
+        argv = ["anti-eig", "--H", str(tmp_path / "h.json"), "--C", str(tmp_path / "c.json")]
+        assert main([*argv, "--z", "1.000000001e-300,0"]) == 0
+        assert capsys.readouterr().out.rstrip().endswith(" resolvent_norm=inf")
+
 
 class TestOverflowingShift:
     """||H - zI||_F overflows for H = [[1.5e308]] at a shift of 1.5e308 i."""
@@ -584,6 +593,49 @@ def test_domain_errors_exit_one(error, request, tmp_path, capsys):
     assert main([command, "--H", str(h_path), "--C", str(c_path), *extra]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and fragment in err
+
+
+ANTIUNITARY_SHAPE = 'expected {"kind": "antiunitary", "unitary_part": <matrix object>}'
+
+
+#: Malformed objects, each with the file it goes into and the start of its
+#: message: every reader names its object.
+MALFORMED = {
+    "no-unitary-part": ("--C", '{"kind": "antiunitary"}', ANTIUNITARY_SHAPE),
+    "list-unitary-part": ("--C", '{"kind": "antiunitary", "unitary_part": [[1, 0]]}', ANTIUNITARY_SHAPE),
+    "entry-of-one": ("--H", '{"rows": 1, "cols": 1, "data": [[1]]}', "not a matrix object: "),
+    "entry-of-three": ("--H", '{"rows": 1, "cols": 1, "data": [[1, 0, 0]]}', "not a matrix object: "),
+    "string-data": ("--H", '{"rows": 1, "cols": 1, "data": "10"}', "not a matrix object: "),
+    "empty-string-data": ("--H", '{"rows": 0, "cols": 0, "data": ""}', "not a matrix object: "),
+    "index-1e3": ("--phi1", '{"fourier": {"1e3": [1, 0]}}', "not a symbol object: "),
+    "pair-of-three": ("--phi1", '{"fourier": {"1": [1, 0, 0]}}', "not a symbol object: "),
+    "huge-int": ("--phi1", '{"fourier": {"1": [1%s, 0]}}' % ("0" * 400), "not a symbol object: "),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_object_is_named_by_its_reader(case, diag_pair, tmp_path, capsys):
+    flag, text, message = MALFORMED[case]
+    (tmp_path / "bad.json").write_text(text)
+    if flag == "--phi1":
+        bad = str(tmp_path / "bad.json")
+        argv = ["model-space", "--toeplitz", "--phi1", bad, "--phi2", bad, "--N", "4"]
+    else:
+        argv = ["check", *diag_pair]
+        argv[argv.index(flag) + 1] = str(tmp_path / "bad.json")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_a_key_error_is_not_an_input_error(diag_pair, monkeypatch):
+    # only CsaopError, OSError, ValueError and MemoryError are caught
+    def fail(*args):
+        raise KeyError("bug")
+
+    monkeypatch.setattr(csa, "check_c_selfadjoint", fail)
+    with pytest.raises(KeyError, match="bug"):
+        main(["check", *diag_pair])
 
 
 @pytest.mark.parametrize("flag", ["--H", "--C", "--phi1"])

@@ -64,6 +64,35 @@ def test_antiunitary_requires_kind():
         antiunitary_from_json({"unitary_part": matrix_to_json(np.eye(2))})
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [{"kind": "antiunitary"}, {"kind": "antiunitary", "unitary_part": [[1, 0]]}, {"kind": "unitary"}, []],
+    ids=["no-unitary-part", "list-unitary-part", "wrong-kind", "list"],
+)
+def test_antiunitary_reader_names_the_expected_shape(obj):
+    with pytest.raises(ValueError, match='^expected {"kind": "antiunitary", "unitary_part": <matrix object>}$'):
+        antiunitary_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "data", [[[1.0]], [[1.0, 0.0, 0.0]], "10", ""], ids=["entry-of-one", "entry-of-three", "string", "empty-string"]
+)
+def test_matrix_reader_names_its_object(data):
+    rows = len(data) if isinstance(data, list) else 0
+    with pytest.raises(ValueError, match="^not a matrix object: "):
+        matrix_from_json({"rows": rows, "cols": rows, "data": data})
+
+
+@pytest.mark.parametrize(
+    "fourier",
+    [{"1e3": [1, 0]}, {"1": [1, 0, 0]}, {"1": [1]}, {"1": [10**400, 0]}],
+    ids=["index-1e3", "pair-of-three", "single", "huge-int"],
+)
+def test_symbol_reader_names_its_object(fourier):
+    with pytest.raises(ValueError, match="^not a symbol object: "):
+        symbol_from_json({"fourier": fourier})
+
+
 def test_symbol_round_trip():
     phi = {-2: 1 + 1j, 0: -3.0, 5: 2j}
     assert symbol_from_json(symbol_to_json(phi)) == phi
