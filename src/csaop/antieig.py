@@ -92,8 +92,9 @@ class PseudospectrumGrid:
     ``in_pseudospectrum`` marks points with ``resolvent_norm > 1/epsilon``
     and points numerically in the spectrum, which carry ``resolvent_norm =
     inf`` and lie in every epsilon-pseudospectrum, even where ``1/epsilon``
-    overflows to ``inf``. A norm is also ``inf``, and marked, where ``1 /
-    sigma_min`` overflows (``sigma_min`` below about ``5.6e-309``).
+    overflows to ``inf``. A norm is also ``inf`` where ``1 / sigma_min``
+    overflows (``sigma_min`` below about ``5.6e-309``); outside the
+    spectrum such a point is marked only where ``sigma_min < epsilon``.
     """
 
     epsilon: float
@@ -317,10 +318,15 @@ def _block_norms(blocks: np.ndarray, zs: np.ndarray, step: int) -> tuple[np.ndar
     return smin, norm
 
 
-@np.errstate(over="ignore")  # an overflowing entry or norm raises NonFinite: _shifted, _scaled, _resolvent
 def _resolvent_norms(H: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """:func:`_resolvent` at each shift in ``zs``, split into parts and
-    chunks as the module docstring tells.
+    """:func:`_resolvent` at each shift in ``zs``."""
+    return _resolvent(*_smin_and_norm(H, zs))
+
+
+@np.errstate(over="ignore")  # an overflowing entry or norm raises NonFinite: _shifted, _scaled, _resolvent
+def _smin_and_norm(H: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``sigma_min(H - z I)`` and ``||H - z I||_F`` at each shift in ``zs``,
+    split into parts and chunks as the module docstring tells.
 
     :func:`~csaop.linalg.direct_sum_blocks` splits ``H != 0`` into
     diagonal blocks, one index array per block size, sizes in the order
@@ -343,7 +349,7 @@ def _resolvent_norms(H: np.ndarray, zs: np.ndarray) -> np.ndarray:
         block_min, block_norm = map(np.concatenate, zip(*parts))  # back in shift order
         smin = np.minimum(smin, block_min)
         frobenius = np.hypot(frobenius, block_norm)
-    return _resolvent(smin, frobenius)
+    return smin, frobenius
 
 
 def resolvent_norm(H, z: complex) -> float:
@@ -418,7 +424,9 @@ def pseudospectrum(
     caller's numpy error state (``np.errstate``, error callback included),
     and the shifted stacks in flight take ~16 MB at most
     (``SVD_STACK_ENTRIES``).
-    Points in the spectrum are in the mask at every ``epsilon``. Raises
+    Points in the spectrum are in the mask at every ``epsilon``; a point
+    outside it whose ``1 / sigma_min`` overflows to ``inf`` is in the mask
+    only where ``sigma_min < epsilon``. Raises
     ``ValueError`` for a bad ``epsilon`` or ``resolution`` and for bounds
     that are not finite or whose width overflows.
     """
@@ -437,9 +445,13 @@ def pseudospectrum(
     ims = np.linspace(im_min, im_max, resolution)
     zs = (res[None, :] + 1j * ims[:, None]).ravel()
 
-    norms = _resolvent_norms(H, zs)
-    # 1 / epsilon is inf below 2**-1024 (a Python float: numpy's warns)
-    mask = np.isinf(norms) | (norms > 1.0 / float(epsilon))
+    smin, frobenius = _smin_and_norm(H, zs)
+    norms = _resolvent(smin, frobenius)
+    # 1 / epsilon is inf below 2**-1024 (a Python float: numpy's warns); an
+    # inf norm is z in the spectrum or 1 / smin past the float range
+    mask = np.where(
+        np.isinf(norms), _in_spectrum(smin, frobenius) | (smin < epsilon), norms > 1.0 / float(epsilon)
+    )
     return PseudospectrumGrid(
         epsilon=float(epsilon), zs=zs, resolvent_norms=norms, in_pseudospectrum=mask
     )

@@ -1189,3 +1189,22 @@ def test_spectrum_points_are_inside_when_one_over_epsilon_overflows(epsilon):
     grid = pseudospectrum(np.zeros((1, 1)), epsilon, (-1.0, 1.0, -1.0, 1.0), 3)
     assert grid.resolvent_norms[4] == np.inf
     np.testing.assert_array_equal(grid.in_pseudospectrum, np.arange(9) == 4)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "H, bounds, inside",
+    [
+        # sigma_min ~ 1e-309 > epsilon: 1 / sigma_min overflows, but z is outside
+        (np.diag([1e-300, 2e-300]), (1.000000001e-300, 1.000000001e-300 + 1e-315, 0, 1e-315), [False] * 4),
+        # sigma_min ~ 1e-311 < epsilon at re_min, ~ 1e-309 at re_max
+        (np.diag([1e-300, 2e-300]), (1e-300 + 1e-311, 1.000000001e-300, 0, 1e-315), [True, False, True, False]),
+        # sigma_min ~ 1e-309 > epsilon, but below SPECTRUM_CUTOFF * 1e-296: in the spectrum
+        (np.diag([1e-296, 2e-296]), (1e-296 + 1e-309, 1e-296 + 2e-309, 0, 1e-315), [True] * 4),
+    ],
+    ids=["outside", "either-side-of-epsilon", "in-the-spectrum"],
+)
+def test_an_overflowing_norm_outside_the_spectrum_is_inside_only_below_epsilon(H, bounds, inside):
+    grid = pseudospectrum(H, 1e-310, bounds, 2)
+    assert np.isinf(grid.resolvent_norms).all()
+    assert grid.in_pseudospectrum.tolist() == inside

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import itertools
 import json
 import re
+import sys
 import warnings
 from pathlib import Path
 
@@ -949,3 +951,69 @@ def test_inputs_are_read_without_the_standard_decoder(writer, tmp_path, monkeypa
     for argv in commands:
         assert main(argv) == 0, argv
     assert capsys.readouterr().out.count("\n") == len(commands)
+
+
+def test_a_command_runs_no_collection(tmp_path, capsys):
+    # a 128 x 128 matrix is 16,384 [re, im] lists; with the collector
+    # running, this polar runs 117 collections, none of which frees anything
+    C = random_antiunitary(128, 5)
+    h, c = tmp_path / "h.json", tmp_path / "c.json"
+    h.write_text(json.dumps(matrix_to_json(generate_csa(C, seed=5))))
+    c.write_text(json.dumps(antiunitary_to_json(C)))
+    argv = ["polar", "--H", str(h), "--C", str(c), "--out", str(tmp_path / "polar.json")]
+    generations = []
+
+    def record(phase, info):
+        # only collections that start while main is on the stack: one may
+        # fall due on the first allocations after main restores the collector
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not main.__code__:
+            frame = frame.f_back
+        if phase == "start" and frame is not None:
+            generations.append(info["generation"])
+
+    gc.collect()  # so that no collection falls due before main pauses the collector
+    gc.callbacks.append(record)
+    try:
+        assert main(argv) == 0
+    finally:
+        gc.callbacks.remove(record)
+    assert generations == []
+    assert capsys.readouterr().out.startswith("polar residual=")
+
+
+def _raise_key_error(*args):
+    raise KeyError("bug")
+
+
+#: One command per way out of ``main``: the subcommand, arguments after
+#: ``diag_pair`` and the exit code (``KeyError`` where the exception leaves
+#: ``main``). A second ``--H`` replaces the first.
+EXITS = {
+    "exit-0": ("check", [], 0),
+    "exit-1": ("anti-eig", ["--z", "1,0"], 1),
+    "exit-2": ("check", ["--H", "no-such-directory/h.json"], 2),
+    "help": ("polar", ["--help"], 0),
+    "argparse-error": ("check", ["--nonsense"], 2),
+    "uncaught": ("check", [], KeyError),
+}
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collecting", "paused"])
+@pytest.mark.parametrize("case", EXITS)
+def test_the_callers_collector_setting_is_restored(case, collecting, diag_pair, monkeypatch, capsys):
+    command, extra, code = EXITS[case]
+    argv = [command, *diag_pair, *extra]
+    if code is KeyError:
+        monkeypatch.setattr(csa, "check_c_selfadjoint", _raise_key_error)
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        if code is KeyError:
+            with pytest.raises(KeyError, match="bug"):
+                main(argv)
+        else:
+            assert _exit_code(argv) == code
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if before else gc.disable)()
