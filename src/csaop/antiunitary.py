@@ -104,11 +104,11 @@ class AntiunitaryOp(AntilinearMap):
     ``||A*A - I||_F`` and ``||AA* - I||_F`` both equal ``sqrt(sum (s_i^2 - 1)^2)``.
     :meth:`permuted_blocks` checks a lifted ``kron(R, B)`` from its factors.
 
-    :attr:`square_split`, the eigenbasis of ``C^{-2}`` that the generator
-    projects in, is computed on first access and kept with the instance: at
-    most one n x n basis and n labels, and only for a C that is neither
-    involutive nor anti-involutive. Operators from :meth:`adjoint` and
-    :meth:`permuted_blocks` are new instances with their own.
+    :attr:`square_split`, the eigenbasis of ``C^{-2}``, and the generator's
+    :attr:`commutant_projection` are computed on first access and kept with
+    the instance: two n x n bases, a mask and n labels at most, and only for
+    a C that is neither involutive nor anti-involutive. Operators from
+    :meth:`adjoint` and :meth:`permuted_blocks` are new instances with their own.
     """
 
     def __init__(self, unitary_part):
@@ -163,6 +163,18 @@ class AntiunitaryOp(AntilinearMap):
         Q.setflags(write=False)
         labels.setflags(write=False)
         return Q, labels
+
+    @cached_property
+    def commutant_projection(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """Read-only ``(Q, Q*, apart)`` of :attr:`square_split`, ``apart[i, j]``
+        true where columns ``i`` and ``j`` of ``Q`` lie in different clusters."""
+        if self.square_split is None:
+            return None
+        Q, labels = self.square_split
+        parts = Q, Q.conj().T, labels[:, None] != labels
+        for array in parts:
+            array.setflags(write=False)
+        return parts
 
     def apply_inverse(self, psi) -> np.ndarray:
         """``C^{-1} psi = A.T @ conj(psi)`` without building a new operator."""

@@ -100,19 +100,20 @@ def generate_csa(C: AntiunitaryOp, seed: int) -> np.ndarray:
     The orthogonal projection of a complex Gaussian matrix onto the solution
     space (module docstring): unit variance along every real direction in it.
     For a C that is neither involutive nor anti-involutive, the first call
-    on ``C`` computes :attr:`~AntiunitaryOp.square_split` in O(n^3); every
-    call then projects with its basis ``Q`` by three matrix products.
+    on ``C`` computes :attr:`~AntiunitaryOp.commutant_projection` in O(n^3);
+    every call then projects with its basis ``Q`` by four matrix products.
     """
     A = C.unitary_part
     n = C.dim
-    rng = np.random.default_rng(seed)
-    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    if C.square_split is not None:  # onto the commutant of C^{-2}
-        Q, labels = C.square_split
-        X = Q.conj().T @ G @ Q
-        X[labels[:, None] != labels] = 0
-        G = Q @ X @ Q.conj().T
-    return (G + A.T @ G.T @ A.conj()) / 2
+    G = np.empty((n, n), dtype=complex)
+    G.real, G.imag = np.random.default_rng(seed).standard_normal((2, n, n))
+    if C.commutant_projection is not None:  # onto the commutant of C^{-2}
+        Q, Qh, apart = C.commutant_projection
+        X = Qh @ G @ Q
+        X[apart] = 0
+        G = Q @ X @ Qh
+    G += A.T @ G.T @ A.conj()  # the average of G and T(G)
+    return np.multiply(G, 0.5, out=G)
 
 
 def eigen_pairing(

@@ -17,7 +17,7 @@ from csaop import AntiunitaryOp, InvolutionClass
 from csaop.antiunitary import C2_CLUSTER_GAP
 from csaop.linalg import CLASSIFY_TOL, DEFAULT_TOL, cayley, fro
 from csaop.modelspaces import max_support
-from csaop.serialize import _reject_constant, _unique_keys
+from csaop.serialize import ORJSON_MAX_DEPTH, _reject_constant, _unique_keys
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -156,6 +156,34 @@ def load_json_by_stdlib(path):
             return json.load(handle, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
         except RecursionError:
             raise ValueError("JSON nested too deeply") from None
+
+
+def screen_by_bytes(data: bytes) -> bool:
+    """Reference for ``serialize._orjson_reads_like_json``: one loop over the
+    bytes that tracks strings, digit runs and bracket depth. Quotes open and
+    close strings in turn; a string is a key when its closing quote meets
+    ":" or a byte <= 0x20; a run of digits, in a string or not, must not
+    reach 19 unless it follows "."; brackets count only outside strings."""
+    if b"\\" in data:
+        return False
+    keys, opened, depth, deepest, run = [], None, 0, 0, 0
+    for i, byte in enumerate(data):
+        run = run + 1 if byte in b"0123456789" else 0
+        if run == 19 and data[i - 19 : i - 18] != b".":  # at i = 18 the slice is empty
+            return False
+        if byte == ord('"'):
+            if opened is None:
+                opened = i
+            else:
+                if data[i + 1 : i + 2] == b":" or b"\x00" <= data[i + 1 : i + 2] <= b" ":
+                    keys.append(data[opened + 1 : i])
+                opened = None
+        elif opened is None and byte in b"[{":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif opened is None and byte in b"]}":
+            depth -= 1
+    return opened is None and len(set(keys)) == len(keys) and deepest <= ORJSON_MAX_DEPTH
 
 
 def typed_leaves(obj) -> list:

@@ -1017,3 +1017,27 @@ def test_the_callers_collector_setting_is_restored(case, collecting, diag_pair, 
         assert gc.isenabled() is collecting
     finally:
         (gc.enable if before else gc.disable)()
+
+
+def test_spaced_and_compact_inputs_give_the_same_bytes(tmp_path, monkeypatch, capsys):
+    # json.dumps(..., separators=(",", " : ")) puts a space between each key and its ":"
+    U = random_antiunitary(128, 9).unitary_part
+    C = AntiunitaryOp(U @ U.T)  # involutive, so refined-svd applies
+    c = tmp_path / "c.json"
+    c.write_text(json.dumps(antiunitary_to_json(C)))
+    H = matrix_to_json(generate_csa(C, seed=9))
+    for name, separators in (("spaced", (",", " : ")), ("compact", (",", ":"))):
+        (tmp_path / f"{name}.json").write_text(json.dumps(H, separators=separators))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the standard decoder read an input")
+
+    monkeypatch.setattr(json, "loads", refuse)
+    outputs = {}
+    for name in ("spaced", "compact"):
+        for command in ("check", "refined-svd"):
+            out = tmp_path / f"{name}-{command}.json"
+            assert main([command, "--H", str(tmp_path / f"{name}.json"), "--C", str(c), "--out", str(out)]) == 0
+            outputs[name, command] = capsys.readouterr().out, out.read_bytes()
+    for command in ("check", "refined-svd"):
+        assert outputs["spaced", command] == outputs["compact", command]

@@ -301,6 +301,7 @@ class TestSquareSplit:
         for seed in range(12):
             generate_csa(C, seed)
         assert C.square_split is None
+        assert C.commutant_projection is None
         assert cayley_calls == []
 
     def test_read_only(self):
@@ -309,6 +310,15 @@ class TestSquareSplit:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0
+
+    def test_projection_parts_are_kept_read_only(self):
+        C = class_operator("neither", 6, seed=5)
+        (Q, labels), (P, Qh, apart) = C.square_split, C.commutant_projection
+        assert P is Q and C.commutant_projection[1] is Qh
+        np.testing.assert_array_equal(Qh, Q.conj().T)
+        np.testing.assert_array_equal(apart, labels[:, None] != labels)
+        for array in (Qh, apart):
+            assert not array.flags.writeable
 
     def test_adjoint_has_its_own(self, cayley_calls):
         C = class_operator("neither", 7, seed=6)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from csaop.serialize import ORJSON_MAX_DEPTH, _orjson_reads_like_json, load_json
 
-from conftest import load_json_by_stdlib, typed_leaves
+from conftest import load_json_by_stdlib, screen_by_bytes, typed_leaves
 
 
 def _outcome(read, path):
@@ -92,6 +92,12 @@ def test_agrees_with_the_standard_decoder(doc_path, data):
     _agrees(doc_path, data)
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=documents())
+def test_screen_matches_the_byte_loop(data):
+    assert _orjson_reads_like_json(data) == screen_by_bytes(data)
+
+
 _CASES = {
     "repeated-key": b'{"a": 1, "a": 2}',
     "repeated-key-nested": b'{"m": {"rows": 1, "cols": 1, "rows": 2}}',
@@ -149,8 +155,28 @@ def test_depth_at_the_bound(doc_path, extra):
         (b'[{"rows": 1}, {"rows": 2}]', False),  # a key string twice, even in sibling objects
         (b'{"a": 1, "b": 2, "a:": 3}', True),
         (b'["a": 1]', True),  # not JSON: orjson rejects it, the standard decoder words the error
+        (b'["a", "b]', False),  # an odd number of quotes
+        (b"[" + b"[[]]," * 70 + b"{}]", True),  # 284 brackets, 3 deep
+        (b"1234567890123456789", False),  # 19 digits at byte 0
+        (b"[-1234567890123456789]", False),
+        (b"[1e1234567890123456789]", False),
+        (b"[1e+1234567890123456789]", False),
+        (b"[0.1234567890123456789]", True),  # a fraction of 19 digits
+        (b"[0." + b"1234567890123456789" * 2 + b", 1.5]", True),  # and of 38
+        (b'{"a" : 1, "b": {"a": 2}}', False),  # a key is followed by ":" or whitespace
+        (b'{"a"\t: 1, "b": {"a": 2}}', False),
+        (b'{"a"\r\n: 1, "b": {"a": 2}}', False),
+        (b'{"a" : 1, "b"\t: 2, "c"\r\n: 3}', True),
+        (b'{"a": "x" , "b": ["x"\n]}', False),  # a value string before whitespace counts as a key
+        (b'{"a": "x", "b": ["x"]}', True),
+        (b'{"[[": ' + b"[" * (ORJSON_MAX_DEPTH - 1) + b"]" * (ORJSON_MAX_DEPTH - 1) + b"}", True),
+        (b'{"]]": ' + b"[" * ORJSON_MAX_DEPTH + b"]" * ORJSON_MAX_DEPTH + b"}", False),
+        (b'{"{{": ' + b"[" * ORJSON_MAX_DEPTH + b"]" * ORJSON_MAX_DEPTH + b"}", False),
+        ('{"é": "😀", "e\u0301": 1, "éx": ["€"]}'.encode(), True),  # multibyte UTF-8
+        ('{"é": "😀", "b": {"é": 1}}'.encode(), False),
     ],
 )
-def test_screen(data, fast):
+def test_screen(doc_path, data, fast):
     assert _orjson_reads_like_json(data) == fast
-
+    assert screen_by_bytes(data) == fast
+    _agrees(doc_path, data)

@@ -183,6 +183,27 @@ def test_matrix_json_data_matches_entrywise_floats(rng):
     assert str(data) == str(expected)  # keeps the sign of -0.0
 
 
+def _column_stack_data(M):
+    flat = np.asarray(M, dtype=complex).ravel()
+    return np.column_stack((flat.real, flat.imag)).tolist()
+
+
+def test_matrix_json_data_matches_column_stack_bit_for_bit():
+    M = np.array(
+        [
+            [-0.0, complex(0.0, -0.0), 5e-324],
+            [complex(-2.2e-310, 1e-320), 1e308, -1e308],
+            [1j, complex(-1e308, 1e308), 0.0],
+        ]
+    )
+    wide = np.arange(24.0).reshape(4, 6) - 1j * np.arange(24.0).reshape(4, 6) ** 2
+    for case in (M, np.asfortranarray(M), M.T, M[::2, ::-1], wide[1:, ::3], wide[:, :1], M.real, np.zeros((0, 0))):
+        data = matrix_to_json(case)["data"]
+        assert [[struct.pack("<d", x) for x in pair] for pair in data] == [
+            [struct.pack("<d", x) for x in pair] for pair in _column_stack_data(case)
+        ]
+
+
 def test_dump_json_is_one_compact_line(tmp_path, rng):
     obj = {"H": matrix_to_json(random_matrix(3, rng)), "sigmas": [2.0, 1.0], "z": [0.5, -1.0]}
     path = tmp_path / "out.json"
@@ -215,6 +236,19 @@ def test_dump_json_rejects_non_finite_before_opening(tmp_path, value):
                 dump_json(obj, fresh)
     assert existing.read_bytes() == b'{"r": 1.0}\n'
     assert not fresh.exists()
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{"sigmas": [math.nan]}, {"z": [math.inf, 0.0]}, {"z": [0.0, -math.inf]}, {"residual": math.nan}],
+    ids=["sigmas-nan", "z-inf", "z-minus-inf", "residual-nan"],
+)
+def test_dump_json_rejects_non_finite_with_or_without_a_u(tmp_path, obj):
+    # the null search runs only on output that holds a "u"; every null does
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError, match="non-finite"):
+        dump_json(obj, path)
+    assert not path.exists()
 
 
 def test_dump_json_writes_none_as_null(tmp_path):
