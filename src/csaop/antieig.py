@@ -117,7 +117,7 @@ def _resolvent(smin, norm):
     return np.where(_in_spectrum(smin, norm), np.inf, 1.0 / smin)
 
 
-#: Least block size whose shifts :func:`_resolvent_norms` splits across the
+#: Least block size whose shifts :func:`_smin_and_norm` splits across the
 #: CPUs. At 256 shifts of a dense block on a two-CPU x86 machine (one BLAS
 #: thread), two threads ran at 0.77-1.00x the speed of one for blocks of
 #: size 4 to 32, 0.98-1.02x at 48, 1.02-1.20x at 64 and 1.85-2.00x at 96
@@ -318,11 +318,6 @@ def _block_norms(blocks: np.ndarray, zs: np.ndarray, step: int) -> tuple[np.ndar
     return smin, norm
 
 
-def _resolvent_norms(H: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """:func:`_resolvent` at each shift in ``zs``."""
-    return _resolvent(*_smin_and_norm(H, zs))
-
-
 @np.errstate(over="ignore")  # an overflowing entry or norm raises NonFinite: _shifted, _scaled, _resolvent
 def _smin_and_norm(H: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``sigma_min(H - z I)`` and ``||H - z I||_F`` at each shift in ``zs``,
@@ -366,7 +361,7 @@ def resolvent_norm(H, z: complex) -> float:
     H, z = as_matrix(H, square=True), complex(z)
     if not np.isfinite(z):
         raise ValueError("z must be finite")
-    return float(_resolvent_norms(H, np.array([z]))[0])
+    return float(_resolvent(*_smin_and_norm(H, np.array([z])))[0])
 
 
 def antilinear_eigensystem(

@@ -20,9 +20,12 @@ returns that same parser from then on, so a process that calls
 no state between parses: each gets a fresh namespace, and help and
 errors go to the ``sys.stdout`` and ``sys.stderr`` of the moment. Callers
 must not change the parser that :func:`build_parser` returns. A malformed
-option value, or a count below its least (``--res`` under 2, ``--n`` and
-``--N`` under 1), exits 2, before any file is read, with argparse's
-``argument --opt: ...`` line.
+option value, or a count below its least (``--seed`` under 0, ``--res``
+under 2, ``--n`` and ``--N`` under 1), exits 2, before any file is read,
+with argparse's ``argument --opt: ...`` line. ``model-space`` runs in one
+of three modes, ``--example``, ``--gamma`` or ``--toeplitz``; ``--phi1``,
+``--phi2`` and ``--N`` belong to ``--toeplitz``, and given in another mode
+they exit 2, naming the option, before any file is read.
 
 :func:`main` runs each command with CPython's cyclic garbage collector
 paused and then restores the caller's setting (``gc.isenabled()``), on
@@ -62,17 +65,6 @@ def _parse_floats(form: str):
         return values
 
     return parse
-
-
-def _parse_seed(text: str) -> int:
-    """A seed ``numpy.random.default_rng`` takes: an integer from 0 up, of any size."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = None
-    if seed is None or seed < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return seed
 
 
 def _parse_at_least(name: str, least: int):
@@ -147,6 +139,9 @@ def _pauli_spectrum(args, H, C, tol):
 
 
 def _model_space(args, H, C, tol):
+    stray = [f"--{name}" for name in ("phi1", "phi2", "N") if getattr(args, name) is not None]
+    if stray and not args.toeplitz:
+        raise ValueError(f"{stray[0]} needs --toeplitz")
     if args.toeplitz:
         if not (args.phi1 and args.phi2) or args.N is None:
             raise ValueError("--toeplitz needs --phi1, --phi2 and --N")
@@ -208,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--real", action="store_true", help="check C H C^-1 = H instead of H*")
 
     p = command("gen-csa", _gen_csa, "generate a random C-self-adjoint matrix", c_file)
-    p.add_argument("--seed", type=_parse_seed, required=True)
+    p.add_argument("--seed", type=_parse_at_least("seed", 0), required=True)
 
     command("polar", _polar, "refined polar decomposition H = C^-1 J |H|", h_file, c_file, tol)
     command("refined-svd", _refined_svd, "singular-value expansion with J-fixed vectors", h_file, c_file, tol)
@@ -237,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--example", type=int, choices=(1, 2), help="structured 4x4 fixture")
     mode.add_argument("--gamma", type=int, metavar="N", help="natural conjugation on dim N")
     mode.add_argument("--toeplitz", action="store_true", help="build a parity-split compression")
-    p.add_argument("--seed", type=_parse_seed, default=0, help="fixture parameter seed")
+    p.add_argument("--seed", type=_parse_at_least("seed", 0), default=0, help="fixture parameter seed")
     p.add_argument("--phi1", metavar="PATH", help="symbol JSON (toeplitz mode)")
     p.add_argument("--phi2", metavar="PATH", help="symbol JSON (toeplitz mode)")
     p.add_argument("--N", type=_parse_at_least("N", 1), help="compression dimension (toeplitz mode, >= 1)")

@@ -8,11 +8,16 @@ exactly where the tests use it.
 """
 
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import csaop
 from csaop import AntiunitaryOp, InvolutionClass
 from csaop.antiunitary import C2_CLUSTER_GAP
 from csaop.linalg import CLASSIFY_TOL, DEFAULT_TOL, cayley, fro
@@ -20,6 +25,15 @@ from csaop.modelspaces import max_support
 from csaop.serialize import ORJSON_MAX_DEPTH, _reject_constant, _unique_keys
 
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def run_fresh(*args: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter that imports ``csaop`` from
+    the tree under test; any exit code, output captured as text."""
+    path = os.pathsep.join(filter(None, [str(Path(csaop.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True
+    )
 
 
 def haar_unitary(n, rng):

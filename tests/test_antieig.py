@@ -553,7 +553,8 @@ class TestBlockScan:
             return block_norms(blocks, *args)
 
         monkeypatch.setattr(antieig, "_block_norms", recording)
-        assert antieig._resolvent_norms(H, zs).tobytes() == antieig._resolvent(smin, frobenius).tobytes()
+        norms = antieig._resolvent(*antieig._smin_and_norm(H, zs))
+        assert norms.tobytes() == antieig._resolvent(smin, frobenius).tobytes()
         assert sizes == [3, 1, 2]
 
 
@@ -735,7 +736,7 @@ class TestThreadedScan:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            norms = antieig._resolvent_norms(H, zs)
+            norms = antieig._resolvent(*antieig._smin_and_norm(H, zs))
         finally:
             sys.setswitchinterval(interval)
         assert norms.tobytes() == serial_scan(H, zs).tobytes()
@@ -769,7 +770,7 @@ class TestThreadedScan:
         monkeypatch.setattr(antieig, "_cpu_count", lambda: count)
         H = _negative_zeros(rng)
         zs = pseudospectrum(np.eye(1), 0.1, (-1.0, 1.0, -1.5, 1.5), 7).zs
-        whole = antieig._resolvent_norms(H, zs)
+        whole = antieig._resolvent(*antieig._smin_and_norm(H, zs))
         longest = -(-len(zs) // count)
         step = {"one": longest, "two": -(-longest // 2), "several": 4}[chunks]
         monkeypatch.setattr(antieig, "SVD_STACK_ENTRIES", step * count * THREAD_MIN_BLOCK**2)
@@ -780,7 +781,7 @@ class TestThreadedScan:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
-        assert antieig._resolvent_norms(H, zs).tobytes() == whole.tobytes()
+        assert antieig._resolvent(*antieig._smin_and_norm(H, zs)).tobytes() == whole.tobytes()
         dense = sorted(shape[0] for shape in calls if shape[2] == THREAD_MIN_BLOCK)
         parts = np.array_split(zs, count)
         assert sum(dense) == len(zs) and len(dense) == sum(-(-len(part) // step) for part in parts)
@@ -833,7 +834,7 @@ class TestThreadedScan:
         monkeypatch.setattr(np.linalg, "svd", failing_svd)
         before = threading.active_count()
         with pytest.raises(np.linalg.LinAlgError):
-            antieig._resolvent_norms(H, zs)
+            antieig._resolvent(*antieig._smin_and_norm(H, zs))
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("count", [1, 2])
@@ -846,7 +847,7 @@ class TestThreadedScan:
         stack = len(zs) * H.nbytes
         tracemalloc.start()
         try:
-            antieig._resolvent_norms(H, zs)
+            antieig._resolvent(*antieig._smin_and_norm(H, zs))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -861,7 +862,7 @@ class TestThreadedScan:
         zs = (np.linspace(-1.0, 10.0, 64)[None, :] + 1j * np.linspace(-4.5, 4.5, 64)[:, None]).ravel()
         tracemalloc.start()
         try:
-            antieig._resolvent_norms(H, zs)
+            antieig._resolvent(*antieig._smin_and_norm(H, zs))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1013,9 +1014,9 @@ class TestClosedForm:
     def test_chunks_do_not_change_the_values(self, monkeypatch):
         H, _, _ = pauli.discretize(0.5, np.linspace(-3.0, 3.0, 21))
         zs = pseudospectrum(np.eye(1), 0.1, (-1.0, 12.0, -2.0, 2.0), 9).zs
-        whole = antieig._resolvent_norms(H, zs)
+        whole = antieig._resolvent(*antieig._smin_and_norm(H, zs))
         monkeypatch.setattr(antieig, "CLOSED_FORM_CHUNK", 7)  # one to three shifts a chunk
-        assert antieig._resolvent_norms(H, zs).tobytes() == whole.tobytes()
+        assert antieig._resolvent(*antieig._smin_and_norm(H, zs)).tobytes() == whole.tobytes()
 
 
 def _largest_part(x):
@@ -1168,10 +1169,10 @@ class TestPlainClosedForm:
         k = np.linspace(-3.0, 3.0, 21)
         H, _, _ = pauli.discretize(alpha, k)
         zs = (k * k).astype(complex)
-        norms = antieig._resolvent_norms(H, zs)
+        norms = antieig._resolvent(*antieig._smin_and_norm(H, zs))
         with monkeypatch.context() as patch:
             patch.setattr(antieig, "_ClosedForm", _ScaledKernel)
-            assert norms.tobytes() == antieig._resolvent_norms(H, zs).tobytes()
+            assert norms.tobytes() == antieig._resolvent(*antieig._smin_and_norm(H, zs)).tobytes()
         assert np.all(np.isinf(norms)) == (alpha == 0.0)
         # random blocks, each shifted by its own first diagonal entry
         blocks = _stack(50, rng)

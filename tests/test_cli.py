@@ -22,7 +22,9 @@ from csaop.serialize import (
     symbol_to_json,
 )
 
-from conftest import conj_k, hadamard_conjugation, overflowing_csa, overflowing_diagonal, random_antiunitary
+from conftest import (
+    conj_k, hadamard_conjugation, overflowing_csa, overflowing_diagonal, random_antiunitary, run_fresh,
+)
 
 
 @pytest.fixture
@@ -413,15 +415,25 @@ class TestPseudospec:
         main(args + ["--out", str(tmp_path / "b.csv")])
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
-    def test_spectrum_point_is_inside_at_a_subnormal_epsilon(self, tmp_path):
-        # 1 / 1e-310 overflows; z = 0, in the spectrum, is still inside
-        dump_json(matrix_to_json(np.zeros((1, 1))), tmp_path / "h.json")
+    @pytest.mark.parametrize(
+        "H, epsilon, pinned",
+        [
+            # 1 / 1e-310 overflows; z = 0, in the spectrum, is still inside
+            (np.zeros((1, 1)), "1e-310", {4: "0.0,0.0,inf,1"}),
+            # a Jordan block on rows 0 and 2 beside the block [5]: sigma_min(J + i) = (sqrt(5) - 1) / 2
+            (np.array([[0.0, 0.0, 1.0], [0.0, 5.0, 0.0], [0.0, 0.0, 0.0]]), "0.5",
+             {1: "0.0,-1.0,1.618033988749895,0", 4: "0.0,0.0,inf,1"}),
+        ],
+        ids=["subnormal-epsilon", "jordan-block"],
+    )
+    def test_only_the_spectrum_point_is_inside(self, H, epsilon, pinned, tmp_path):
+        dump_json(matrix_to_json(H), tmp_path / "h.json")
         out_path = tmp_path / "grid.csv"
-        argv = ["pseudospec", "--H", str(tmp_path / "h.json"), "--epsilon", "1e-310",
+        argv = ["pseudospec", "--H", str(tmp_path / "h.json"), "--epsilon", epsilon,
                 "--grid", "-1,1,-1,1", "--res", "3", "--out", str(out_path)]
         assert main(argv) == 0
         rows = out_path.read_text().strip().split("\n")[1:]
-        assert rows[4] == "0.0,0.0,inf,1"
+        assert {i: rows[i] for i in pinned} == pinned
         assert [row.endswith(",0") for row in rows] == [i != 4 for i in range(9)]
 
     @pytest.mark.parametrize("epsilon", ["-1", "nan", "inf"])
@@ -612,6 +624,11 @@ MALFORMED = {
     "index-1e3": ("--phi1", '{"fourier": {"1e3": [1, 0]}}', "not a symbol object: "),
     "pair-of-three": ("--phi1", '{"fourier": {"1": [1, 0, 0]}}', "not a symbol object: "),
     "huge-int": ("--phi1", '{"fourier": {"1": [1%s, 0]}}' % ("0" * 400), "not a symbol object: "),
+    "repeated-key": ("--H", '{"rows": 1, "cols": 1, "rows": 1, "data": [[2, 0]]}', "duplicate key 'rows'"),
+    "20-digit-rows": (
+        "--H", '{"rows": 10000000000000000001, "cols": 1, "data": [[2, 0]]}',
+        "matrix data length 1 != rows*cols = 10000000000000000001",
+    ),
 }
 
 
@@ -661,24 +678,25 @@ def _exit_code(argv):
 
 
 @pytest.mark.parametrize(
-    "argv, code",
+    "argv, code, fragment",
     [
-        (["anti-eig", "--H", "h.json", "--C", "c.json", "--z", "1;0"], 2),
-        (["anti-eig", "--H", "h.json", "--C", "c.json", "--z", "1,0,0"], 2),
-        (["pseudospec", "--H", "h.json", "--epsilon", "0.1", "--grid", "-1,1,1", "--res", "2"], 2),
-        (["pseudospec", "--H", "h.json", "--epsilon", "0.1", "--grid", "a,1,-1,1", "--res", "2"], 2),
-        (["pauli-spectrum", "--alpha", "1", "--kmax", "3", "--n", "0"], 2),
-        (["model-space", "--example", "1", "--seed", "3"], 0),
+        (["anti-eig", "--H", "h.json", "--C", "c.json", "--z", "1;0"], 2, "argument --z"),
+        (["anti-eig", "--H", "h.json", "--C", "c.json", "--z", "1,0,0"], 2, "argument --z"),
+        (["pseudospec", "--H", "h.json", "--epsilon", "0.1", "--grid", "-1,1,1", "--res", "2"], 2, "argument --grid"),
+        (["pseudospec", "--H", "h.json", "--epsilon", "0.1", "--grid", "a,1,-1,1", "--res", "2"], 2, "argument --grid"),
+        (["pauli-spectrum", "--alpha", "1", "--kmax", "3", "--n", "0"], 2, "argument --n"),
+        (["model-space", "--example", "1", "--seed", "3"], 0, "model-space example=1 seed=3 residual="),
+        # toeplitz options in another mode: named before missing.json is read
+        (["model-space", "--gamma", "3", "--N", "3", "--phi1", "missing.json"], 2, "error: --phi1 needs --toeplitz"),
+        (["model-space", "--example", "2", "--N", "4"], 2, "error: --N needs --toeplitz"),
     ],
-    ids=["z-separator", "z-three-parts", "grid-three-parts", "grid-not-a-number", "n-zero", "example-1"],
+    ids=["z-separator", "z-three-parts", "grid-three-parts", "grid-not-a-number", "n-zero", "example-1",
+         "gamma-with-phi1-and-N", "example-with-N"],
 )
-def test_argument_edges(argv, code, capsys):
+def test_argument_edges(argv, code, fragment, capsys):
     assert _exit_code(argv) == code
-    captured = capsys.readouterr()
-    if code == 0:
-        assert "model-space example=1 seed=3 residual=" in captured.out
-    else:
-        assert captured.out == "" and "error" in captured.err
+    out, err = capsys.readouterr()
+    assert fragment in (out if code == 0 else err) and (err if code == 0 else out) == ""
 
 
 def test_unknown_flag_exits_two():
@@ -695,10 +713,9 @@ def test_unknown_flag_exits_two():
          "argument --grid: expected 're_min,re_max,im_min,im_max', got '1,2,3'"),
         (["pseudospec", "--epsilon", "0.1", "--grid", "a,1,-1,1", "--res", "3"],
          "argument --grid: expected 're_min,re_max,im_min,im_max', got 'a,1,-1,1'"),
-        (["gen-csa", "--seed", "-1"], "argument --seed: expected a non-negative integer, got '-1'"),
-        (["gen-csa", "--seed", "1.5"], "argument --seed: expected a non-negative integer, got '1.5'"),
-        (["model-space", "--example", "1", "--seed", "-5"],
-         "argument --seed: expected a non-negative integer, got '-5'"),
+        (["gen-csa", "--seed", "-1"], "argument --seed: seed must be at least 0, got '-1'"),
+        (["gen-csa", "--seed", "1.5"], "argument --seed: seed must be an integer, got '1.5'"),
+        (["model-space", "--example", "1", "--seed", "-5"], "argument --seed: seed must be at least 0, got '-5'"),
     ],
     ids=["z-letters", "grid-three-parts", "grid-letters", "gen-csa-seed-negative",
          "gen-csa-seed-fraction", "model-space-seed-negative"],
@@ -870,14 +887,15 @@ ARTIFACT_BUILDERS = (
 
 @pytest.mark.parametrize(
     "command",
-    ["check", "gen-csa", "polar", "refined-svd", "anti-eig", "pseudospec", "pauli-spectrum",
-     "model-space-example", "model-space-gamma", "model-space-toeplitz"],
+    ["check", "check-real", "gen-csa", "polar", "refined-svd", "anti-eig", "pseudospec", "pauli-spectrum",
+     "model-space-example", "model-space-example-1", "model-space-gamma", "model-space-toeplitz"],
 )
 def test_artifact_is_built_only_under_out(command, diag_pair, tmp_path, monkeypatch, capsys):
     symbol = tmp_path / "p.json"
     dump_json(symbol_to_json({1: 1.0}), symbol)
     argv = {
         "check": ["check", *diag_pair],
+        "check-real": ["check", *diag_pair, "--real"],
         "gen-csa": ["gen-csa", *diag_pair[2:], "--seed", "1"],
         "polar": ["polar", *diag_pair],
         "refined-svd": ["refined-svd", *diag_pair],
@@ -885,6 +903,7 @@ def test_artifact_is_built_only_under_out(command, diag_pair, tmp_path, monkeypa
         "pseudospec": ["pseudospec", *diag_pair[:2], "--epsilon", "0.1", "--grid", "-2,2,-2,2", "--res", "3"],
         "pauli-spectrum": ["pauli-spectrum", "--alpha", "-1", "--kmax", "3", "--n", "5"],
         "model-space-example": ["model-space", "--example", "2"],
+        "model-space-example-1": ["model-space", "--example", "1"],
         "model-space-gamma": ["model-space", "--gamma", "3"],
         "model-space-toeplitz": ["model-space", "--toeplitz", "--phi1", str(symbol), "--phi2", str(symbol), "--N", "4"],
     }[command]
@@ -897,12 +916,20 @@ def test_artifact_is_built_only_under_out(command, diag_pair, tmp_path, monkeypa
     monkeypatch.setattr(csa.CsaReport, "to_json", refuse)
     assert main(argv) == 0
     assert capsys.readouterr().out.count("\n") == 1
+    artifact = tmp_path / "artifact"
     with pytest.raises(AssertionError, match="artifact builder called"):
-        main([*argv, "--out", str(tmp_path / "artifact")])
+        main([*argv, "--out", str(artifact)])
+    monkeypatch.undo()
+    assert main([*argv, "--out", str(artifact)]) == 0
+    text = artifact.read_text()
+    if command not in ("pseudospec", "pauli-spectrum"):  # the JSON ones: one line the standard json reads
+        json.loads(text)
+        assert text.count("\n") == 1 and "null" not in text
 
 
-#: Every option of each subcommand, shared ones included.
+#: Every option of each subcommand, shared ones included; ``None`` is the top-level parser.
 OPTIONS = {
+    None: set(),
     "check": {"--H", "--C", "--tol-abs", "--tol-rel", "--out", "--real"},
     "gen-csa": {"--C", "--seed", "--out"},
     "polar": {"--H", "--C", "--tol-abs", "--tol-rel", "--out"},
@@ -914,10 +941,10 @@ OPTIONS = {
 }
 
 
-@pytest.mark.parametrize("command", OPTIONS)
+@pytest.mark.parametrize("command", OPTIONS, ids=lambda command: command or "top-level")
 def test_help_lists_exactly_the_options(command, capsys):
     with pytest.raises(SystemExit) as info:
-        main([command, "--help"])
+        main([command, "--help"] if command else ["--help"])
     assert info.value.code == 0
     assert set(re.findall(r"--[\w-]+", capsys.readouterr().out)) == OPTIONS[command] | {"--help"}
 
@@ -1019,8 +1046,19 @@ def test_the_callers_collector_setting_is_restored(case, collecting, diag_pair, 
         (gc.enable if before else gc.disable)()
 
 
+@pytest.mark.parametrize("case", ["exit-0", "exit-1", "exit-2"])
+def test_the_module_exits_with_the_code_of_main(case, diag_pair, capsys):
+    # one fresh interpreter per exit code: entry() hands main's code to sys.exit
+    command, extra, code = EXITS[case]
+    argv = [command, *diag_pair, *extra]
+    cold = run_fresh("-W", "error::RuntimeWarning", "-m", "csaop.cli", *argv)
+    assert main(argv) == code
+    assert (cold.returncode, cold.stdout, cold.stderr) == (code, *capsys.readouterr())
+
+
 def test_spaced_and_compact_inputs_give_the_same_bytes(tmp_path, monkeypatch, capsys):
-    # json.dumps(..., separators=(",", " : ")) puts a space between each key and its ":"
+    # json.dumps(..., separators=(",", " : ")) puts a space between each key and its ":";
+    # the escaped key "d\u0061ta" sends its file to the standard decoder
     U = random_antiunitary(128, 9).unitary_part
     C = AntiunitaryOp(U @ U.T)  # involutive, so refined-svd applies
     c = tmp_path / "c.json"
@@ -1028,16 +1066,18 @@ def test_spaced_and_compact_inputs_give_the_same_bytes(tmp_path, monkeypatch, ca
     H = matrix_to_json(generate_csa(C, seed=9))
     for name, separators in (("spaced", (",", " : ")), ("compact", (",", ":"))):
         (tmp_path / f"{name}.json").write_text(json.dumps(H, separators=separators))
+    (tmp_path / "escaped.json").write_text((tmp_path / "compact.json").read_text().replace('"data"', '"d\\u0061ta"'))
 
     def refuse(*args, **kwargs):
         raise AssertionError("the standard decoder read an input")
 
-    monkeypatch.setattr(json, "loads", refuse)
     outputs = {}
-    for name in ("spaced", "compact"):
+    for name in ("escaped", "spaced", "compact"):
+        if name == "spaced":  # the two unescaped files are read by orjson
+            monkeypatch.setattr(json, "loads", refuse)
         for command in ("check", "refined-svd"):
             out = tmp_path / f"{name}-{command}.json"
             assert main([command, "--H", str(tmp_path / f"{name}.json"), "--C", str(c), "--out", str(out)]) == 0
             outputs[name, command] = capsys.readouterr().out, out.read_bytes()
     for command in ("check", "refined-svd"):
-        assert outputs["spaced", command] == outputs["compact", command]
+        assert outputs["spaced", command] == outputs["compact", command] == outputs["escaped", command]

@@ -9,14 +9,13 @@ imports it when it first splits a block across threads.
 """
 
 import ast
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import csaop
+
+from conftest import run_fresh
 
 SRC = Path(csaop.__file__).parent
 MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
@@ -54,11 +53,8 @@ def test_all_is_sorted_unique_and_matches_the_imports():
 
 def _loaded_after(statement: str, module: str) -> str:
     """``"True\\n"`` if ``module`` is in ``sys.modules`` after ``statement`` runs in a fresh interpreter, else ``"False\\n"``."""
-    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
-    code = f"import sys; {statement}; print({module!r} in sys.modules)"
-    result = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True
-    )
+    result = run_fresh("-c", f"import sys; {statement}; print({module!r} in sys.modules)")
+    result.check_returncode()
     return result.stdout
 
 
