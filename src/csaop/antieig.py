@@ -46,12 +46,13 @@ in plain arithmetic, ``CLOSED_FORM_CHUNK`` shifted blocks at a time in
 1 MB of buffers that every chunk reuses, and rescales by powers of two
 only the (shift, block) pairs whose squares leave ``PLAIN_RANGE``. No
 value depends on the split or the chunks, so each is bit for bit the one
-a single thread computes.
+a single thread computes. The eigensystem's check runs beside its SVD
+from ``CHECK_THREAD_MIN_DIM`` rows up (``csa._checked``). Both uses of
+threads take ``_cpu_count`` and ``_on_threads`` from ``csaop.linalg``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,7 +61,10 @@ from .antiunitary import AntiunitaryOp
 from .csa import _csa_svd
 from .decomp import _certify, _fixed_singular_basis
 from .errors import DimMismatch, NonFinite, ZInSpectrum
-from .linalg import DEFAULT_TOL, Tolerance, _shifted, as_matrix, column_norms, direct_sum_blocks, fro
+from .linalg import (
+    DEFAULT_TOL, THREAD_MIN_BLOCK, Tolerance, _cpu_count, _on_threads, _shifted, as_matrix, column_norms,
+    direct_sum_blocks, fro,
+)
 
 #: sigma_min(H - z I) at or below this fraction of ||H - z I||_F puts z in
 #: the spectrum: relative and fixed in n. It is at least 4500 times
@@ -115,42 +119,6 @@ def _resolvent(smin, norm):
     if not np.all(norm < np.inf):
         raise NonFinite("||H - zI||_F overflows")
     return np.where(_in_spectrum(smin, norm), np.inf, 1.0 / smin)
-
-
-#: Least block size whose shifts :func:`_smin_and_norm` splits across the
-#: CPUs. At 256 shifts of a dense block on a two-CPU x86 machine (one BLAS
-#: thread), two threads ran at 0.77-1.00x the speed of one for blocks of
-#: size 4 to 32, 0.98-1.02x at 48, 1.02-1.20x at 64 and 1.85-2.00x at 96
-#: and 120 (two runs of seven).
-THREAD_MIN_BLOCK = 64
-
-
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _on_threads(work, parts: list) -> list:
-    """``[work(part) for part in parts]``: the calling thread runs the first
-    part and a pool of ``len(parts) - 1`` threads the others, every part
-    under the caller's numpy error state, callback included (a new thread
-    starts from numpy's defaults). The pool joins all its threads before
-    the first exception, in part order, re-raises here."""
-    if len(parts) == 1:
-        return [work(parts[0])]
-    from concurrent.futures import ThreadPoolExecutor  # here, not at module level: it adds ~10 ms to a cold ``import csaop``
-
-    state = {"call": np.geterrcall(), **np.geterr()}
-
-    def run(part):
-        with np.errstate(**state):
-            return work(part)
-
-    with ThreadPoolExecutor(len(parts) - 1) as pool:
-        rest = pool.map(run, parts[1:])
-        return [run(parts[0]), *rest]
 
 
 def _largest_part(x: np.ndarray) -> np.ndarray:

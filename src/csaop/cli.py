@@ -21,11 +21,12 @@ no state between parses: each gets a fresh namespace, and help and
 errors go to the ``sys.stdout`` and ``sys.stderr`` of the moment. Callers
 must not change the parser that :func:`build_parser` returns. A malformed
 option value, or a count below its least (``--seed`` under 0, ``--res``
-under 2, ``--n`` and ``--N`` under 1), exits 2, before any file is read,
-with argparse's ``argument --opt: ...`` line. ``model-space`` runs in one
-of three modes, ``--example``, ``--gamma`` or ``--toeplitz``; ``--phi1``,
-``--phi2`` and ``--N`` belong to ``--toeplitz``, and given in another mode
-they exit 2, naming the option, before any file is read.
+under 2, ``--n``, ``--N`` and ``--gamma`` under 1), exits 2, before any
+file is read, with argparse's ``argument --opt: ...`` line.
+``model-space`` runs in one of three modes, ``--example``, ``--gamma`` or
+``--toeplitz``. ``--phi1``, ``--phi2`` and ``--N`` belong to
+``--toeplitz`` and ``--seed`` (default 0) to ``--example``; given in
+another mode, each exits 2, naming the option, before any file is read.
 
 :func:`main` runs each command with CPython's cyclic garbage collector
 paused and then restores the caller's setting (``gc.isenabled()``), on
@@ -142,6 +143,8 @@ def _model_space(args, H, C, tol):
     stray = [f"--{name}" for name in ("phi1", "phi2", "N") if getattr(args, name) is not None]
     if stray and not args.toeplitz:
         raise ValueError(f"{stray[0]} needs --toeplitz")
+    if args.seed is not None and args.example is None:
+        raise ValueError("--seed needs --example")
     if args.toeplitz:
         if not (args.phi1 and args.phi2) or args.N is None:
             raise ValueError("--toeplitz needs --phi1, --phi2 and --N")
@@ -156,7 +159,8 @@ def _model_space(args, H, C, tol):
         C = modelspaces.conjugation_c_gamma(args.gamma)
         summary = f"model-space gamma N={args.gamma}"
     else:
-        rng = np.random.default_rng(args.seed)
+        seed = 0 if args.seed is None else args.seed
+        rng = np.random.default_rng(seed)
         params = rng.standard_normal(6) + 1j * rng.standard_normal(6)
         if args.example == 1:
             H = modelspaces.example1_matrix(*params)
@@ -165,7 +169,7 @@ def _model_space(args, H, C, tol):
             H = modelspaces.example2_matrix(*params)
             C = modelspaces.example2_conjugation(4)
         report = csa.check_c_selfadjoint(H, C)
-        summary = f"model-space example={args.example} seed={args.seed} residual={report.residual:.6e}"
+        summary = f"model-space example={args.example} seed={seed} residual={report.residual:.6e}"
     print(summary)
     return lambda: {
         **({} if H is None else {"H": serialize.matrix_to_json(H)}),
@@ -230,9 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("model-space", _model_space, "model-space fixtures and Toeplitz compressions")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--example", type=int, choices=(1, 2), help="structured 4x4 fixture")
-    mode.add_argument("--gamma", type=int, metavar="N", help="natural conjugation on dim N")
+    mode.add_argument(
+        "--gamma", type=_parse_at_least("gamma", 1), metavar="N", help="natural conjugation on dim N (>= 1)"
+    )
     mode.add_argument("--toeplitz", action="store_true", help="build a parity-split compression")
-    p.add_argument("--seed", type=_parse_at_least("seed", 0), default=0, help="fixture parameter seed")
+    p.add_argument(
+        "--seed", type=_parse_at_least("seed", 0), help="fixture parameter seed (example mode, default 0)"
+    )
     p.add_argument("--phi1", metavar="PATH", help="symbol JSON (toeplitz mode)")
     p.add_argument("--phi2", metavar="PATH", help="symbol JSON (toeplitz mode)")
     p.add_argument("--N", type=_parse_at_least("N", 1), help="compression dimension (toeplitz mode, >= 1)")

@@ -16,6 +16,18 @@ projects onto that commutant, then averages with ``T``. The projection
 works in the eigenbasis of ``W``, :attr:`AntiunitaryOp.square_split`: the
 first call on an operator computes it in O(n^3) (a Cayley transform and an
 ``eigh``), and later calls on the same operator only take its products.
+
+Every decomposition of a C-self-adjoint ``H`` first checks ``C H C^{-1} =
+H*`` and then factorises: :func:`_checked` is the one front end for that.
+It serves :func:`eigen_pairing` (``eig``) and :func:`_csa_svd`, the one
+SVD of :func:`~csaop.decomp.refined_polar`,
+:func:`~csaop.decomp.refined_svd`,
+:func:`~csaop.antieig.antilinear_eigensystem` and :func:`kernel_pairing`.
+From ``n = CHECK_THREAD_MIN_DIM`` up, in a process that may run on more
+than one CPU, the check runs on a pool thread while the calling thread
+factorises (LAPACK releases the GIL). The factorization and every
+product after it stay on the calling thread, and the errors and values
+are those of the serial order.
 """
 
 from __future__ import annotations
@@ -26,7 +38,10 @@ import numpy as np
 
 from .antiunitary import AntiunitaryOp, conjugate_linear_map
 from .errors import NonFinite, NotCsa
-from .linalg import DEFAULT_TOL, Tolerance, _shifted, as_matrix, column_norms, fro, rank_cutoff
+from .linalg import (
+    CHECK_THREAD_MIN_DIM, DEFAULT_TOL, Tolerance, _cpu_count, _on_threads, _shifted, as_matrix, column_norms,
+    fro, rank_cutoff,
+)
 
 
 @dataclass(frozen=True)
@@ -62,36 +77,77 @@ def check_c_real(H, C: AntiunitaryOp, tol: Tolerance = DEFAULT_TOL) -> CsaReport
     return _check(H, C, H, tol)
 
 
-def _require_csa(H, C, tol) -> np.ndarray:
-    H = as_matrix(H, square=True)
+def _require_csa(H: np.ndarray, C, tol) -> None:
+    """Raises :class:`NotCsa` unless the matrix ``H`` passes
+    :func:`check_c_selfadjoint`, which it reaches through this module's
+    globals (so a tracer or a test that replaces it there sees every call)."""
     report = check_c_selfadjoint(H, C, tol)
     if not report.is_csa:
         raise NotCsa(f"C-self-adjointness residual {report.residual:.3e} exceeds tolerance")
-    return H
+
+
+def _checked(H, C, tol, factor):
+    """``(H, factor(H))`` for the matrix ``H``, once it is C-self-adjoint.
+
+    The one checked-factorization front end of the module docstring.
+    Errors come in a fixed order: those of :func:`~csaop.linalg.as_matrix`,
+    then the check's (:class:`DimMismatch` for a ``C`` of another
+    dimension, :class:`NonFinite` when ``||H||_F`` overflows,
+    :class:`NotCsa`), and ``factor``'s own only after the check has passed.
+    From ``n = CHECK_THREAD_MIN_DIM`` up, in a process that may run on more
+    than one CPU, the check runs on a pool thread (under the caller's numpy
+    error state) while the calling thread runs ``factor``, so the arrays
+    ``factor`` makes stay in the calling thread's allocator arena. Every
+    value is bit for bit the one the serial order gives, but an ``H`` that
+    fails the check costs the longer of the check and ``factor`` there.
+    """
+    H = as_matrix(H, square=True)
+    if H.shape[0] < CHECK_THREAD_MIN_DIM or _cpu_count() < 2:
+        _require_csa(H, C, tol)
+        return H, factor(H)
+
+    def attempt():  # the factor's error waits for the check
+        try:
+            return factor(H)
+        except Exception as exc:
+            return exc
+
+    outcome, _ = _on_threads(lambda task: task(), [attempt, lambda: _require_csa(H, C, tol)])
+    if isinstance(outcome, Exception):
+        raise outcome
+    return H, outcome
 
 
 def _csa_svd(H, C, tol, z: complex = 0.0, bad_shift: tuple[type[Exception], str] | None = None):
     """The one checked full SVD ``M = H - z I = W diag(s) V*`` of a C-self-adjoint ``H``.
 
-    Checks ``H`` (:class:`NotCsa`) first and then the shift: a non-finite
-    ``z`` raises ``bad_shift = (error type, message)``, the message
-    formatted with ``z``. Raises :class:`NonFinite` when an entry of ``M``
-    overflows (before the SVD, so LAPACK never sees it) or when ``||M||_F``,
-    the ``hypot`` of ``s``, does. Returns ``(H, M, W, s, V, rank)``, with
-    ``rank`` the count of ``s`` above :func:`~csaop.linalg.rank_cutoff`;
-    ``M`` is ``H`` itself for ``z = 0``.
+    Takes its check and its error order from :func:`_checked`. The shift
+    comes after the check: a non-finite ``z`` raises ``bad_shift = (error
+    type, message)``, the message formatted with ``z``. Raises
+    :class:`NonFinite` when an entry of ``M`` overflows (before the SVD,
+    so LAPACK never sees it) or when ``||M||_F``, the ``hypot`` of ``s``,
+    does. Returns ``(H, M, W, s, V, rank)``, with ``rank`` the count of
+    ``s`` above :func:`~csaop.linalg.rank_cutoff`; ``M`` is ``H`` itself
+    for ``z = 0``. From ``n = CHECK_THREAD_MIN_DIM`` up on more than one
+    CPU the SVD runs beside the check, so an ``H`` that fails the check
+    there costs the longer of the two, not the check alone.
     """
-    H, z = _require_csa(H, C, tol), complex(z)
-    if not np.isfinite(z):
-        error, message = bad_shift
-        raise error(message.format(z))
-    with np.errstate(over="ignore"):  # an overflowing entry or norm raises NonFinite below
-        M = _shifted(H[None], np.array([z]))[0, 0] if z else H
-        W, s, Vh = np.linalg.svd(M)
-        if not np.hypot.reduce(s) < np.inf:
-            raise NonFinite("||H - zI||_F overflows")
-    rank = int(np.count_nonzero(s > rank_cutoff(s, tol)))
-    return H, M, W, s, Vh.conj().T, rank
+
+    def factor(H):
+        shift = complex(z)
+        if not np.isfinite(shift):
+            error, message = bad_shift
+            raise error(message.format(shift))
+        with np.errstate(over="ignore"):  # an overflowing entry or norm raises NonFinite below
+            M = _shifted(H[None], np.array([shift]))[0, 0] if shift else H
+            W, s, Vh = np.linalg.svd(M)
+            if not np.hypot.reduce(s) < np.inf:
+                raise NonFinite("||H - zI||_F overflows")
+        rank = int(np.count_nonzero(s > rank_cutoff(s, tol)))
+        return M, W, s, Vh.conj().T, rank
+
+    H, factors = _checked(H, C, tol, factor)
+    return (H, *factors)
 
 
 def generate_csa(C: AntiunitaryOp, seed: int) -> np.ndarray:
@@ -126,8 +182,7 @@ def eigen_pairing(
     when ``H`` is C-self-adjoint (this is the finite-dimensional reason the
     residual spectrum is empty). Raises :class:`NotCsa` otherwise.
     """
-    H = _require_csa(H, C, tol)
-    values, vectors = np.linalg.eig(H)
+    H, (values, vectors) = _checked(H, C, tol, np.linalg.eig)
     mapped = C.unitary_part @ np.conj(vectors)
     residuals = column_norms(H.conj().T @ mapped - np.conj(values) * mapped)
     return [(complex(lam), psi, float(r)) for lam, psi, r in zip(values, vectors.T, residuals)]

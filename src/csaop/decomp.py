@@ -20,11 +20,14 @@ nonzero singular value is even-fold degenerate instead.
 :func:`refined_polar` and :func:`refined_svd` take their one SVD of ``H``
 from the checked front end ``csa._csa_svd`` at ``z = 0``, which
 :func:`csaop.antieig.antilinear_eigensystem` and
-:func:`csaop.csa.kernel_pairing` share. One fixed-basis step clusters
-the kept singular values in O(n) at ``SVD_CLUSTER_GAP`` times the largest,
-reads the involution class of ``C`` only for a degenerate cluster (a ``C``
-that is not involutive is rejected before ``J`` is built), re-phases the
-simple clusters in one :func:`phase_fix` call and fixes each degenerate one
+:func:`csaop.csa.kernel_pairing` share. From ``CHECK_THREAD_MIN_DIM``
+rows up, on more than one CPU, the front end runs the C-self-adjointness
+check on a second thread beside the SVD; everything else here runs on
+the calling thread. One fixed-basis step clusters the kept singular
+values in O(n) at ``SVD_CLUSTER_GAP`` times the largest, reads the
+involution class of ``C`` only for a degenerate cluster (a ``C`` that is
+not involutive is rejected before ``J`` is built), re-phases the simple
+clusters in one :func:`phase_fix` call and fixes each degenerate one
 with :func:`fix_basis_involutive`, the one test of whether a J-invariant
 span has a J-fixed basis. Mixing inside a cluster costs up to its width
 ``w``; the certificate allows ``2 sqrt(k) max(w)`` for ``k`` values. The

@@ -5,11 +5,14 @@ Matrices and vectors are plain ``numpy.ndarray`` objects with dtype
 trusting the caller. All residual checks in this package use the Frobenius
 norm (cheap and basis-independent), and a single rank convention: singular
 values below ``tol.abs`` times the largest singular value are treated as
-zero everywhere.
+zero everywhere. The package's one thread helper, :func:`_on_threads`,
+lives here with the size thresholds of its two users, the pseudospectrum
+scan and the checked decompositions.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +113,54 @@ def as_vector(v) -> np.ndarray:
     if not np.all(np.isfinite(v.real)) or not np.all(np.isfinite(v.imag)):
         raise NonFinite("vector has non-finite entries")
     return v
+
+
+#: Least block size whose shifts :func:`~csaop.antieig.pseudospectrum`
+#: splits across the CPUs. At 256 shifts of a dense block on a two-CPU x86
+#: machine (one BLAS thread), two threads ran at 0.77-1.00x the speed of
+#: one for blocks of size 4 to 32, 0.98-1.02x at 48, 1.02-1.20x at 64 and
+#: 1.85-2.00x at 96 and 120 (two runs of seven).
+THREAD_MIN_BLOCK = 64
+
+#: Least dimension n at which :func:`~csaop.csa._checked` runs the
+#: C-self-adjointness check on a pool thread while the calling thread
+#: factorises. On a two-CPU x86 machine (one BLAS thread, a fresh pool a
+#: call), the checked SVD of a random C-self-adjoint H ran at 0.66-0.78x
+#: the serial speed at n = 48 and 64, 0.86-0.97x at 80 to 112, 1.04-1.11x
+#: at 128, 1.09-1.12x at 160, 1.15-1.19x at 192 and 1.21-1.22x at 256
+#: (medians of seven interleaved rounds, two runs). Starting and joining
+#: the pool costs about half a millisecond, more than the check saves
+#: below n = 128, so this is not ``THREAD_MIN_BLOCK``, whose parts each
+#: hold many SVDs.
+CHECK_THREAD_MIN_DIM = 128
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _on_threads(work, parts: list) -> list:
+    """``[work(part) for part in parts]``: the calling thread runs the first
+    part and a pool of ``len(parts) - 1`` threads the others, every part
+    under the caller's numpy error state, callback included (a new thread
+    starts from numpy's defaults). The pool joins all its threads before
+    the first exception, in part order, re-raises here."""
+    if len(parts) == 1:
+        return [work(parts[0])]
+    from concurrent.futures import ThreadPoolExecutor  # here, not at module level: it adds ~10 ms to a cold ``import csaop``
+
+    state = {"call": np.geterrcall(), **np.geterr()}
+
+    def run(part):
+        with np.errstate(**state):
+            return work(part)
+
+    with ThreadPoolExecutor(len(parts) - 1) as pool:
+        rest = pool.map(run, parts[1:])
+        return [run(parts[0]), *rest]
 
 
 def _shifted(blocks: np.ndarray, zs: np.ndarray) -> np.ndarray:

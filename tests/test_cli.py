@@ -689,9 +689,19 @@ def _exit_code(argv):
         # toeplitz options in another mode: named before missing.json is read
         (["model-space", "--gamma", "3", "--N", "3", "--phi1", "missing.json"], 2, "error: --phi1 needs --toeplitz"),
         (["model-space", "--example", "2", "--N", "4"], 2, "error: --N needs --toeplitz"),
+        (["model-space", "--gamma", "0"], 2, "argument --gamma: gamma must be at least 1, got '0'"),
+        (["model-space", "--gamma", "-1"], 2, "argument --gamma: gamma must be at least 1, got '-1'"),
+        (["model-space", "--gamma", "1"], 0, "model-space gamma N=1"),
+        # --seed belongs to --example, where it defaults to 0
+        (["model-space", "--example", "2"], 0, "model-space example=2 seed=0 residual="),
+        (["model-space", "--gamma", "3", "--seed", "5"], 2, "error: --seed needs --example"),
+        (["model-space", "--gamma", "3", "--seed", "0"], 2, "error: --seed needs --example"),
+        (["model-space", "--toeplitz", "--phi1", "missing.json", "--phi2", "missing.json", "--N", "4",
+          "--seed", "5"], 2, "error: --seed needs --example"),
     ],
     ids=["z-separator", "z-three-parts", "grid-three-parts", "grid-not-a-number", "n-zero", "example-1",
-         "gamma-with-phi1-and-N", "example-with-N"],
+         "gamma-with-phi1-and-N", "example-with-N", "gamma-zero", "gamma-negative", "gamma-one",
+         "example-default-seed", "gamma-with-seed", "gamma-with-seed-zero", "toeplitz-with-seed"],
 )
 def test_argument_edges(argv, code, fragment, capsys):
     assert _exit_code(argv) == code

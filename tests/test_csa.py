@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 import threading
@@ -10,8 +11,10 @@ import pytest
 import csaop
 from csaop import (
     AntiunitaryOp,
+    DimMismatch,
     NonFinite,
     NotCsa,
+    antilinear_eigensystem,
     check_c_real,
     check_c_selfadjoint,
     eigen_pairing,
@@ -21,7 +24,7 @@ from csaop import (
     refined_svd,
 )
 from csaop import antiunitary, csa
-from csaop.linalg import DEFAULT_TOL, cayley, direct_sum_blocks, fro, nullspace
+from csaop.linalg import CHECK_THREAD_MIN_DIM, DEFAULT_TOL, cayley, direct_sum_blocks, fro, nullspace
 
 from conftest import (
     c2_blocks,
@@ -496,3 +499,128 @@ class TestShiftedMatrix:
                 assert M.tobytes() == (H - z * np.eye(n)).tobytes(), (H, z)
             else:
                 assert M is H
+
+
+#: The five entry points of the checked front end ``csa._checked``.
+CHECKED_ENTRY_POINTS = {
+    "refined_polar": lambda H, C: refined_polar(H, C),
+    "refined_svd": lambda H, C: refined_svd(H, C),
+    "antilinear_eigensystem": lambda H, C: antilinear_eigensystem(H, C, 0.3 + 0.2j),
+    "kernel_pairing": lambda H, C: kernel_pairing(H, C, 0.1),
+    "eigen_pairing": lambda H, C: eigen_pairing(H, C),
+}
+
+
+def _bits(value):
+    """Every array (dtype, shape and bytes) and exact number of a result."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, antiunitary.AntilinearMap):
+        return _bits(value.matrix)
+    if dataclasses.is_dataclass(value):
+        return [_bits(getattr(value, field.name)) for field in dataclasses.fields(value)]
+    if isinstance(value, dict):
+        return [(key, _bits(item)) for key, item in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [_bits(item) for item in value]
+    return repr(value)  # floats and complex numbers round-trip through repr
+
+
+def _outcome(call, *args):
+    try:
+        return "returned", _bits(call(*args))
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
+class TestCheckedFrontEnd:
+    """``csa._checked`` runs the check on a pool thread beside the
+    factorization from ``CHECK_THREAD_MIN_DIM`` rows up on more than one
+    CPU; every output and error is the serial order's."""
+
+    @pytest.fixture
+    def pool_calls(self, monkeypatch):
+        calls = []
+
+        def counted(work, parts):
+            calls.append(len(parts))
+            return on_threads(work, parts)
+
+        on_threads = csa._on_threads
+        monkeypatch.setattr(csa, "_on_threads", counted)
+        return calls
+
+    @pytest.mark.parametrize("n", [CHECK_THREAD_MIN_DIM - 2, CHECK_THREAD_MIN_DIM], ids=["below", "at"])
+    @pytest.mark.parametrize("kind", ["involutive", "anti-involutive", "neither"])
+    def test_bit_for_bit_on_both_paths(self, n, kind, monkeypatch, pool_calls):
+        C = class_operator(kind, n, seed=n)
+        inputs = {"csa": generate_csa(C, 5), "not-csa": random_matrix(n, np.random.default_rng(n))}
+        outcomes = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(csa, "_cpu_count", lambda: cpus)
+            outcomes[cpus] = {
+                (name, label): _outcome(call, H, C)
+                for name, call in CHECKED_ENTRY_POINTS.items()
+                for label, H in inputs.items()
+            }
+        assert outcomes[1] == outcomes[2]
+        assert {key[1] for key, outcome in outcomes[1].items() if outcome[0] == "raised"} >= {"not-csa"}
+        # the pool ran once per call of the two-CPU pass at and above the crossover only
+        assert pool_calls == ([2] * len(outcomes[2]) if n >= CHECK_THREAD_MIN_DIM else [])
+
+    @pytest.fixture(params=[1, 2], ids=["one-cpu", "two-cpus"])
+    def cpus(self, request, monkeypatch):
+        monkeypatch.setattr(csa, "_cpu_count", lambda: request.param)
+        return request.param
+
+    @pytest.mark.parametrize(
+        "call, shift",
+        [(kernel_pairing, np.nan), (antilinear_eigensystem, complex(np.inf, 0))],
+        ids=["kernel_pairing", "antilinear_eigensystem"],
+    )
+    def test_not_csa_comes_before_a_bad_shift(self, call, shift, cpus):
+        H = random_matrix(CHECK_THREAD_MIN_DIM, np.random.default_rng(1))
+        with pytest.raises(NotCsa):
+            call(H, conj_k(CHECK_THREAD_MIN_DIM), shift)
+
+    @pytest.mark.parametrize("name", CHECKED_ENTRY_POINTS)
+    def test_overflowing_norm_is_the_checks_error(self, name, cpus):
+        # symmetric, so K-self-adjoint; the factorization fails too, later
+        H = np.full((CHECK_THREAD_MIN_DIM, CHECK_THREAD_MIN_DIM), 1.5e308)
+        with pytest.raises(NonFinite, match=r"^\|\|H\|\|_F overflows$"):
+            CHECKED_ENTRY_POINTS[name](H, conj_k(CHECK_THREAD_MIN_DIM))
+
+    @pytest.mark.parametrize("name", CHECKED_ENTRY_POINTS)
+    def test_operator_of_another_dimension_is_the_checks_error(self, name, cpus):
+        H = random_complex_symmetric(CHECK_THREAD_MIN_DIM, np.random.default_rng(2))
+        with pytest.raises(DimMismatch, match="operator dim"):
+            CHECKED_ENTRY_POINTS[name](H, conj_k(CHECK_THREAD_MIN_DIM - 1))
+
+    def test_bad_shift_of_a_csa_matrix_is_the_factors_error(self, cpus):
+        H = random_complex_symmetric(CHECK_THREAD_MIN_DIM, np.random.default_rng(3))
+        with pytest.raises(NonFinite, match="shift lam"):
+            kernel_pairing(H, conj_k(CHECK_THREAD_MIN_DIM), np.nan)
+        with pytest.raises(ValueError, match="z must be finite"):
+            antilinear_eigensystem(H, conj_k(CHECK_THREAD_MIN_DIM), complex(np.inf, 0))
+
+    @pytest.mark.parametrize("n", [CHECK_THREAD_MIN_DIM - 1, CHECK_THREAD_MIN_DIM], ids=["below", "at"])
+    @pytest.mark.parametrize("name", CHECKED_ENTRY_POINTS)
+    def test_check_runs_once_by_name_in_the_callers_error_state(self, name, n, cpus, monkeypatch):
+        seen = []
+        check = csa.check_c_selfadjoint
+
+        def counted(*args):
+            seen.append((threading.get_ident(), np.geterr()["over"], np.geterrcall()))
+            return check(*args)
+
+        def callback(kind, flag):
+            raise AssertionError("no floating-point error is expected")
+
+        monkeypatch.setattr(csa, "check_c_selfadjoint", counted)
+        H = random_complex_symmetric(n, np.random.default_rng(n))
+        with np.errstate(over="ignore", call=callback):
+            CHECKED_ENTRY_POINTS[name](H, conj_k(n))
+        assert len(seen) == 1
+        thread, over, call = seen[0]
+        assert over == "ignore" and call is callback
+        assert (thread != threading.get_ident()) == (cpus > 1 and n >= CHECK_THREAD_MIN_DIM)
