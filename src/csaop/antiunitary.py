@@ -177,11 +177,8 @@ class AntiunitaryOp(AntilinearMap):
         return parts
 
     def apply_inverse(self, psi) -> np.ndarray:
-        """``C^{-1} psi = A.T @ conj(psi)`` without building a new operator."""
-        psi = as_vector(psi)
-        if psi.shape[0] != self.dim:
-            raise DimMismatch(f"vector of dim {psi.shape[0]} vs operator dim {self.dim}")
-        return self._matrix.T @ np.conj(psi)
+        """``C^{-1} psi = C* psi = A.T @ conj(psi)``."""
+        return self.adjoint().apply(psi)
 
 
 def conjugation_k(n: int) -> AntiunitaryOp:

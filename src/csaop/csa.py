@@ -172,38 +172,36 @@ def generate_csa(C: AntiunitaryOp, seed: int) -> np.ndarray:
     return np.multiply(G, 0.5, out=G)
 
 
-def eigen_pairing(
-    H, C: AntiunitaryOp, tol: Tolerance = DEFAULT_TOL
-) -> list[tuple[complex, np.ndarray, float]]:
+def eigen_pairing(H, C: AntiunitaryOp) -> list[tuple[complex, np.ndarray, float]]:
     """Eigenvector pairing ``H psi = lambda psi  =>  H* (C psi) = conj(lambda) (C psi)``.
 
     For each eigenpair of ``H`` reports the residual
     ``||(H* - conj(lambda) I) C psi||``; all residuals are small exactly
     when ``H`` is C-self-adjoint (this is the finite-dimensional reason the
-    residual spectrum is empty). Raises :class:`NotCsa` otherwise.
+    residual spectrum is empty). Raises :class:`NotCsa` when ``H`` fails
+    :func:`check_c_selfadjoint` at ``DEFAULT_TOL``.
     """
-    H, (values, vectors) = _checked(H, C, tol, np.linalg.eig)
+    H, (values, vectors) = _checked(H, C, DEFAULT_TOL, np.linalg.eig)
     mapped = C.unitary_part @ np.conj(vectors)
     residuals = column_norms(H.conj().T @ mapped - np.conj(values) * mapped)
     return [(complex(lam), psi, float(r)) for lam, psi, r in zip(values, vectors.T, residuals)]
 
 
-def kernel_pairing(
-    H, C: AntiunitaryOp, lam: complex, tol: Tolerance = DEFAULT_TOL
-) -> tuple[int, int, bool]:
+def kernel_pairing(H, C: AntiunitaryOp, lam: complex) -> tuple[int, int, bool]:
     """Kernel dimensions of ``H - lam I`` and ``H* - conj(lam) I`` plus the
     mapping property of ``C`` between them.
 
     For a C-self-adjoint ``H`` the two nullities agree and ``C`` maps the
     first kernel onto the second; ``mapped_ok`` reports whether every
     kernel basis vector ``f`` satisfies
-    ``||(H* - conj(lam) I) C f|| <= tol.bound(||H||)``. One SVD of
-    ``H - lam I`` gives both kernels (trailing right and left singular
-    vectors). Raises :class:`NonFinite` for a non-finite ``lam`` and when
-    ``||H - lam I||_F`` overflows.
+    ``||(H* - conj(lam) I) C f|| <= DEFAULT_TOL.bound(||H||_F)``. One SVD
+    of ``H - lam I`` gives both kernels (trailing right and left singular
+    vectors), its rank cut at ``rank_cutoff`` with ``DEFAULT_TOL``. Raises
+    :class:`NonFinite` for a non-finite ``lam`` and when ``||H - lam I||_F``
+    overflows.
     """
-    H, shifted, W, _, V, rank = _csa_svd(H, C, tol, lam, (NonFinite, "shift lam = {} is not finite"))
+    H, shifted, W, _, V, rank = _csa_svd(H, C, DEFAULT_TOL, lam, (NonFinite, "shift lam = {} is not finite"))
     ker, ker_adj = V[:, rank:], W[:, rank:]
     mapped = shifted.conj().T @ (C.unitary_part @ np.conj(ker))
-    mapped_ok = bool(np.all(column_norms(mapped) <= tol.bound(fro(H))))
+    mapped_ok = bool(np.all(column_norms(mapped) <= DEFAULT_TOL.bound(fro(H))))
     return ker.shape[1], ker_adj.shape[1], mapped_ok

@@ -174,10 +174,13 @@ def fix_basis_involutive(J: AntilinearMap, E, tol: Tolerance = DEFAULT_TOL) -> n
     transform of ``a``, each column's largest-magnitude entry made positive
     so that LAPACK's signs do not leak, and ``E O`` re-phased by half the
     angles of ``diag(O^T a O)`` is the fixed basis. Raises
+    :class:`DimMismatch` when ``E`` has other than ``J.dim`` rows, and
     :class:`NotInvolutive` or :class:`NotUnitary` when ``a conj(a)`` or
     ``a a*`` is not the identity.
     """
     E = as_matrix(E)
+    if E.shape[0] != J.dim:
+        raise DimMismatch(f"vector of dim {E.shape[0]} vs operator dim {J.dim}")
     m = E.shape[1]
     if m == 0:
         return E.copy()

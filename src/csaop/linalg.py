@@ -188,16 +188,16 @@ def rank_cutoff(sigma: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> float:
     return tol.abs * (float(sigma[0]) if len(sigma) else 0.0)
 
 
-def nullspace(M, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+def nullspace(M) -> np.ndarray:
     """Orthonormal basis of the numerical kernel of ``M``.
 
     Returns an ``n x k`` array whose columns span the kernel; ``k`` may be
     zero. A singular value is treated as zero when it falls below
-    ``tol.abs`` times the largest one.
+    ``DEFAULT_TOL.abs`` times the largest one.
     """
     M = as_matrix(M)
     _, s, Vh = np.linalg.svd(M, full_matrices=True)
-    rank = int(np.sum(s > rank_cutoff(s, tol)))
+    rank = int(np.sum(s > rank_cutoff(s)))
     return Vh.conj().T[:, rank:]
 
 

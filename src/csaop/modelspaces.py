@@ -20,7 +20,7 @@ import numpy as np
 from .antiunitary import AntilinearMap, AntiunitaryOp, InvolutionClass, classify
 from .csa import CsaReport, check_c_selfadjoint
 from .errors import DimMismatch, HypothesisViolated, NonFinite, OddDimension
-from .linalg import DEFAULT_TOL, Tolerance, as_matrix, fro
+from .linalg import DEFAULT_TOL, as_matrix, fro
 
 Symbol = dict[int, complex]
 
@@ -236,17 +236,15 @@ def block_antiunitary_check(B: BlockAntilinear) -> tuple[bool, bool]:
     return within(M @ M.conj().T - eye, M.T @ np.conj(M) - eye), within(M + M.T, M @ np.conj(M) + eye)
 
 
-def prop11_check(
-    p, D2: AntiunitaryOp, alpha: float, tol: Tolerance = DEFAULT_TOL
-) -> CsaReport:
+def prop11_check(p, D2: AntiunitaryOp, alpha: float) -> CsaReport:
     """Block model ``[[p^2, alpha p], [p, p^2]]`` against the off-diagonal
     pairing conjugation built from an involutive ``D2``.
 
     Requires ``D2`` involutive and the intertwining ``D2 p D2 = -p*``,
-    judged at ``tol.bound(||p||_F)`` so that the verdict does not change
-    with the scale of ``p``; under those hypotheses the block matrix is
-    C-self-adjoint for every real ``alpha``, which the returned report
-    verifies directly (:class:`NonFinite` when an entry overflows).
+    judged at ``DEFAULT_TOL.bound(||p||_F)`` so that the verdict does not
+    change with the scale of ``p``; under those hypotheses the block matrix
+    is C-self-adjoint for every real ``alpha``, which the returned report
+    verifies at ``DEFAULT_TOL`` (:class:`NonFinite` when an entry overflows).
     """
     p = as_matrix(p, square=True)
     if classify(D2) is not InvolutionClass.INVOLUTIVE:
@@ -256,7 +254,7 @@ def prop11_check(
         raise DimMismatch("D2 and p have different dimensions")
     sandwich = b @ np.conj(p) @ np.conj(b)
     defect = fro(sandwich + p.conj().T)
-    if defect > tol.bound(fro(p)):
+    if defect > DEFAULT_TOL.bound(fro(p)):
         raise HypothesisViolated(f"||D2 p D2 + p*|| = {defect:.3e} exceeds tolerance")
     with np.errstate(over="ignore", invalid="ignore"):  # judged on T below
         p2 = p @ p
@@ -265,4 +263,4 @@ def prop11_check(
         raise NonFinite("the block matrix overflows")
     zero = np.zeros_like(b)
     C_block = AntiunitaryOp(np.block([[zero, b], [-b, zero]]))
-    return check_c_selfadjoint(T, C_block, tol)
+    return check_c_selfadjoint(T, C_block)

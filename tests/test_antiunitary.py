@@ -13,6 +13,7 @@ from csaop import (
     compose_antilinear,
     conjugate_linear_map,
     conjugation_k,
+    fix_basis_involutive,
     phase_fix,
 )
 from csaop.antiunitary import UNITARITY_TOL
@@ -212,8 +213,9 @@ class TestCompose:
         lambda C: conjugate_linear_map(C, np.eye(3)),
         lambda C: compose_antilinear(C, np.eye(3)),
         lambda C: phase_fix(C, np.ones((3, 1)) / np.sqrt(3)),
+        lambda C: fix_basis_involutive(C, np.eye(3)[:, :2]),
     ],
-    ids=["apply_inverse", "conjugate_linear_map", "compose_antilinear", "phase_fix"],
+    ids=["apply_inverse", "conjugate_linear_map", "compose_antilinear", "phase_fix", "fix_basis_involutive"],
 )
 def test_dimension_mismatch(call):
     with pytest.raises(DimMismatch):

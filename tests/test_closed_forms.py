@@ -12,10 +12,12 @@ import inspect
 import numpy as np
 import pytest
 
-from csaop import AntilinearMap, AntiunitaryOp, InvolutionClass, classify, conjugation_k, refined_svd
+from csaop import (
+    AntilinearMap, AntiunitaryOp, InvolutionClass, classify, conjugation_k, eigen_pairing, kernel_pairing, refined_svd
+)
 from csaop import modelspaces
 from csaop.antiunitary import UNITARITY_TOL
-from csaop.linalg import CLASSIFY_TOL
+from csaop.linalg import CLASSIFY_TOL, nullspace
 from csaop.modelspaces import (
     BlockAntilinear,
     block_antiunitary_check,
@@ -166,7 +168,17 @@ def test_predicates_form_no_dense_product(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "predicate", [classify, check_condition_and, block_antiunitary_check, constant_conjugation_search]
+    "predicate",
+    [
+        classify,
+        check_condition_and,
+        block_antiunitary_check,
+        constant_conjugation_search,
+        eigen_pairing,
+        kernel_pairing,
+        prop11_check,
+        nullspace,
+    ],
 )
 def test_no_per_call_tolerance(predicate):
     assert "tol" not in inspect.signature(predicate).parameters
