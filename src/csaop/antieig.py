@@ -35,7 +35,7 @@ entry of ``H - z I``, overflows (or is NaN).
 Grid points are independent problems (Trefethen, "Computation of
 pseudospectra", Acta Numerica 8, 1999), so the kernel splits the shifts of
 blocks of at least ``THREAD_MIN_BLOCK`` rows into one contiguous part per
-CPU the process may run on: the calling thread runs the first part and a
+CPU the process may run on: the calling thread runs the last part and a
 thread pool the others, each part's batched SVD on its own thread (numpy's
 LAPACK loop releases the GIL), and every part runs under the caller's
 numpy error state, error callback included. Smaller blocks, a single
@@ -46,9 +46,11 @@ in plain arithmetic, ``CLOSED_FORM_CHUNK`` shifted blocks at a time in
 1 MB of buffers that every chunk reuses, and rescales by powers of two
 only the (shift, block) pairs whose squares leave ``PLAIN_RANGE``. No
 value depends on the split or the chunks, so each is bit for bit the one
-a single thread computes. The eigensystem's check runs beside its SVD
-from ``CHECK_THREAD_MIN_DIM`` rows up (``csa._checked``). Both uses of
-threads take ``_cpu_count`` and ``_on_threads`` from ``csaop.linalg``.
+a single thread computes. From ``CHECK_THREAD_MIN_DIM`` rows up the
+eigensystem's check runs beside its SVD (``csa._checked``), and its
+completeness product ``psi psi*`` beside the expansion's two products,
+into an array made on the calling thread (``linalg._overlap``). Both uses
+of threads share the pool of ``linalg._on_threads``.
 """
 
 from __future__ import annotations
@@ -59,11 +61,11 @@ import numpy as np
 
 from .antiunitary import AntiunitaryOp
 from .csa import _csa_svd
-from .decomp import _certify, _fixed_singular_basis
+from .decomp import _certify, _fixed_singular_basis, _singular_clusters
 from .errors import DimMismatch, NonFinite, ZInSpectrum
 from .linalg import (
-    DEFAULT_TOL, THREAD_MIN_BLOCK, Tolerance, _cpu_count, _on_threads, _shifted, as_matrix, column_norms,
-    direct_sum_blocks, fro,
+    DEFAULT_TOL, THREAD_MIN_BLOCK, Tolerance, _cpu_count, _on_threads, _overlap, _products, _shifted, as_matrix,
+    column_norms, direct_sum_blocks, fro,
 )
 
 #: sigma_min(H - z I) at or below this fraction of ||H - z I||_F puts z in
@@ -358,14 +360,17 @@ def antilinear_eigensystem(
     if _in_spectrum(s[-1], np.hypot.reduce(s)):
         raise ZInSpectrum(f"sigma_min(H - zI) = {s[-1]:.3e}; shift z = {z} is in the spectrum")
     A = C.unitary_part
-    phis, _, slack = _fixed_singular_basis(A.T, W, V, s, C, tol)
-    psis, lambdas = phis[:, ::-1], s[::-1]
+    psis, _, slack = _fixed_singular_basis(A.T, W, V, s, _singular_clusters(s, C), tol)
+    psis, lambdas = np.ascontiguousarray(psis[:, ::-1]), s[::-1]  # ascending
+    # psi psi* on the pool beside the expansion's products (linalg._overlap)
+    gram, conj_psis = np.empty((n, n), complex), np.conj(psis)
+    _, (image, mapped) = _overlap(n, [_products((gram, psis, conj_psis.T)), lambda: (M @ psis, A @ conj_psis)])
     residuals = _certify(
         "antilinear expansion",
         tol.bound(max(1.0, fro(H)) + float(lambdas[-1])) + slack,
-        expansion=fro(M @ psis - (A @ np.conj(psis)) * lambdas),
+        expansion=fro(np.subtract(image, np.multiply(mapped, lambdas, out=mapped), out=image)),
     )
-    residuals |= _certify("basis", tol.bound(1.0), completeness=fro(psis @ psis.conj().T - np.eye(n)))
+    residuals |= _certify("basis", tol.bound(1.0), completeness=fro(np.subtract(gram, np.eye(n), out=gram)))
     return AntilinearEigenSystem(z=z, lambdas=lambdas, psis=psis, residuals=residuals)
 
 

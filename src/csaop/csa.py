@@ -25,9 +25,11 @@ SVD of :func:`~csaop.decomp.refined_polar`,
 :func:`~csaop.antieig.antilinear_eigensystem` and :func:`kernel_pairing`.
 From ``n = CHECK_THREAD_MIN_DIM`` up, in a process that may run on more
 than one CPU, the check runs on a pool thread while the calling thread
-factorises (LAPACK releases the GIL). The factorization and every
-product after it stay on the calling thread, and the errors and values
-are those of the serial order.
+factorises (LAPACK releases the GIL; :func:`~csaop.linalg._overlap`
+decides). The factorization stays on the calling thread, and the errors
+and values are those of the serial order. The decompositions then
+overlap the products that certify their results in the same way
+(:mod:`csaop.decomp`).
 """
 
 from __future__ import annotations
@@ -39,8 +41,7 @@ import numpy as np
 from .antiunitary import AntiunitaryOp, conjugate_linear_map
 from .errors import NonFinite, NotCsa
 from .linalg import (
-    CHECK_THREAD_MIN_DIM, DEFAULT_TOL, Tolerance, _cpu_count, _on_threads, _shifted, as_matrix, column_norms,
-    fro, rank_cutoff,
+    DEFAULT_TOL, Tolerance, _overlap, _shifted, as_matrix, column_norms, fro, rank_cutoff,
 )
 
 
@@ -95,27 +96,16 @@ def _checked(H, C, tol, factor):
     dimension, :class:`NonFinite` when ``||H||_F`` overflows,
     :class:`NotCsa`), and ``factor``'s own only after the check has passed.
     From ``n = CHECK_THREAD_MIN_DIM`` up, in a process that may run on more
-    than one CPU, the check runs on a pool thread (under the caller's numpy
-    error state) while the calling thread runs ``factor``, so the arrays
-    ``factor`` makes stay in the calling thread's allocator arena. Every
-    value is bit for bit the one the serial order gives, but an ``H`` that
-    fails the check costs the longer of the check and ``factor`` there.
+    than one CPU, :func:`~csaop.linalg._overlap` runs the check on a pool
+    thread (under the caller's numpy error state) while the calling thread
+    runs ``factor``, so the arrays ``factor`` makes stay in the calling
+    thread's allocator arena. Every value is bit for bit the one the
+    serial order gives, but an ``H`` that fails the check costs the longer
+    of the check and ``factor`` there.
     """
     H = as_matrix(H, square=True)
-    if H.shape[0] < CHECK_THREAD_MIN_DIM or _cpu_count() < 2:
-        _require_csa(H, C, tol)
-        return H, factor(H)
-
-    def attempt():  # the factor's error waits for the check
-        try:
-            return factor(H)
-        except Exception as exc:
-            return exc
-
-    outcome, _ = _on_threads(lambda task: task(), [attempt, lambda: _require_csa(H, C, tol)])
-    if isinstance(outcome, Exception):
-        raise outcome
-    return H, outcome
+    _, factors = _overlap(H.shape[0], [lambda: _require_csa(H, C, tol), lambda: factor(H)])
+    return H, factors
 
 
 def _csa_svd(H, C, tol, z: complex = 0.0, bad_shift: tuple[type[Exception], str] | None = None):

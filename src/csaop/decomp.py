@@ -22,13 +22,19 @@ from the checked front end ``csa._csa_svd`` at ``z = 0``, which
 :func:`csaop.antieig.antilinear_eigensystem` and
 :func:`csaop.csa.kernel_pairing` share. From ``CHECK_THREAD_MIN_DIM``
 rows up, on more than one CPU, the front end runs the C-self-adjointness
-check on a second thread beside the SVD; everything else here runs on
-the calling thread. One fixed-basis step clusters the kept singular
-values in O(n) at ``SVD_CLUSTER_GAP`` times the largest, reads the
-involution class of ``C`` only for a degenerate cluster (a ``C`` that is
-not involutive is rejected before ``J`` is built), re-phases the simple
-clusters in one :func:`phase_fix` call and fixes each degenerate one
-with :func:`fix_basis_involutive`, the one test of whether a J-invariant
+check on a second thread beside the SVD, and each decomposition then
+runs its products in rounds of two independent steps
+(``linalg._overlap``): a pool thread takes one, into arrays made for it
+here, while the calling thread takes the one that can raise and makes
+what is returned. The SVD stays on the calling thread, and every value
+and error is the serial order's, bit for bit.
+
+One fixed-basis step clusters the kept singular values in O(n) at
+``SVD_CLUSTER_GAP`` times the largest, reads the involution class of
+``C`` only for a degenerate cluster (a ``C`` that is not involutive is
+rejected before ``J`` is built), re-phases the simple clusters in one
+:func:`phase_fix` call and fixes each degenerate one with
+:func:`fix_basis_involutive`, the one test of whether a J-invariant
 span has a J-fixed basis. Mixing inside a cluster costs up to its width
 ``w``; the certificate allows ``2 sqrt(k) max(w)`` for ``k`` values. The
 same step on the ``C^{-1}``-self-adjoint ``H - z I`` gives the ``psi_j``
@@ -43,7 +49,7 @@ recompute them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,7 +59,7 @@ from .errors import (
     DimMismatch, NotInvariant, NotInvolutive, NotUnitary, NumericalFailure, UnsupportedDegeneracy
 )
 from .linalg import (
-    DEFAULT_TOL, Tolerance, as_matrix, as_vector, cayley, cluster_indices, fro
+    DEFAULT_TOL, Tolerance, _overlap, _products, as_matrix, as_vector, cayley, cluster_indices, fro
 )
 
 #: Gap between consecutive kept singular values, relative to the largest
@@ -128,15 +134,17 @@ def refined_polar(H, C: AntiunitaryOp, tol: Tolerance = DEFAULT_TOL) -> RefinedP
     the decomposition identities within tolerance.
     """
     H, _, W, s, V, rank = _csa_svd(H, C, tol)
-    U = W[:, :rank] @ V[:, :rank].conj().T
-    absH = (V * s) @ V.conj().T
-    J = compose_antilinear(C, U)
-    residuals = _certify(
-        "refined polar", tol.bound(max(1.0, fro(H))),
-        polar=fro(H - U @ absH),
-        # J |H| = |H| J as antilinear maps: B conj(|H|) = |H| B
-        commutation=fro(J.matrix @ np.conj(absH) - absH @ J.matrix),
-    )
+    n = H.shape[0]
+    # three rounds of a pool task's products beside a step of the calling
+    # thread (linalg._overlap): [|H| | U], [U |H| | J], [|H| J | J conj(|H|)]
+    absH, product = np.empty((n, n), complex), np.empty((n, n), complex)
+    _, U = _overlap(n, [_products((absH, V * s, V.conj().T)), lambda: W[:, :rank] @ V[:, :rank].conj().T])
+    _, J = _overlap(n, [_products((product, U, absH)), lambda: compose_antilinear(C, U)])
+    polar = fro(np.subtract(H, product, out=product))
+    # J |H| = |H| J as antilinear maps: B conj(|H|) = |H| B
+    _, image = _overlap(n, [_products((product, absH, J.matrix)), lambda: J.matrix @ np.conj(absH)])
+    commutation = fro(np.subtract(image, product, out=image))
+    residuals = _certify("refined polar", tol.bound(max(1.0, fro(H))), polar=polar, commutation=commutation)
     return RefinedPolar(absH=absH, U=U, J=J, residuals=residuals)
 
 
@@ -220,30 +228,39 @@ def refined_svd(H, C: AntiunitaryOp, tol: Tolerance = DEFAULT_TOL) -> RefinedSVD
     ``C^2`` acts as the identity.
     """
     H, _, W, s, V, rank = _csa_svd(H, C, tol)
-    sigmas = s[:rank]
-    A = C.unitary_part
-    phis, J, slack = _fixed_singular_basis(A, W[:, :rank], V[:, :rank], sigmas, C, tol)
-    absH = (V * s) @ V.conj().T
-    result = RefinedSVD(sigmas=sigmas, phis=phis, etas=A.T @ np.conj(phis))  # eta = C^{-1} phi
+    n, sigmas, A = H.shape[0], s[:rank], C.unitary_part
+    # two rounds of a pool task's products beside a step of the calling
+    # thread (linalg._overlap): [|H| | fixed basis], [|H| phi and
+    # J conj(phi) | etas and reconstruction]
+    groups = _singular_clusters(sigmas, C)  # before the rounds: its error waits for no product
+    absH = np.empty((n, n), complex)
+    _, (phis, J, slack) = _overlap(n, [
+        _products((absH, V * s, V.conj().T)),
+        lambda: _fixed_singular_basis(A, W[:, :rank], V[:, :rank], sigmas, groups, tol),
+    ])
+    del W, V  # past their last use: the second round's arrays take their place
+    conj_phis, eigen, fixed = np.conj(phis), np.empty((n, rank), complex), np.empty((n, rank), complex)
+
+    def expansion():  # eta = C^{-1} phi, and reconstruct() of the result
+        etas = A.T @ conj_phis
+        return etas, (etas * sigmas) @ conj_phis.T
+
+    _, (etas, reconstruction) = _overlap(n, [_products((eigen, absH, phis), (fixed, J.matrix, conj_phis)), expansion])
     # the adjoint expansion needs no residual: reconstruct_adjoint() = reconstruct()*
     residuals = _certify(
         "refined SVD",
         tol.bound(max(1.0, fro(H))) + slack,
-        eigen=fro(absH @ phis - phis * sigmas),
-        fixed=fro(J.matrix @ np.conj(phis) - phis),
-        reconstruction=fro(H - result.reconstruct()),
+        eigen=fro(np.subtract(eigen, phis * sigmas, out=eigen)),
+        fixed=fro(np.subtract(fixed, phis, out=fixed)),
+        reconstruction=fro(np.subtract(H, reconstruction, out=reconstruction)),
     )
-    return replace(result, residuals=residuals)
+    return RefinedSVD(sigmas=sigmas, phis=phis, etas=etas, residuals=residuals)
 
 
-def _fixed_singular_basis(D, W, V, s, C: AntiunitaryOp, tol: Tolerance):
-    """``(phis, J, slack)`` for the factors ``W diag(s) V*``, ``s`` descending.
-
-    ``J = D o K o U`` with ``U = W V*`` (matrix ``D conj(U)``); ``phis`` are
-    J-fixed orthonormal columns spanning the singular subspaces of ``V``,
-    and ``slack`` is ``2 * sqrt(len(s))`` times the widest cluster's width
-    (see the module docstring).
-    """
+def _singular_clusters(s, C: AntiunitaryOp) -> list[list[int]]:
+    """The clusters of the descending ``s`` at ``SVD_CLUSTER_GAP`` times the
+    largest. Raises :class:`UnsupportedDegeneracy` when one holds more than
+    one value and ``C`` is not involutive (see the module docstring)."""
     groups = cluster_indices(s, SVD_CLUSTER_GAP * s[0]) if len(s) else []
     idx = next((idx for idx in groups if len(idx) > 1), None)
     if idx is not None and (kind := classify(C)) is not InvolutionClass.INVOLUTIVE:
@@ -252,6 +269,18 @@ def _fixed_singular_basis(D, W, V, s, C: AntiunitaryOp, tol: Tolerance):
         raise UnsupportedDegeneracy(
             f"singular value {s[idx[0]]:.6g} has multiplicity {len(idx)} and {detail}"
         )
+    return groups
+
+
+def _fixed_singular_basis(D, W, V, s, groups, tol: Tolerance):
+    """``(phis, J, slack)`` for the factors ``W diag(s) V*``, ``s`` descending
+    in the clusters ``groups`` of :func:`_singular_clusters`.
+
+    ``J = D o K o U`` with ``U = W V*`` (matrix ``D conj(U)``); ``phis`` are
+    J-fixed orthonormal columns spanning the singular subspaces of ``V``,
+    and ``slack`` is ``2 * sqrt(len(s))`` times the widest cluster's width
+    (see the module docstring).
+    """
     J = AntilinearMap(D @ np.conj(W @ V.conj().T))
     gate = Tolerance(abs=max(tol.abs, GATE_TOL), rel=tol.rel)
     phis = V.copy()

@@ -5,14 +5,22 @@ Matrices and vectors are plain ``numpy.ndarray`` objects with dtype
 trusting the caller. All residual checks in this package use the Frobenius
 norm (cheap and basis-independent), and a single rank convention: singular
 values below ``tol.abs`` times the largest singular value are treated as
-zero everywhere. The package's one thread helper, :func:`_on_threads`,
-lives here with the size thresholds of its two users, the pseudospectrum
-scan and the checked decompositions.
+zero everywhere.
+
+The package's threads live here too. :func:`_on_threads` runs parts of
+one call on a process-wide pool of threads, started on first use,
+beside the calling thread. Its two users are the pseudospectrum scan,
+whose parts are shifts (``THREAD_MIN_BLOCK``), and the decompositions,
+whose parts are independent steps: the C-self-adjointness check beside
+the SVD, then the products that certify the result. :func:`_overlap`
+decides for the latter, from ``CHECK_THREAD_MIN_DIM`` rows up, and
+keeps every array a decomposition returns on the calling thread.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,17 +130,20 @@ def as_vector(v) -> np.ndarray:
 #: 1.85-2.00x at 96 and 120 (two runs of seven).
 THREAD_MIN_BLOCK = 64
 
-#: Least dimension n at which :func:`~csaop.csa._checked` runs the
-#: C-self-adjointness check on a pool thread while the calling thread
-#: factorises. On a two-CPU x86 machine (one BLAS thread, a fresh pool a
-#: call), the checked SVD of a random C-self-adjoint H ran at 0.66-0.78x
-#: the serial speed at n = 48 and 64, 0.86-0.97x at 80 to 112, 1.04-1.11x
-#: at 128, 1.09-1.12x at 160, 1.15-1.19x at 192 and 1.21-1.22x at 256
-#: (medians of seven interleaved rounds, two runs). Starting and joining
-#: the pool costs about half a millisecond, more than the check saves
-#: below n = 128, so this is not ``THREAD_MIN_BLOCK``, whose parts each
-#: hold many SVDs.
-CHECK_THREAD_MIN_DIM = 128
+#: Least dimension n at which a decomposition runs its independent steps
+#: on the pool (:func:`_overlap`): the C-self-adjointness check beside the
+#: SVD (``csa._checked``), then the products that certify the result. On a
+#: two-CPU x86 machine (one BLAS thread), where a two-part call costs about
+#: 0.05 ms on the process-wide pool against 0.14 ms for a fresh pool's
+#: start and join, ``refined_polar``, ``refined_svd`` and
+#: ``antilinear_eigensystem`` ran at 0.93-0.99x the serial speed at n = 64,
+#: 0.95-1.05x at 80 and 96, 1.06-1.10x at 112, 1.08-1.12x at 128,
+#: 1.14-1.19x at 160 and 1.19-1.32x at 256; ``kernel_pairing``, which
+#: overlaps only the check, at 1.09-1.12x from 96 to 128 (medians of 15
+#: interleaved rounds, two runs). With a fresh pool a call, the checked SVD
+#: alone ran at 0.86-0.97x at 80 to 112 and 1.04-1.11x at 128. This is not
+#: ``THREAD_MIN_BLOCK``, whose parts each hold many SVDs.
+CHECK_THREAD_MIN_DIM = 112
 
 
 def _cpu_count() -> int:
@@ -142,25 +153,100 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _on_threads(work, parts: list) -> list:
-    """``[work(part) for part in parts]``: the calling thread runs the first
-    part and a pool of ``len(parts) - 1`` threads the others, every part
-    under the caller's numpy error state, callback included (a new thread
-    starts from numpy's defaults). The pool joins all its threads before
-    the first exception, in part order, re-raises here."""
-    if len(parts) == 1:
-        return [work(parts[0])]
-    from concurrent.futures import ThreadPoolExecutor  # here, not at module level: it adds ~10 ms to a cold ``import csaop``
+#: ``(pid, threads, executor)`` of the process-wide pool, once a call has
+#: needed one; a forked child sees its parent's pid here and builds its own.
+_pool = None
+_POOL_LOCK = threading.Lock()
+if hasattr(os, "register_at_fork"):  # a child forked mid-submit must not inherit the lock held
+    os.register_at_fork(
+        before=_POOL_LOCK.acquire, after_in_parent=_POOL_LOCK.release, after_in_child=_POOL_LOCK.release
+    )
+_pool_thread = threading.local()
 
+
+def _mark_pool_thread():
+    _pool_thread.inside = True
+
+
+def _submit(run, parts: list) -> list:
+    """Futures of ``run(part)`` for each of ``parts`` on the process-wide
+    pool. The pool is started on the first call, again in a forked child
+    (whose copy of the parent's pool has no threads), and replaced, the
+    old one shut down after its queued work, when it has fewer threads
+    than ``len(parts)``."""
+    global _pool
+    with _POOL_LOCK:
+        pid = os.getpid()
+        if _pool is None or _pool[0] != pid or _pool[1] < len(parts):
+            # here, not at module level: it adds ~10 ms to a cold ``import csaop``
+            from concurrent.futures import ThreadPoolExecutor
+
+            if _pool is not None and _pool[0] == pid:
+                _pool[2].shutdown(wait=False)
+            executor = ThreadPoolExecutor(len(parts), thread_name_prefix="csaop", initializer=_mark_pool_thread)
+            _pool = (pid, len(parts), executor)
+        return [_pool[2].submit(run, part) for part in parts]
+
+
+def _on_threads(work, parts: list) -> list:
+    """``[work(part) for part in parts]``: the process-wide pool runs every
+    part but the last while the calling thread runs the last, every part
+    under the caller's numpy error state, callback included (a pool thread
+    starts from numpy's defaults). Every part finishes before the first
+    exception, in part order, is raised here. On a pool thread the parts
+    run there, in order: a part that waited on the pool it occupies could
+    wait forever."""
+    if len(parts) == 1 or getattr(_pool_thread, "inside", False):
+        return [work(part) for part in parts]
     state = {"call": np.geterrcall(), **np.geterr()}
 
     def run(part):
         with np.errstate(**state):
             return work(part)
 
-    with ThreadPoolExecutor(len(parts) - 1) as pool:
-        rest = pool.map(run, parts[1:])
-        return [run(parts[0]), *rest]
+    futures = _submit(run, parts[:-1])
+    try:
+        last, error = work(parts[-1]), None
+    except Exception as exc:
+        last, error = None, exc
+    for failure in [*(future.exception() for future in futures), error]:  # waits for every part
+        if failure is not None:
+            raise failure
+    return [future.result() for future in futures] + [last]
+
+
+def _overlap(rows: int, tasks: list) -> list:
+    """``[task() for task in tasks]``, the steps of one decomposition of a
+    matrix of ``rows`` rows: the one place that decides whether they run
+    on threads. From ``CHECK_THREAD_MIN_DIM`` rows up, in a process that
+    may run on more than one CPU, :func:`_on_threads` runs the last task
+    on the calling thread and the others on the pool; otherwise the
+    calling thread runs them in list order. Either way the error raised is
+    the first in list order, so a task whose errors come first goes
+    before the last. The arrays a pool thread makes stay in its own glibc
+    arena and grow the process, so the tasks before the last make none
+    that they return: ``csa._checked``'s check makes only temporaries, and
+    products write into arrays the caller made (:func:`_products`).
+    """
+    if rows < CHECK_THREAD_MIN_DIM or _cpu_count() < 2:
+        return [task() for task in tasks]
+    return _on_threads(lambda task: task(), tasks)
+
+
+def _products(*triples):
+    """A task for :func:`_overlap` that writes ``x @ y`` into ``out`` for
+    each ``(out, x, y)`` in turn and makes no array: the calling thread
+    made the operands and ``out``. The task drops them before it returns,
+    so no operand outlives the round (a pool thread lets go of a finished
+    task only after its caller has moved on)."""
+    pending = list(triples)
+
+    def task():
+        while pending:
+            out, x, y = pending.pop(0)
+            np.matmul(x, y, out=out)
+
+    return task
 
 
 def _shifted(blocks: np.ndarray, zs: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import csaop
-from csaop import AntiunitaryOp, InvolutionClass
+from csaop import AntiunitaryOp, InvolutionClass, linalg
 from csaop.antiunitary import C2_CLUSTER_GAP
 from csaop.linalg import CLASSIFY_TOL, DEFAULT_TOL, cayley, fro
 from csaop.modelspaces import max_support
@@ -34,6 +34,16 @@ def run_fresh(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, *args], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True
     )
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """No process-wide thread pool until the test's first threaded call;
+    the pool that call starts is shut down after the test."""
+    monkeypatch.setattr(linalg, "_pool", None)
+    yield
+    if linalg._pool is not None:
+        linalg._pool[2].shutdown()
 
 
 def haar_unitary(n, rng):

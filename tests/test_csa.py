@@ -23,7 +23,7 @@ from csaop import (
     refined_polar,
     refined_svd,
 )
-from csaop import antiunitary, csa
+from csaop import antiunitary, csa, linalg
 from csaop.linalg import CHECK_THREAD_MIN_DIM, DEFAULT_TOL, cayley, direct_sum_blocks, fro, nullspace
 
 from conftest import (
@@ -535,8 +535,10 @@ def _outcome(call, *args):
 
 class TestCheckedFrontEnd:
     """``csa._checked`` runs the check on a pool thread beside the
-    factorization from ``CHECK_THREAD_MIN_DIM`` rows up on more than one
-    CPU; every output and error is the serial order's."""
+    factorization, and the decompositions their certifying products beside
+    each other, from ``CHECK_THREAD_MIN_DIM`` rows up on more than one
+    CPU (``linalg._overlap``); every output and error is the serial
+    order's."""
 
     @pytest.fixture
     def pool_calls(self, monkeypatch):
@@ -546,31 +548,60 @@ class TestCheckedFrontEnd:
             calls.append(len(parts))
             return on_threads(work, parts)
 
-        on_threads = csa._on_threads
-        monkeypatch.setattr(csa, "_on_threads", counted)
+        on_threads = linalg._on_threads
+        monkeypatch.setattr(linalg, "_on_threads", counted)
         return calls
+
+    @pytest.fixture
+    def threads(self, monkeypatch):
+        """The thread of every ``np.matmul`` call (the products that a pool
+        thread may run, into arrays the calling thread made) and of every
+        ``np.linalg.svd`` call, by name."""
+        seen = {"matmul": [], "svd": []}
+
+        def recording(name, call):
+            def recorded(*args, **kwargs):
+                seen[name].append(threading.get_ident())
+                return call(*args, **kwargs)
+
+            return recorded
+
+        monkeypatch.setattr(np, "matmul", recording("matmul", np.matmul))
+        monkeypatch.setattr(np.linalg, "svd", recording("svd", np.linalg.svd))
+        return seen
 
     @pytest.mark.parametrize("n", [CHECK_THREAD_MIN_DIM - 2, CHECK_THREAD_MIN_DIM], ids=["below", "at"])
     @pytest.mark.parametrize("kind", ["involutive", "anti-involutive", "neither"])
-    def test_bit_for_bit_on_both_paths(self, n, kind, monkeypatch, pool_calls):
+    def test_bit_for_bit_on_both_paths(self, n, kind, monkeypatch, pool_calls, threads):
         C = class_operator(kind, n, seed=n)
         inputs = {"csa": generate_csa(C, 5), "not-csa": random_matrix(n, np.random.default_rng(n))}
-        outcomes = {}
+        outcomes, ran = {}, {}
         for cpus in (1, 2):
-            monkeypatch.setattr(csa, "_cpu_count", lambda: cpus)
+            monkeypatch.setattr(linalg, "_cpu_count", lambda: cpus)
+            threads["matmul"].clear()
             outcomes[cpus] = {
                 (name, label): _outcome(call, H, C)
                 for name, call in CHECKED_ENTRY_POINTS.items()
                 for label, H in inputs.items()
             }
+            ran[cpus] = list(threads["matmul"])
         assert outcomes[1] == outcomes[2]
         assert {key[1] for key, outcome in outcomes[1].items() if outcome[0] == "raised"} >= {"not-csa"}
-        # the pool ran once per call of the two-CPU pass at and above the crossover only
-        assert pool_calls == ([2] * len(outcomes[2]) if n >= CHECK_THREAD_MIN_DIM else [])
+        # the pool ran the check once per call of the two-CPU pass, and
+        # then the products, at and above the crossover only; every SVD
+        # stayed on the calling thread
+        threaded = n >= CHECK_THREAD_MIN_DIM
+        me = threading.get_ident()
+        assert set(pool_calls) == ({2} if threaded else set())
+        assert len(pool_calls) > len(outcomes[2]) or not threaded
+        assert ran[1] and set(ran[1]) == {me}
+        assert len(ran[2]) == len(ran[1])
+        assert (me not in ran[2]) == threaded
+        assert set(threads["svd"]) == {me}
 
     @pytest.fixture(params=[1, 2], ids=["one-cpu", "two-cpus"])
     def cpus(self, request, monkeypatch):
-        monkeypatch.setattr(csa, "_cpu_count", lambda: request.param)
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: request.param)
         return request.param
 
     @pytest.mark.parametrize(

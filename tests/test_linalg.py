@@ -1,16 +1,22 @@
+import multiprocessing
+import os
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from csaop import DimMismatch, NonFinite, Tolerance
+from csaop import DimMismatch, NonFinite, Tolerance, linalg, refined_svd
 from csaop.linalg import (
-    as_matrix, as_vector, cayley, cluster_indices, column_norms, direct_sum_blocks, fro, nullspace
+    _on_threads, _products, as_matrix, as_vector, cayley, cluster_indices, column_norms, direct_sum_blocks, fro,
+    nullspace,
 )
 
 from csaop import pauli
 
-from conftest import connected_components, haar_unitary, random_matrix
+from conftest import connected_components, conj_k, haar_unitary, random_complex_symmetric, random_matrix
 
 
 class TestTolerance:
@@ -323,3 +329,124 @@ class TestCayley:
 def test_haar_unitary_is_unitary(rng):
     U = haar_unitary(12, rng)
     assert fro(U.conj().T @ U - np.eye(12)) <= 1e-12
+
+
+def _svd_bits(result):
+    return [result.sigmas.tobytes(), result.phis.tobytes(), result.etas.tobytes(), repr(result.residuals)]
+
+
+class TestPool:
+    """``_on_threads`` runs its parts on one process-wide pool."""
+
+    def test_a_larger_call_replaces_the_pool(self, fresh_pool):
+        assert _on_threads(str, [1, 2]) == ["1", "2"]
+        small = linalg._pool
+        assert small[:2] == (os.getpid(), 1)
+        assert _on_threads(str, [1, 2, 3, 4]) == ["1", "2", "3", "4"]
+        assert linalg._pool[1] == 3
+        with pytest.raises(RuntimeError):  # shut down
+            small[2].submit(str, 1)
+        large = linalg._pool
+        _on_threads(str, [1, 2])
+        assert linalg._pool is large
+
+    def test_every_part_finishes_before_the_first_error_in_part_order(self, fresh_pool):
+        finished = []
+
+        def work(part):
+            if part == "caller":
+                raise KeyError(part)
+            time.sleep(0.05)
+            finished.append(part)
+            if part == "fails":
+                raise ValueError(part)
+
+        with pytest.raises(KeyError):
+            _on_threads(work, ["slow", "caller"])
+        assert finished == ["slow"]
+        with pytest.raises(ValueError, match="fails"):
+            _on_threads(work, ["fails", "caller"])
+        assert finished == ["slow", "fails"]
+
+    def test_a_products_task_makes_no_array(self, rng):
+        x, y = random_matrix(64, rng), random_matrix(64, rng)[:, :40]
+        out = np.empty((64, 40), complex)
+        task = _products((out, x, y))
+        tracemalloc.start()
+        try:
+            task()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096  # the 64 x 40 product alone takes 40 KB
+        assert out.tobytes() == (x @ y).tobytes()
+
+    def test_a_pool_thread_runs_its_own_parts_in_order(self, fresh_pool):
+        # a pool of one thread: had the pool's part submitted its inner
+        # parts, it would wait on the thread it occupies
+        def outer(part):
+            return _on_threads(lambda inner: (inner, threading.current_thread()), [part, part + 1])
+
+        results = []
+        runner = threading.Thread(target=lambda: results.append(_on_threads(outer, [0, 10])), daemon=True)
+        runner.start()
+        runner.join(60)
+        assert not runner.is_alive(), "a call from a pool thread waited on its own pool"
+        pooled, called = results[0]
+        assert [part for part, _ in pooled] == [0, 1]
+        assert pooled[0][1] is pooled[1][1] and pooled[0][1].name.startswith("csaop")
+        assert [part for part, _ in called] == [10, 11]
+        assert called[0][1] is pooled[0][1] and called[1][1] is runner
+
+    def test_callers_on_several_threads_share_and_grow_the_pool(self, fresh_pool, monkeypatch):
+        # four callers, each growing the pool to its own size between
+        # decompositions, while the interpreter switches threads every
+        # microsecond: no submission meets a pool that was shut down
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
+        H, C = random_complex_symmetric(128, np.random.default_rng(5)), conj_k(128)
+        expected = _svd_bits(refined_svd(H, C))
+        results = []
+
+        def caller(parts):
+            for _ in range(3):
+                results.append(_svd_bits(refined_svd(H, C)))
+                assert _on_threads(str, list(range(parts))) == [str(k) for k in range(parts)]
+
+        callers = [threading.Thread(target=caller, args=(parts,), daemon=True) for parts in (2, 3, 4, 5)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert results == [expected] * 12
+        assert linalg._pool[1] == 4
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_a_forked_child_builds_its_own_pool(self, fresh_pool, monkeypatch):
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
+        H, C = random_complex_symmetric(128, np.random.default_rng(4)), conj_k(128)
+        parent = _svd_bits(refined_svd(H, C))
+        assert linalg._pool[0] == os.getpid()  # the threaded call started it
+        context = multiprocessing.get_context("fork")
+        reader, writer = context.Pipe(duplex=False)
+
+        def child():
+            bits = _svd_bits(refined_svd(H, C))
+            writer.send((bits, linalg._pool[0] == os.getpid()))
+
+        process = context.Process(target=child)
+        process.start()
+        try:
+            assert reader.poll(60), "the forked child did not finish its refined_svd"
+            bits, own_pool = reader.recv()
+        finally:
+            process.join(10)
+            if process.is_alive():
+                process.kill()
+        assert own_pool and bits == parent
