@@ -153,15 +153,21 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-#: ``(pid, threads, executor)`` of the process-wide pool, once a call has
-#: needed one; a forked child sees its parent's pid here and builds its own.
+#: The process-wide pool, once a call has needed one.
 _pool = None
 _POOL_LOCK = threading.Lock()
-if hasattr(os, "register_at_fork"):  # a child forked mid-submit must not inherit the lock held
-    os.register_at_fork(
-        before=_POOL_LOCK.acquire, after_in_parent=_POOL_LOCK.release, after_in_child=_POOL_LOCK.release
-    )
 _pool_thread = threading.local()
+
+
+def _forget_pool():
+    """In a forked child: its copy of the parent's pool has no threads,
+    and its copy of the lock may be held by a thread that is not there."""
+    global _pool, _POOL_LOCK
+    _pool, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _mark_pool_thread():
@@ -170,22 +176,19 @@ def _mark_pool_thread():
 
 def _submit(run, parts: list) -> list:
     """Futures of ``run(part)`` for each of ``parts`` on the process-wide
-    pool. The pool is started on the first call, again in a forked child
-    (whose copy of the parent's pool has no threads), and replaced, the
-    old one shut down after its queued work, when it has fewer threads
-    than ``len(parts)``."""
+    pool, started on the first call with up to one thread per CPU (it
+    starts a thread only when it finds none idle). Parts beyond its
+    threads wait in its queue: no part waits on the pool, so they do not
+    wait forever."""
     global _pool
     with _POOL_LOCK:
-        pid = os.getpid()
-        if _pool is None or _pool[0] != pid or _pool[1] < len(parts):
+        if _pool is None:
             # here, not at module level: it adds ~10 ms to a cold ``import csaop``
             from concurrent.futures import ThreadPoolExecutor
 
-            if _pool is not None and _pool[0] == pid:
-                _pool[2].shutdown(wait=False)
-            executor = ThreadPoolExecutor(len(parts), thread_name_prefix="csaop", initializer=_mark_pool_thread)
-            _pool = (pid, len(parts), executor)
-        return [_pool[2].submit(run, part) for part in parts]
+            _pool = ThreadPoolExecutor(_cpu_count(), thread_name_prefix="csaop", initializer=_mark_pool_thread)
+        pool = _pool
+    return [pool.submit(run, part) for part in parts]
 
 
 def _on_threads(work, parts: list) -> list:

@@ -27,12 +27,15 @@ from csaop.serialize import ORJSON_MAX_DEPTH, _reject_constant, _unique_keys
 J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
-def run_fresh(*args: str) -> subprocess.CompletedProcess:
+def run_fresh(*args: str, timeout: float | None = None) -> subprocess.CompletedProcess:
     """``python *args`` in a fresh interpreter that imports ``csaop`` from
-    the tree under test; any exit code, output captured as text."""
+    the tree under test; any exit code, output captured as text. Past
+    ``timeout`` seconds the interpreter is killed and
+    ``subprocess.TimeoutExpired`` raised."""
     path = os.pathsep.join(filter(None, [str(Path(csaop.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True
+        [sys.executable, *args], env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        timeout=timeout,
     )
 
 
@@ -43,7 +46,7 @@ def fresh_pool(monkeypatch):
     monkeypatch.setattr(linalg, "_pool", None)
     yield
     if linalg._pool is not None:
-        linalg._pool[2].shutdown()
+        linalg._pool.shutdown()
 
 
 def haar_unitary(n, rng):

@@ -654,7 +654,8 @@ def cpus(request, monkeypatch):
 
 class TestThreadedScan:
     """Blocks of at least ``THREAD_MIN_BLOCK`` rows split their shifts into
-    one part per CPU, each on its own thread; the values do not move."""
+    one part per CPU, run on the pool and the calling thread; the values
+    do not move."""
 
     CASES = {
         # 49 shifts: parts of unequal length on 2, 3 and 8 CPUs
@@ -719,14 +720,14 @@ class TestThreadedScan:
         dense = random_complex_symmetric(THREAD_MIN_BLOCK, rng)
         pseudospectrum(dense, 0.1, (-2.0, 2.0, -2.0, 2.0), 5)
         # the calling thread runs the last of eight parts and a new pool the
-        # others, on at most seven threads that stay for the next call: a
-        # second scan takes the same pool and the bound holds across both
-        # (the pool starts a thread lazily, when it finds none idle, so it
-        # may start one more where a worker had not yet marked itself idle)
+        # others, on at most seven threads that stay for the next call
         assert 1 <= len(starts) <= 7
-        pool = linalg._pool
+        first, pool = len(starts), linalg._pool
         pseudospectrum(dense, 0.1, (-2.0, 2.0, -2.0, 2.0), 5)
-        assert linalg._pool is pool and len(starts) <= 7
+        # a second scan takes the same pool and finds its threads idle; a
+        # worker marks itself idle just after its part's result is set, so
+        # the caller may outrun the last one, and the pool start one more
+        assert linalg._pool is pool and len(starts) - first <= 1
         assert all(thread.is_alive() for thread in starts)
 
     def test_one_cpu_starts_no_thread(self, starts, monkeypatch, rng):

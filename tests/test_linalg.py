@@ -16,7 +16,9 @@ from csaop.linalg import (
 
 from csaop import pauli
 
-from conftest import connected_components, conj_k, haar_unitary, random_complex_symmetric, random_matrix
+from conftest import (
+    connected_components, conj_k, haar_unitary, random_complex_symmetric, random_matrix, run_fresh,
+)
 
 
 class TestTolerance:
@@ -338,17 +340,13 @@ def _svd_bits(result):
 class TestPool:
     """``_on_threads`` runs its parts on one process-wide pool."""
 
-    def test_a_larger_call_replaces_the_pool(self, fresh_pool):
+    def test_one_pool_of_at_most_one_thread_per_cpu(self, fresh_pool, monkeypatch):
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
         assert _on_threads(str, [1, 2]) == ["1", "2"]
-        small = linalg._pool
-        assert small[:2] == (os.getpid(), 1)
-        assert _on_threads(str, [1, 2, 3, 4]) == ["1", "2", "3", "4"]
-        assert linalg._pool[1] == 3
-        with pytest.raises(RuntimeError):  # shut down
-            small[2].submit(str, 1)
-        large = linalg._pool
-        _on_threads(str, [1, 2])
-        assert linalg._pool is large
+        pool = linalg._pool
+        # five parts on the pool's two threads: the others wait in its queue
+        assert _on_threads(str, list(range(6))) == [str(k) for k in range(6)]
+        assert linalg._pool is pool and pool._max_workers == 2
 
     def test_every_part_finishes_before_the_first_error_in_part_order(self, fresh_pool):
         finished = []
@@ -381,9 +379,11 @@ class TestPool:
         assert peak < 4096  # the 64 x 40 product alone takes 40 KB
         assert out.tobytes() == (x @ y).tobytes()
 
-    def test_a_pool_thread_runs_its_own_parts_in_order(self, fresh_pool):
+    def test_a_pool_thread_runs_its_own_parts_in_order(self, fresh_pool, monkeypatch):
         # a pool of one thread: had the pool's part submitted its inner
         # parts, it would wait on the thread it occupies
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: 1)
+
         def outer(part):
             return _on_threads(lambda inner: (inner, threading.current_thread()), [part, part + 1])
 
@@ -398,14 +398,14 @@ class TestPool:
         assert [part for part, _ in called] == [10, 11]
         assert called[0][1] is pooled[0][1] and called[1][1] is runner
 
-    def test_callers_on_several_threads_share_and_grow_the_pool(self, fresh_pool, monkeypatch):
-        # four callers, each growing the pool to its own size between
-        # decompositions, while the interpreter switches threads every
-        # microsecond: no submission meets a pool that was shut down
+    def test_callers_on_several_threads_share_the_pool(self, fresh_pool, monkeypatch):
+        # four callers on a pool of two threads, each with more parts than
+        # it has between decompositions, while the interpreter switches
+        # threads every microsecond
         monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
         H, C = random_complex_symmetric(128, np.random.default_rng(5)), conj_k(128)
         expected = _svd_bits(refined_svd(H, C))
-        results = []
+        pool, results = linalg._pool, []
 
         def caller(parts):
             for _ in range(3):
@@ -424,7 +424,7 @@ class TestPool:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in callers)
         assert results == [expected] * 12
-        assert linalg._pool[1] == 4
+        assert linalg._pool is pool
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
@@ -432,13 +432,14 @@ class TestPool:
         monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
         H, C = random_complex_symmetric(128, np.random.default_rng(4)), conj_k(128)
         parent = _svd_bits(refined_svd(H, C))
-        assert linalg._pool[0] == os.getpid()  # the threaded call started it
+        pool = linalg._pool
+        assert pool is not None  # the threaded call started it
         context = multiprocessing.get_context("fork")
         reader, writer = context.Pipe(duplex=False)
 
         def child():
             bits = _svd_bits(refined_svd(H, C))
-            writer.send((bits, linalg._pool[0] == os.getpid()))
+            writer.send((bits, linalg._pool not in (None, pool)))
 
         process = context.Process(target=child)
         process.start()
@@ -450,3 +451,38 @@ class TestPool:
             if process.is_alive():
                 process.kill()
         assert own_pool and bits == parent
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forks_while_another_thread_submits(self):
+        # in a fresh interpreter, so that a hang is a timeout here: one
+        # thread submits to the pool without pause while the main thread
+        # forks forty children, each of which must run a call of its own.
+        # The main thread starts the pool first: a child forked while
+        # another thread is importing a module finds that module's import
+        # lock held for good, whatever the module
+        script = """if True:
+            import os, sys, threading
+            from csaop.linalg import _on_threads
+
+            _on_threads(str, [0, 1])
+            stop = threading.Event()
+
+            def submit():
+                while not stop.is_set():
+                    _on_threads(str, list(range(6)))
+
+            submitter = threading.Thread(target=submit)
+            submitter.start()
+            sys.setswitchinterval(1e-6)
+            failed = 0
+            for _ in range(40):
+                pid = os.fork()
+                if pid == 0:
+                    os._exit(0 if _on_threads(str, [1, 2, 3]) == ["1", "2", "3"] else 1)
+                failed += os.waitpid(pid, 0)[1] != 0
+            stop.set()
+            submitter.join()
+            print(failed)
+        """
+        result = run_fresh("-c", script, timeout=60)
+        assert (result.returncode, result.stdout) == (0, "0\n"), result.stderr
