@@ -33,24 +33,21 @@ eigensystem, puts ``z`` in the spectrum when ``sigma_min <= SPECTRUM_CUTOFF
 entry of ``H - z I``, overflows (or is NaN).
 
 Grid points are independent problems (Trefethen, "Computation of
-pseudospectra", Acta Numerica 8, 1999), so the kernel splits the shifts of
-blocks of at least ``THREAD_MIN_BLOCK`` rows into one contiguous part per
-CPU the process may run on: the calling thread runs the last part and a
-thread pool the others, each part's batched SVD on its own thread (numpy's
-LAPACK loop releases the GIL), and every part runs under the caller's
-numpy error state, error callback included. Smaller blocks, a single
-shift and a one-CPU process stay on the calling thread. Each part builds
-its shifted stacks in place, in chunks that keep the stacks in flight
-together under ``SVD_STACK_ENTRIES`` entries, 16 MB. The closed form runs
-in plain arithmetic, ``CLOSED_FORM_CHUNK`` shifted blocks at a time in
-1 MB of buffers that every chunk reuses, and rescales by powers of two
-only the (shift, block) pairs whose squares leave ``PLAIN_RANGE``. No
-value depends on the split or the chunks, so each is bit for bit the one
-a single thread computes. From ``CHECK_THREAD_MIN_DIM`` rows up the
-eigensystem's check runs beside its SVD (``csa._checked``), and its
-completeness product ``psi psi*`` beside the expansion's two products,
-into an array made on the calling thread (``linalg._overlap``). Both uses
-of threads share the pool of ``linalg._on_threads``.
+pseudospectra", Acta Numerica 8, 1999), so the kernel runs the shifts of
+each block size in the contiguous parts of ``linalg._scan_parts`` on the
+threads of ``linalg._on_threads`` (the module docstring of
+:mod:`csaop.linalg` tells how), each part's batched SVD on its own thread
+(numpy's LAPACK loop releases the GIL). Each part builds its shifted
+stacks in place, in chunks that keep the stacks in flight together under
+``SVD_STACK_ENTRIES`` entries, 16 MB. The closed form runs in plain
+arithmetic, ``CLOSED_FORM_CHUNK`` shifted blocks at a time in 1 MB of
+buffers that every chunk reuses, and rescales by powers of two only the
+(shift, block) pairs whose squares leave ``PLAIN_RANGE``. No value
+depends on the split or the chunks, so each is bit for bit the one a
+single thread computes. The eigensystem's check runs beside its SVD
+(``csa._checked``), and its completeness product ``psi psi*`` beside the
+expansion's two products, into an array made on the calling thread, as
+``linalg._overlap`` decides.
 """
 
 from __future__ import annotations
@@ -64,8 +61,8 @@ from .csa import _csa_svd
 from .decomp import _certify, _fixed_singular_basis, _singular_clusters
 from .errors import DimMismatch, NonFinite, ZInSpectrum
 from .linalg import (
-    DEFAULT_TOL, THREAD_MIN_BLOCK, Tolerance, _cpu_count, _on_threads, _overlap, _products, _shifted, as_matrix,
-    column_norms, direct_sum_blocks, fro,
+    DEFAULT_TOL, Tolerance, _on_threads, _overlap, _products, _scan_parts, _shifted, as_matrix, column_norms,
+    direct_sum_blocks, fro,
 )
 
 #: sigma_min(H - z I) at or below this fraction of ||H - z I||_F puts z in
@@ -305,13 +302,13 @@ def _smin_and_norm(H: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     frobenius = np.zeros(len(zs))
     for m, index in direct_sum_blocks(H != 0).items():
         blocks = H[index[:, :, None], index[:, None, :]]
-        count = max(1, min(_cpu_count(), len(zs))) if m >= THREAD_MIN_BLOCK else 1
+        parts = _scan_parts(m, zs)
         if m <= 2:  # see CLOSED_FORM_CHUNK
             step = max(1, CLOSED_FORM_CHUNK // len(index))
         else:  # see SVD_STACK_ENTRIES
-            step = max(1, SVD_STACK_ENTRIES // (count * len(index) * m * m))
-        parts = _on_threads(lambda part: _block_norms(blocks, part, step), np.array_split(zs, count))
-        block_min, block_norm = map(np.concatenate, zip(*parts))  # back in shift order
+            step = max(1, SVD_STACK_ENTRIES // (len(parts) * len(index) * m * m))
+        norms = _on_threads(lambda part: _block_norms(blocks, part, step), parts)
+        block_min, block_norm = map(np.concatenate, zip(*norms))  # back in shift order
         smin = np.minimum(smin, block_min)
         frobenius = np.hypot(frobenius, block_norm)
     return smin, frobenius
@@ -362,7 +359,7 @@ def antilinear_eigensystem(
     A = C.unitary_part
     psis, _, slack = _fixed_singular_basis(A.T, W, V, s, _singular_clusters(s, C), tol)
     psis, lambdas = np.ascontiguousarray(psis[:, ::-1]), s[::-1]  # ascending
-    # psi psi* on the pool beside the expansion's products (linalg._overlap)
+    # psi psi* beside the expansion's products (linalg._overlap)
     gram, conj_psis = np.empty((n, n), complex), np.conj(psis)
     _, (image, mapped) = _overlap(n, [_products((gram, psis, conj_psis.T)), lambda: (M @ psis, A @ conj_psis)])
     residuals = _certify(
@@ -387,11 +384,10 @@ def pseudospectrum(
     slowest). All points go through the block kernel of
     :func:`resolvent_norm` (the toy model meets no SVD; a dense ``H`` is
     one n x n SVD per point), so each norm equals ``resolvent_norm(H, z)``
-    exactly. Threads may share the points: the norms and the mask are bit
-    for bit the same on any CPU count, every thread runs under the
-    caller's numpy error state (``np.errstate``, error callback included),
-    and the shifted stacks in flight take ~16 MB at most
-    (``SVD_STACK_ENTRIES``).
+    exactly. Threads may share the points (module docstring): the norms
+    and the mask are bit for bit the same on any CPU count, under the
+    caller's numpy error state, and the shifted stacks in flight take
+    ~16 MB at most (``SVD_STACK_ENTRIES``).
     Points in the spectrum are in the mask at every ``epsilon``; a point
     outside it whose ``1 / sigma_min`` overflows to ``inf`` is in the mask
     only where ``sigma_min < epsilon``. Raises

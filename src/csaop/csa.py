@@ -23,13 +23,11 @@ It serves :func:`eigen_pairing` (``eig``) and :func:`_csa_svd`, the one
 SVD of :func:`~csaop.decomp.refined_polar`,
 :func:`~csaop.decomp.refined_svd`,
 :func:`~csaop.antieig.antilinear_eigensystem` and :func:`kernel_pairing`.
-From ``n = CHECK_THREAD_MIN_DIM`` up, in a process that may run on more
-than one CPU, the check runs on a pool thread while the calling thread
-factorises (LAPACK releases the GIL; :func:`~csaop.linalg._overlap`
-decides). The factorization stays on the calling thread, and the errors
-and values are those of the serial order. The decompositions then
-overlap the products that certify their results in the same way
-(:mod:`csaop.decomp`).
+It schedules the check and the factorization as two independent steps,
+the factorization last, and the decompositions then schedule the
+products that certify their results the same way; whether steps run on
+threads is :mod:`csaop.linalg`'s to decide (``linalg._overlap``). The
+errors and values are those of the serial order.
 """
 
 from __future__ import annotations
@@ -95,13 +93,11 @@ def _checked(H, C, tol, factor):
     then the check's (:class:`DimMismatch` for a ``C`` of another
     dimension, :class:`NonFinite` when ``||H||_F`` overflows,
     :class:`NotCsa`), and ``factor``'s own only after the check has passed.
-    From ``n = CHECK_THREAD_MIN_DIM`` up, in a process that may run on more
-    than one CPU, :func:`~csaop.linalg._overlap` runs the check on a pool
-    thread (under the caller's numpy error state) while the calling thread
-    runs ``factor``, so the arrays ``factor`` makes stay in the calling
-    thread's allocator arena. Every value is bit for bit the one the
-    serial order gives, but an ``H`` that fails the check costs the longer
-    of the check and ``factor`` there.
+    The check and ``factor`` are the two steps of one
+    :func:`~csaop.linalg._overlap` round, ``factor`` last, so it runs on
+    the calling thread and makes the arrays returned there. Every value is
+    bit for bit the serial order's; where the two steps run side by side,
+    an ``H`` that fails the check costs the longer of the two.
     """
     H = as_matrix(H, square=True)
     _, factors = _overlap(H.shape[0], [lambda: _require_csa(H, C, tol), lambda: factor(H)])
@@ -118,9 +114,7 @@ def _csa_svd(H, C, tol, z: complex = 0.0, bad_shift: tuple[type[Exception], str]
     so LAPACK never sees it) or when ``||M||_F``, the ``hypot`` of ``s``,
     does. Returns ``(H, M, W, s, V, rank)``, with ``rank`` the count of
     ``s`` above :func:`~csaop.linalg.rank_cutoff`; ``M`` is ``H`` itself
-    for ``z = 0``. From ``n = CHECK_THREAD_MIN_DIM`` up on more than one
-    CPU the SVD runs beside the check, so an ``H`` that fails the check
-    there costs the longer of the two, not the check alone.
+    for ``z = 0``. The SVD is :func:`_checked`'s ``factor``.
     """
 
     def factor(H):

@@ -20,14 +20,12 @@ nonzero singular value is even-fold degenerate instead.
 :func:`refined_polar` and :func:`refined_svd` take their one SVD of ``H``
 from the checked front end ``csa._csa_svd`` at ``z = 0``, which
 :func:`csaop.antieig.antilinear_eigensystem` and
-:func:`csaop.csa.kernel_pairing` share. From ``CHECK_THREAD_MIN_DIM``
-rows up, on more than one CPU, the front end runs the C-self-adjointness
-check on a second thread beside the SVD, and each decomposition then
-runs its products in rounds of two independent steps
-(``linalg._overlap``): a pool thread takes one, into arrays made for it
-here, while the calling thread takes the one that can raise and makes
-what is returned. The SVD stays on the calling thread, and every value
-and error is the serial order's, bit for bit.
+:func:`csaop.csa.kernel_pairing` share. Each decomposition then
+schedules its products in rounds of two independent steps for
+``linalg._overlap``, which decides whether they run on threads (see
+:mod:`csaop.linalg`): the first step writes into arrays made for it
+here, and the last is the one that can raise and makes what is
+returned. Every value and error is the serial order's, bit for bit.
 
 One fixed-basis step clusters the kept singular values in O(n) at
 ``SVD_CLUSTER_GAP`` times the largest, reads the involution class of
@@ -135,8 +133,8 @@ def refined_polar(H, C: AntiunitaryOp, tol: Tolerance = DEFAULT_TOL) -> RefinedP
     """
     H, _, W, s, V, rank = _csa_svd(H, C, tol)
     n = H.shape[0]
-    # three rounds of a pool task's products beside a step of the calling
-    # thread (linalg._overlap): [|H| | U], [U |H| | J], [|H| J | J conj(|H|)]
+    # three rounds of two steps (linalg._overlap): [|H| | U], [U |H| | J],
+    # [|H| J | J conj(|H|)]
     absH, product = np.empty((n, n), complex), np.empty((n, n), complex)
     _, U = _overlap(n, [_products((absH, V * s, V.conj().T)), lambda: W[:, :rank] @ V[:, :rank].conj().T])
     _, J = _overlap(n, [_products((product, U, absH)), lambda: compose_antilinear(C, U)])
@@ -229,9 +227,8 @@ def refined_svd(H, C: AntiunitaryOp, tol: Tolerance = DEFAULT_TOL) -> RefinedSVD
     """
     H, _, W, s, V, rank = _csa_svd(H, C, tol)
     n, sigmas, A = H.shape[0], s[:rank], C.unitary_part
-    # two rounds of a pool task's products beside a step of the calling
-    # thread (linalg._overlap): [|H| | fixed basis], [|H| phi and
-    # J conj(phi) | etas and reconstruction]
+    # two rounds of two steps (linalg._overlap): [|H| | fixed basis],
+    # [|H| phi and J conj(phi) | etas and reconstruction]
     groups = _singular_clusters(sigmas, C)  # before the rounds: its error waits for no product
     absH = np.empty((n, n), complex)
     _, (phis, J, slack) = _overlap(n, [

@@ -7,18 +7,26 @@ norm (cheap and basis-independent), and a single rank convention: singular
 values below ``tol.abs`` times the largest singular value are treated as
 zero everywhere.
 
-The package's threads live here too. :func:`_on_threads` runs parts of
-one call on a process-wide pool of threads, started on first use,
-beside the calling thread. Its two users are the pseudospectrum scan,
-whose parts are shifts (``THREAD_MIN_BLOCK``), and the decompositions,
-whose parts are independent steps: the C-self-adjointness check beside
-the SVD, then the products that certify the result. :func:`_overlap`
-decides for the latter, from ``CHECK_THREAD_MIN_DIM`` rows up, and
-keeps every array a decomposition returns on the calling thread.
+The package's threads live here, and only here. :func:`_on_threads`
+runs the parts of one call on a process-wide pool of threads, started on
+first use, beside the calling thread; each pool part runs in a copy of
+the caller's context (``contextvars.copy_context().run``, as
+``asyncio.to_thread`` does), so it sees every context variable the
+caller set, numpy's error state and error callback included. Two
+functions decide every split: :func:`_scan_parts` cuts the
+pseudospectrum scan's shifts into one part per CPU for blocks of
+``THREAD_MIN_BLOCK`` rows up, and :func:`_overlap` runs a
+decomposition's independent steps (the C-self-adjointness check beside
+the SVD, then the products that certify the result) side by side from
+``CHECK_THREAD_MIN_DIM`` rows up. A pool task makes no array it
+returns, beyond a scan part's two vectors of norms: the arrays a pool
+thread makes stay in its own glibc arena and grow the process, so a
+decomposition makes every array it returns on the calling thread.
 """
 
 from __future__ import annotations
 
+import contextvars
 import os
 import threading
 from dataclasses import dataclass
@@ -123,8 +131,8 @@ def as_vector(v) -> np.ndarray:
     return v
 
 
-#: Least block size whose shifts :func:`~csaop.antieig.pseudospectrum`
-#: splits across the CPUs. At 256 shifts of a dense block on a two-CPU x86
+#: Least block size whose shifts the scan splits across the CPUs
+#: (:func:`_scan_parts`). At 256 shifts of a dense block on a two-CPU x86
 #: machine (one BLAS thread), two threads ran at 0.77-1.00x the speed of
 #: one for blocks of size 4 to 32, 0.98-1.02x at 48, 1.02-1.20x at 64 and
 #: 1.85-2.00x at 96 and 120 (two runs of seven).
@@ -174,13 +182,18 @@ def _mark_pool_thread():
     _pool_thread.inside = True
 
 
-def _submit(run, parts: list) -> list:
-    """Futures of ``run(part)`` for each of ``parts`` on the process-wide
-    pool, started on the first call with up to one thread per CPU (it
-    starts a thread only when it finds none idle). Parts beyond its
-    threads wait in its queue: no part waits on the pool, so they do not
-    wait forever."""
+def _on_threads(work, parts: list) -> list:
+    """``[work(part) for part in parts]``: the process-wide pool runs every
+    part but the last, each in a copy of the caller's context, while the
+    calling thread runs the last. The pool starts on the first call, with
+    up to one thread per CPU (it starts a thread only when it finds none
+    idle); parts beyond its threads wait in its queue. Every part finishes
+    before the first exception, in part order, is raised here. On a pool
+    thread the parts run there, in order: a part that waited on the pool
+    it occupies could wait forever."""
     global _pool
+    if len(parts) == 1 or getattr(_pool_thread, "inside", False):
+        return [work(part) for part in parts]
     with _POOL_LOCK:
         if _pool is None:
             # here, not at module level: it adds ~10 ms to a cold ``import csaop``
@@ -188,26 +201,7 @@ def _submit(run, parts: list) -> list:
 
             _pool = ThreadPoolExecutor(_cpu_count(), thread_name_prefix="csaop", initializer=_mark_pool_thread)
         pool = _pool
-    return [pool.submit(run, part) for part in parts]
-
-
-def _on_threads(work, parts: list) -> list:
-    """``[work(part) for part in parts]``: the process-wide pool runs every
-    part but the last while the calling thread runs the last, every part
-    under the caller's numpy error state, callback included (a pool thread
-    starts from numpy's defaults). Every part finishes before the first
-    exception, in part order, is raised here. On a pool thread the parts
-    run there, in order: a part that waited on the pool it occupies could
-    wait forever."""
-    if len(parts) == 1 or getattr(_pool_thread, "inside", False):
-        return [work(part) for part in parts]
-    state = {"call": np.geterrcall(), **np.geterr()}
-
-    def run(part):
-        with np.errstate(**state):
-            return work(part)
-
-    futures = _submit(run, parts[:-1])
+    futures = [pool.submit(contextvars.copy_context().run, work, part) for part in parts[:-1]]
     try:
         last, error = work(parts[-1]), None
     except Exception as exc:
@@ -218,6 +212,15 @@ def _on_threads(work, parts: list) -> list:
     return [future.result() for future in futures] + [last]
 
 
+def _scan_parts(rows: int, shifts: np.ndarray) -> list:
+    """The contiguous parts, in order, in which the scan takes ``shifts``
+    for blocks of ``rows`` rows: one per CPU the process may run on (at
+    most one per shift) from ``THREAD_MIN_BLOCK`` rows up, otherwise one.
+    :func:`_on_threads` runs the parts."""
+    count = max(1, min(_cpu_count(), len(shifts))) if rows >= THREAD_MIN_BLOCK else 1
+    return np.array_split(shifts, count)
+
+
 def _overlap(rows: int, tasks: list) -> list:
     """``[task() for task in tasks]``, the steps of one decomposition of a
     matrix of ``rows`` rows: the one place that decides whether they run
@@ -226,10 +229,9 @@ def _overlap(rows: int, tasks: list) -> list:
     on the calling thread and the others on the pool; otherwise the
     calling thread runs them in list order. Either way the error raised is
     the first in list order, so a task whose errors come first goes
-    before the last. The arrays a pool thread makes stay in its own glibc
-    arena and grow the process, so the tasks before the last make none
-    that they return: ``csa._checked``'s check makes only temporaries, and
-    products write into arrays the caller made (:func:`_products`).
+    before the last. The tasks before the last make no array they return
+    (module docstring): ``csa._checked``'s check makes only temporaries,
+    and products write into arrays the caller made (:func:`_products`).
     """
     if rows < CHECK_THREAD_MIN_DIM or _cpu_count() < 2:
         return [task() for task in tasks]
@@ -328,7 +330,7 @@ def cluster_indices(values: np.ndarray, gap: float) -> list[list[int]]:
     """
     values = np.asarray(values)
     steps = np.diff(values)
-    if not (np.isrealobj(values) and (np.all(steps >= 0) or np.all(steps <= 0))):
+    if not (np.isrealobj(values) and (np.all(steps >= 0) or np.all(steps <= 0))) or np.isnan(values).any():
         raise ValueError("cluster_indices needs sorted real values")
     if not values.size:
         return []

@@ -15,10 +15,10 @@ from csaop import (
     resolvent_norm,
 )
 from csaop import DimMismatch, NonFinite, NotCsa, antieig, decomp, linalg
-from csaop.antieig import CLOSED_FORM_CHUNK, SPECTRUM_CUTOFF, THREAD_MIN_BLOCK
+from csaop.antieig import CLOSED_FORM_CHUNK, SPECTRUM_CUTOFF
 from csaop.antiunitary import AntiunitaryOp
 from csaop.decomp import SVD_CLUSTER_GAP
-from csaop.linalg import DEFAULT_TOL, fro
+from csaop.linalg import DEFAULT_TOL, THREAD_MIN_BLOCK, fro
 from csaop import pauli
 from csaop.pauli import MINUS_I_SIGMA2
 
@@ -568,7 +568,7 @@ class TestOneKernel:
         return [(H, 21), (toy, 16), (random_complex_symmetric(6, rng), 9), (dense, 5)]
 
     def test_equals_the_scan_bit_for_bit(self, rng, monkeypatch):
-        monkeypatch.setattr(antieig, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
         for H, res in self._cases(rng):
             grid = pseudospectrum(H, 0.1, (-2.0, 2.0, -2.0, 2.0), res)
             single = [resolvent_norm(H, z) for z in grid.zs]
@@ -648,7 +648,7 @@ def _negative_zeros(rng):
 
 @pytest.fixture(params=[1, 2, 3, 8])
 def cpus(request, monkeypatch):
-    monkeypatch.setattr(antieig, "_cpu_count", lambda: request.param)
+    monkeypatch.setattr(linalg, "_cpu_count", lambda: request.param)
     return request.param
 
 
@@ -685,7 +685,7 @@ class TestThreadedScan:
         inf = np.isinf(reference)
         np.testing.assert_array_equal(np.isinf(grid.resolvent_norms), inf)
         np.testing.assert_allclose(grid.resolvent_norms[~inf], reference[~inf], rtol=1e-12)
-        monkeypatch.setattr(antieig, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: 1)
         single = pseudospectrum(H, 0.1, bounds, res)
         assert grid.resolvent_norms.tobytes() == single.resolvent_norms.tobytes()
 
@@ -710,35 +710,36 @@ class TestThreadedScan:
         return started
 
     def test_small_blocks_and_single_shifts_stay_serial(self, starts, fresh_pool, monkeypatch, rng):
-        monkeypatch.setattr(antieig, "_cpu_count", lambda: 8)
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: 8)
         toy, _, _ = pauli.discretize(-1.5, np.linspace(-3.0, 3.0, 20))
         small = random_complex_symmetric(THREAD_MIN_BLOCK - 1, rng)
         for H in (toy, _direct_sum_fixture(rng)[0], small):
             pseudospectrum(H, 0.1, (-2.0, 2.0, -2.0, 2.0), 5)
         resolvent_norm(random_complex_symmetric(THREAD_MIN_BLOCK, rng), 0.5j)
         assert starts == []
+        # on two CPUs the calling thread runs the last of two parts and a
+        # new pool the other, on one thread that stays for the next call
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
         dense = random_complex_symmetric(THREAD_MIN_BLOCK, rng)
         pseudospectrum(dense, 0.1, (-2.0, 2.0, -2.0, 2.0), 5)
-        # the calling thread runs the last of eight parts and a new pool the
-        # others, on at most seven threads that stay for the next call
-        assert 1 <= len(starts) <= 7
-        first, pool = len(starts), linalg._pool
+        assert len(starts) == 1
+        pool = linalg._pool
         pseudospectrum(dense, 0.1, (-2.0, 2.0, -2.0, 2.0), 5)
-        # a second scan takes the same pool and finds its threads idle; a
+        # a second scan takes the same pool and finds its thread idle; a
         # worker marks itself idle just after its part's result is set, so
-        # the caller may outrun the last one, and the pool start one more
-        assert linalg._pool is pool and len(starts) - first <= 1
+        # the caller may outrun it, and the pool start its second and last
+        assert linalg._pool is pool and len(starts) <= 2
         assert all(thread.is_alive() for thread in starts)
 
     def test_one_cpu_starts_no_thread(self, starts, monkeypatch, rng):
-        monkeypatch.setattr(antieig, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: 1)
         pseudospectrum(random_complex_symmetric(96, rng), 0.1, (-2.0, 2.0, -2.0, 2.0), 5)
         assert starts == []
 
     def test_more_threads_than_cpus_at_a_short_switch_interval(self, monkeypatch, rng):
         # sixteen parts, their results gathered in part order while the
         # interpreter switches threads every microsecond
-        monkeypatch.setattr(antieig, "_cpu_count", lambda: 16)
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: 16)
         H = random_complex_symmetric(THREAD_MIN_BLOCK, rng)
         zs = np.linspace(-2.0, 2.0, 40) + 0.3j
         interval = sys.getswitchinterval()
@@ -756,7 +757,7 @@ class TestThreadedScan:
         # (SVD_STACK_ENTRIES: 16 MB of stacks in flight). Chunks of 2 shifts
         # serialized the two threads, and a pool that leaves the caller idle
         # held ~5 MB more RSS
-        monkeypatch.setattr(antieig, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
         svd, calls = np.linalg.svd, {}
 
         def recording_svd(a, *args, **kwargs):
@@ -775,7 +776,7 @@ class TestThreadedScan:
         # 49 shifts in parts of 49 (one CPU) or 25 and 24 (two), each part
         # in one chunk, two or chunks of 4 shifts, the last chunk shorter;
         # the twenty 4 x 4 blocks are chunked too. Signs of zero included
-        monkeypatch.setattr(antieig, "_cpu_count", lambda: count)
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: count)
         H = _negative_zeros(rng)
         zs = pseudospectrum(np.eye(1), 0.1, (-1.0, 1.0, -1.5, 1.5), 7).zs
         whole = antieig._resolvent(*antieig._smin_and_norm(H, zs))
@@ -798,7 +799,7 @@ class TestThreadedScan:
     def test_benchmark_scan_stacks_fit_the_budget(self, monkeypatch, rng):
         # the benchmark's dense op: n = 120 at 256 shifts on two CPUs held
         # ~59 MB of stacks at a budget of 2**22 entries, 64 MB
-        monkeypatch.setattr(antieig, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
         H = random_complex_symmetric(120, rng)
         tracemalloc.start()
         try:
@@ -824,7 +825,7 @@ class TestThreadedScan:
 
         norms, calls = scan()
         assert calls
-        monkeypatch.setattr(antieig, "_cpu_count", lambda: 1)
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: 1)
         assert norms.tobytes() == scan()[0].tobytes()
 
     @pytest.mark.parametrize("failing", [0, 6])  # in the caller's part, in the last thread's
@@ -849,7 +850,7 @@ class TestThreadedScan:
     def test_one_shifted_stack_in_memory(self, count, monkeypatch, rng):
         # 256 shifts of a dense 64 x 64 H: 16.8 MB of shifted blocks, built
         # in place; ``blocks - zs * eye`` would hold two such stacks
-        monkeypatch.setattr(antieig, "_cpu_count", lambda: count)
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: count)
         H = random_complex_symmetric(THREAD_MIN_BLOCK, rng)
         zs = (np.linspace(-2, 2, 16)[None, :] + 1j * np.linspace(-2, 2, 16)[:, None]).ravel()
         stack = len(zs) * H.nbytes

@@ -1,3 +1,4 @@
+import contextvars
 import multiprocessing
 import os
 import sys
@@ -195,8 +196,9 @@ class TestClusterIndicesOracle:
             [0.0, 0.25, 1.0, 1.25, 3.0 + 0j],  # complex dtype, even with zero imaginary parts
             [0.0, 0.1 + 1.0j, 0.2],
             [1.0, np.nan, 2.0],
+            [np.nan],  # no step to compare
         ],
-        ids=["unsorted", "complex-dtype", "complex", "nan"],
+        ids=["unsorted", "complex-dtype", "complex", "nan", "lone-nan"],
     )
     def test_rejects_complex_or_unsorted_input(self, values):
         with pytest.raises(ValueError, match="sorted real"):
@@ -365,6 +367,30 @@ class TestPool:
         with pytest.raises(ValueError, match="fails"):
             _on_threads(work, ["fails", "caller"])
         assert finished == ["slow", "fails"]
+
+    def test_pool_parts_run_in_the_callers_context(self, fresh_pool, monkeypatch):
+        # every context variable the caller set, numpy's error state and
+        # error callback among them, and none of them left on the pool's
+        # one thread for the next call's part
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: 1)
+        span = contextvars.ContextVar("span", default="unset")
+
+        def seen(part):
+            return threading.current_thread().name, span.get(), np.geterr()["over"], np.geterrcall()
+
+        def callback(kind, flag):
+            raise AssertionError("no floating-point error is expected")
+
+        token = span.set("caller")
+        try:
+            with np.errstate(over="raise", call=callback):
+                pooled, called = _on_threads(seen, [0, 1])
+        finally:
+            span.reset(token)
+        assert pooled[0].startswith("csaop") and called[0] == threading.current_thread().name
+        assert pooled[1:] == called[1:] == ("caller", "raise", callback)
+        later, here = _on_threads(seen, [0, 1])
+        assert later[0] == pooled[0] and later[1:] == here[1:] == ("unset", np.geterr()["over"], np.geterrcall())
 
     def test_a_products_task_makes_no_array(self, rng):
         x, y = random_matrix(64, rng), random_matrix(64, rng)[:, :40]

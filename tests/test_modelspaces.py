@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from csaop import (
+    DimMismatch,
     HypothesisViolated,
     InvolutionClass,
     NonFinite,
@@ -82,6 +83,10 @@ class TestConjugationCGamma:
         psi = random_vector(N, rng)
         assert abs(np.linalg.norm(C.apply(psi)) - 1.0) <= 1e-12
 
+    def test_empty_space_rejected(self):
+        with pytest.raises(ValueError, match="N must be at least 1"):
+            conjugation_c_gamma(0)
+
 
 class TestConjugationCAlphaBeta:
     def test_pi_twist_action(self):
@@ -122,6 +127,11 @@ class TestConjugationCAlphaBeta:
         C = conjugation_c_alphabeta(1, 4, 0.3)
         psi = random_vector(5, rng)
         assert abs(np.linalg.norm(C.apply(psi)) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("p, q", [(0, 2), (2, 0), (-1, 3)])
+    def test_empty_or_negative_part_rejected(self, p, q):
+        with pytest.raises(ValueError, match="p and q must be at least 1"):
+            conjugation_c_alphabeta(p, q, 0.3)
 
 
 class TestExample1:
@@ -303,6 +313,10 @@ class TestBuildT:
 
     def test_constant_and_zero(self):
         np.testing.assert_allclose(build_T({0: 1.0}, {}, 2), np.diag([1.0, 0.0]))
+
+    def test_empty_compression_rejected(self):
+        with pytest.raises(ValueError, match="N must be at least 1"):
+            build_T({0: 1.0}, {1: 2.0}, 0)
 
     def test_coefficients_recoverable_from_columns(self, rng):
         # reading the matrix columns reproduces every stored coefficient
@@ -487,6 +501,11 @@ class TestBlockAntilinear:
         assert classify(AntiunitaryOp(empty)) is InvolutionClass.INVOLUTIVE
         assert prop11_check(empty, AntiunitaryOp(empty), 1.0).is_csa
 
+    def test_mixed_dimensions_rejected(self):
+        eye, small = np.eye(3), np.eye(2)
+        with pytest.raises(DimMismatch, match=r"mixed dimensions \[2, 3\]"):
+            BlockAntilinear.from_matrices(eye, eye, small, eye)
+
     def test_involutive_diagonal_is_not_anti_involutive(self):
         eye = np.eye(2)
         B = BlockAntilinear.from_matrices(eye, 0 * eye, 0 * eye, eye)
@@ -534,6 +553,10 @@ class TestProp11:
     def test_non_involutive_d2_rejected(self):
         with pytest.raises(HypothesisViolated):
             prop11_check(np.zeros((2, 2)), AntiunitaryOp(MINUS_I_SIGMA2), 1.0)
+
+    def test_d2_of_another_dimension_rejected(self):
+        with pytest.raises(DimMismatch, match="D2 and p have different dimensions"):
+            prop11_check(np.zeros((2, 2)), conjugation_k(3), 1.0)
 
     def test_complex_generator(self, rng):
         # any p with conj(p) = -p* i.e. p purely imaginary Hermitian? no:
