@@ -14,9 +14,12 @@ spectrum or ``||R(z)|| > 1 / epsilon`` (strict, per the definition).
 
 ``M`` is also ``C^{-1}``-self-adjoint, and the eigensystem is its refined
 SVD against ``C^{-1}``: the checked SVD front end ``csa._csa_svd`` of the
-refined expansions, then the fixed-basis step and cluster slack of
-``decomp.refined_svd``. It keeps the residuals it was certified with:
-the expansion and the completeness of the ``psi_j``.
+refined expansions, then the fixed-basis loop and cluster slack of
+``decomp.refined_svd``. The loop's gates take the J-images of ``V``'s
+columns from the factors, ``J v_j = A^T conj(w_j)``, one product with no
+n x n ``J``; ``refined_svd`` forms its ``J``, which it certifies against.
+It keeps the residuals it was certified with: the expansion and the
+completeness of the ``psi_j``.
 
 :func:`resolvent_norm` and the :func:`pseudospectrum` scan share one
 kernel. It splits ``H`` along its exact structural zeros into a direct
@@ -58,7 +61,7 @@ import numpy as np
 
 from .antiunitary import AntiunitaryOp
 from .csa import _csa_svd
-from .decomp import _certify, _fixed_singular_basis, _singular_clusters
+from .decomp import _certify, _fixed_involutive, _fixed_singular_basis, _phase_fixed, _singular_clusters
 from .errors import DimMismatch, NonFinite, ZInSpectrum
 from .linalg import (
     DEFAULT_TOL, Tolerance, _on_threads, _overlap, _products, _scan_parts, _shifted, as_matrix, column_norms,
@@ -337,10 +340,12 @@ def antilinear_eigensystem(
     """Solve ``(H - z I) psi = lambda C psi`` for a C-self-adjoint ``H``.
 
     From one SVD ``M = H - z I = W diag(s) V*``: ``lambda_j = s_j`` ascending
-    and ``psi_j`` the fixed vectors of the antiunitary ``C^{-1} o U``
-    (matrix ``A^T conj(W V*)``, ``U = W V*``) in M's singular subspaces:
-    ``C^{-1} U psi = psi`` is ``U psi = C psi``, so
-    ``M psi = U |M| psi = lambda U psi = lambda C psi``. Raises
+    and ``psi_j`` the fixed vectors of the antiunitary ``J = C^{-1} o U``
+    (``U = W V*``) in M's singular subspaces: ``C^{-1} U psi = psi`` is
+    ``U psi = C psi``, so ``M psi = U |M| psi = lambda U psi = lambda C
+    psi``. ``J`` is applied through the factors, never formed: ``U v_j =
+    w_j``, so the columns of ``A^T conj(W)`` are the J-images of ``V``'s,
+    which the fixed-basis gates read. Raises
     :class:`ZInSpectrum` exactly where :func:`_in_spectrum` holds (not where
     only ``1 / lambda_1`` overflows), :class:`NonFinite` when ``||H - z
     I||_F`` overflows, ``ValueError`` for a non-finite ``z``,
@@ -357,8 +362,17 @@ def antilinear_eigensystem(
     if _in_spectrum(s[-1], np.hypot.reduce(s)):
         raise ZInSpectrum(f"sigma_min(H - zI) = {s[-1]:.3e}; shift z = {z} is in the spectrum")
     A = C.unitary_part
-    psis, _, slack = _fixed_singular_basis(A.T, W, V, s, _singular_clusters(s, C), tol)
-    psis, lambdas = np.ascontiguousarray(psis[:, ::-1]), s[::-1]  # ascending
+    groups = _singular_clusters(s, C)
+    # J v_j = A^T conj(U v_j) = A^T conj(w_j)
+    images = A.T @ np.conj(W)
+    psis, lambdas = np.empty((n, n), complex), s[::-1]  # ascending
+    slack = _fixed_singular_basis(
+        s, groups, tol,
+        lambda idx, gate: _phase_fixed(V[:, idx], images[:, idx], gate),
+        lambda idx, gate: _fixed_involutive(V[:, idx], images[:, idx], gate),
+        psis[:, ::-1],
+    )
+    del W, V, images  # past their last use: the certificate's arrays take their place
     # psi psi* beside the expansion's products (linalg._overlap)
     gram, conj_psis = np.empty((n, n), complex), np.conj(psis)
     _, (image, mapped) = _overlap(n, [_products((gram, psis, conj_psis.T)), lambda: (M @ psis, A @ conj_psis)])

@@ -30,13 +30,18 @@ returned. Every value and error is the serial order's, bit for bit.
 One fixed-basis step clusters the kept singular values in O(n) at
 ``SVD_CLUSTER_GAP`` times the largest, reads the involution class of
 ``C`` only for a degenerate cluster (a ``C`` that is not involutive is
-rejected before ``J`` is built), re-phases the simple clusters in one
-:func:`phase_fix` call and fixes each degenerate one with
-:func:`fix_basis_involutive`, the one test of whether a J-invariant
-span has a J-fixed basis. Mixing inside a cluster costs up to its width
-``w``; the certificate allows ``2 sqrt(k) max(w)`` for ``k`` values. The
-same step on the ``C^{-1}``-self-adjoint ``H - z I`` gives the ``psi_j``
-of :func:`csaop.antieig.antilinear_eigensystem`.
+rejected before ``J`` is applied), re-phases the simple clusters in one
+call of the gate of :func:`phase_fix` and fixes each degenerate one with
+that of :func:`fix_basis_involutive`, the one test of whether a
+J-invariant span has a J-fixed basis. Each gate splits into its input
+checks with the product ``J conj(cols)`` and a core that takes the
+columns and their J-images. :func:`refined_svd` forms ``J``, which its
+``fixed`` residual certifies against, and passes the public functions
+bound to it. The same loop on the ``C^{-1}``-self-adjoint ``H - z I``
+gives the ``psi_j`` of :func:`csaop.antieig.antilinear_eigensystem`,
+which passes the cores the images ``A^T conj(W)`` read off the factors
+and forms no n x n ``J``. Mixing inside a cluster costs up to its width
+``w``; the certificate allows ``2 sqrt(k) max(w)`` for ``k`` values.
 
 Each result is certified before it is returned: ``_certify`` checks the
 identity residuals (Frobenius norms) against one bound and raises
@@ -160,13 +165,22 @@ def phase_fix(J: AntilinearMap, psi, tol: Tolerance = DEFAULT_TOL) -> np.ndarray
     cols = as_vector(psi)[:, None] if single else as_matrix(psi)
     if cols.shape[0] != J.dim:
         raise DimMismatch(f"vector of dim {cols.shape[0]} vs operator dim {J.dim}")
-    phases = np.sum(np.conj(cols) * (J.matrix @ np.conj(cols)), axis=0)
+    fixed = _phase_fixed(cols, J.matrix @ np.conj(cols), tol)
+    return fixed[:, 0] if single else fixed
+
+
+def _phase_fixed(cols: np.ndarray, images: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """:func:`phase_fix` of the columns ``cols``, given their J-images
+    ``images = J conj(cols)``."""
+    # not np.multiply(..., out=images): from 256 KB numpy writes this product
+    # into the temporary conjugate, whose layout (F for V's columns) fixes
+    # the order of the sum, and so the bits of the phases
+    phases = np.sum(np.conj(cols) * images, axis=0)
     defect = np.abs(np.abs(phases) - 1.0)
     if np.any(defect > tol.bound(1.0)):
         worst = abs(phases[np.argmax(defect)])
         raise NotInvariant(f"|<psi, J psi>| = {worst:.6f}, expected 1")
-    fixed = cols * np.exp(0.5j * np.angle(phases))
-    return fixed[:, 0] if single else fixed
+    return cols * np.exp(0.5j * np.angle(phases))
 
 
 def fix_basis_involutive(J: AntilinearMap, E, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -187,13 +201,18 @@ def fix_basis_involutive(J: AntilinearMap, E, tol: Tolerance = DEFAULT_TOL) -> n
     E = as_matrix(E)
     if E.shape[0] != J.dim:
         raise DimMismatch(f"vector of dim {E.shape[0]} vs operator dim {J.dim}")
+    return _fixed_involutive(E, J.matrix @ np.conj(E), tol)
+
+
+def _fixed_involutive(E: np.ndarray, image: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """:func:`fix_basis_involutive` of the columns ``E``, given their
+    J-images ``image = J conj(E)``."""
     m = E.shape[1]
     if m == 0:
         return E.copy()
     gram_dev = fro(E.conj().T @ E - np.eye(m))
     if gram_dev > GATE_TOL:
         raise ValueError(f"basis columns not orthonormal (deviation {gram_dev:.3e})")
-    image = J.matrix @ np.conj(E)
     a = E.conj().T @ image
     bound = tol.bound(1.0)
     invariance = fro(image - E @ a)
@@ -231,10 +250,20 @@ def refined_svd(H, C: AntiunitaryOp, tol: Tolerance = DEFAULT_TOL) -> RefinedSVD
     # [|H| phi and J conj(phi) | etas and reconstruction]
     groups = _singular_clusters(sigmas, C)  # before the rounds: its error waits for no product
     absH = np.empty((n, n), complex)
-    _, (phis, J, slack) = _overlap(n, [
-        _products((absH, V * s, V.conj().T)),
-        lambda: _fixed_singular_basis(A, W[:, :rank], V[:, :rank], sigmas, groups, tol),
-    ])
+
+    def fixed_basis():  # J = A o K o U, U = W V*, as the certificate's fixed residual reads it
+        kept = V[:, :rank]
+        J = AntilinearMap(A @ np.conj(W[:, :rank] @ kept.conj().T))
+        phis = np.empty((n, rank), complex)
+        slack = _fixed_singular_basis(
+            sigmas, groups, tol,
+            lambda idx, gate: phase_fix(J, kept[:, idx], gate),
+            lambda idx, gate: fix_basis_involutive(J, kept[:, idx], gate),
+            phis,
+        )
+        return phis, J, slack
+
+    _, (phis, J, slack) = _overlap(n, [_products((absH, V * s, V.conj().T)), fixed_basis])
     del W, V  # past their last use: the second round's arrays take their place
     conj_phis, eigen, fixed = np.conj(phis), np.empty((n, rank), complex), np.empty((n, rank), complex)
 
@@ -269,22 +298,23 @@ def _singular_clusters(s, C: AntiunitaryOp) -> list[list[int]]:
     return groups
 
 
-def _fixed_singular_basis(D, W, V, s, groups, tol: Tolerance):
-    """``(phis, J, slack)`` for the factors ``W diag(s) V*``, ``s`` descending
-    in the clusters ``groups`` of :func:`_singular_clusters`.
+def _fixed_singular_basis(s, groups, tol: Tolerance, fix_simple, fix_cluster, out: np.ndarray) -> float:
+    """Write into ``out`` J-fixed orthonormal columns spanning the singular
+    subspaces of the right factor ``V``, ``s`` descending in the clusters
+    ``groups`` of :func:`_singular_clusters`, and return the slack: ``2 *
+    sqrt(len(s))`` times the widest cluster's width (module docstring).
 
-    ``J = D o K o U`` with ``U = W V*`` (matrix ``D conj(U)``); ``phis`` are
-    J-fixed orthonormal columns spanning the singular subspaces of ``V``,
-    and ``slack`` is ``2 * sqrt(len(s))`` times the widest cluster's width
-    (see the module docstring).
+    ``fix_simple(idx, gate)`` re-phases the columns ``V[:, idx]`` of all
+    simple clusters at once, as :func:`phase_fix` does, and
+    ``fix_cluster(idx, gate)`` fixes one degenerate cluster's, as
+    :func:`fix_basis_involutive` does; each returns the fixed columns in
+    the order of ``idx``, for the gate tolerance ``gate``.
     """
-    J = AntilinearMap(D @ np.conj(W @ V.conj().T))
     gate = Tolerance(abs=max(tol.abs, GATE_TOL), rel=tol.rel)
-    phis = V.copy()
     for idx in groups:
         if len(idx) > 1:
-            phis[:, idx] = fix_basis_involutive(J, V[:, idx], gate)
+            out[:, idx] = fix_cluster(idx, gate)
     simple = [idx[0] for idx in groups if len(idx) == 1]
-    phis[:, simple] = phase_fix(J, V[:, simple], gate)
+    out[:, simple] = fix_simple(simple, gate)
     width = max((s[idx[0]] - s[idx[-1]] for idx in groups), default=0.0)
-    return phis, J, 2.0 * float(width) * np.sqrt(max(1, len(s)))
+    return 2.0 * float(width) * np.sqrt(max(1, len(s)))

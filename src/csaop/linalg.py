@@ -187,10 +187,13 @@ def _on_threads(work, parts: list) -> list:
     part but the last, each in a copy of the caller's context, while the
     calling thread runs the last. The pool starts on the first call, with
     up to one thread per CPU (it starts a thread only when it finds none
-    idle); parts beyond its threads wait in its queue. Every part finishes
-    before the first exception, in part order, is raised here. On a pool
-    thread the parts run there, in order: a part that waited on the pool
-    it occupies could wait forever."""
+    idle); parts beyond its threads wait in its queue. When the parts
+    raise an :class:`Exception`, every part finishes before the first, in
+    part order, is raised here. Any other exception in the calling thread
+    (a ``KeyboardInterrupt`` from a signal, say) is raised at once: the
+    parts still queued are cancelled, and those running finish on their
+    own. On a pool thread the parts run there, in order: a part that
+    waited on the pool it occupies could wait forever."""
     global _pool
     if len(parts) == 1 or getattr(_pool_thread, "inside", False):
         return [work(part) for part in parts]
@@ -203,10 +206,16 @@ def _on_threads(work, parts: list) -> list:
         pool = _pool
     futures = [pool.submit(contextvars.copy_context().run, work, part) for part in parts[:-1]]
     try:
-        last, error = work(parts[-1]), None
-    except Exception as exc:
-        last, error = None, exc
-    for failure in [*(future.exception() for future in futures), error]:  # waits for every part
+        try:
+            last, error = work(parts[-1]), None
+        except Exception as exc:
+            last, error = None, exc
+        failures = [future.exception() for future in futures]  # waits for every part
+    except BaseException:  # an interrupt: the queued parts never start, and no running part is awaited
+        for future in futures:
+            future.cancel()
+        raise
+    for failure in [*failures, error]:
         if failure is not None:
             raise failure
     return [future.result() for future in futures] + [last]

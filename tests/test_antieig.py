@@ -210,14 +210,50 @@ class TestOneSvd:
 
         H, C = _takagi_pair(np.concatenate([np.full(4, 1.5), 1.0 + np.arange(12) / 12]), 5)
         monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
-        # the map whose fixed vectors are the psi_j: built once, by the constructor
+        # the map whose fixed vectors are the psi_j is applied through the
+        # SVD factors, never built as an n x n matrix
         monkeypatch.setattr(decomp, "AntilinearMap", counted("J", decomp.AntilinearMap))
         monkeypatch.setattr(
             decomp, "compose_antilinear", counted("compose_antilinear", decomp.compose_antilinear)
         )
         system = antilinear_eigensystem(H, C, 0.5j)
-        assert counts == {"svd": 1, "J": 1, "compose_antilinear": 0}
+        assert counts == {"svd": 1, "J": 0, "compose_antilinear": 0}
         assert set(system.residuals) == {"expansion", "completeness"}
+
+
+def _near_shift(H):
+    """A shift ``1e-4 (1 + i)`` from the eigenvalue of ``H`` nearest 1.2."""
+    eigenvalues = np.linalg.eigvals(H)
+    return eigenvalues[np.argmin(np.abs(eigenvalues - 1.2))] + 1e-4 * (1 + 1j)
+
+
+class TestFixedByTheFormedMap:
+    """The map the eigensystem applies through its SVD factors, formed here
+    as the n x n ``J = A^T conj(W V*)`` from an SVD of ``H - z I`` taken
+    apart from the library: every ``psi_j`` is J-fixed within the bound
+    the expansion was certified with."""
+
+    @pytest.mark.parametrize("make, shift", [
+        (lambda: _takagi_pair(1.0 + np.arange(24) / 24, 3), lambda H: 3j),
+        (lambda: _takagi_pair(np.concatenate([np.full(64, 1.5), 1.0 + (np.arange(192) + 0.5) / 192]), 0), lambda H: 3j),
+        (lambda: (_chained(0), conj_k(64)), lambda H: 0.5j),
+        (lambda: _takagi_pair(np.concatenate([np.full(8, 1.5), 1.0 + (np.arange(56) + 0.5) / 56]), 1), _near_shift),
+    ], ids=["simple", "cluster64-n256", "chained", "near-spectrum"])
+    def test_psis_are_fixed(self, make, shift, monkeypatch):
+        bounds = {}
+
+        def spy(what, bound, **residuals):
+            bounds.update(dict.fromkeys(residuals, bound))
+            return decomp._certify(what, bound, **residuals)
+
+        monkeypatch.setattr(antieig, "_certify", spy)
+        H, C = make()
+        z = shift(H)
+        W, s, Vh = np.linalg.svd(H - z * np.eye(len(H)))
+        system = antilinear_eigensystem(H, C, z)
+        J = C.unitary_part.T @ np.conj(W @ Vh)
+        assert fro(J @ np.conj(system.psis) - system.psis) <= bounds["expansion"]
+        assert (s[-1] < 1e-3) == (shift is _near_shift)
 
 
 class TestResiduals:

@@ -368,6 +368,32 @@ class TestPool:
             _on_threads(work, ["fails", "caller"])
         assert finished == ["slow", "fails"]
 
+    def test_an_interrupt_cancels_the_queued_parts_at_once(self, fresh_pool, monkeypatch):
+        # a pool of one thread: "blocked" holds it, "queued" waits behind
+        # it, and the caller's part is interrupted while "blocked" runs
+        monkeypatch.setattr(linalg, "_cpu_count", lambda: 1)
+        started, release, finished, ran = threading.Event(), threading.Event(), threading.Event(), []
+
+        def work(part):
+            if part == "caller":
+                assert started.wait(60)
+                raise KeyboardInterrupt
+            ran.append(part)
+            if part == "blocked":
+                started.set()
+                release.wait(60)
+                finished.set()
+
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                _on_threads(work, ["blocked", "queued", "caller"])
+            assert not finished.is_set(), "the interrupt waited for the running part"
+        finally:
+            release.set()
+        # the pool's one thread takes this call's part only after "blocked"
+        assert _on_threads(str, [1, 2]) == ["1", "2"]
+        assert ran == ["blocked"]
+
     def test_pool_parts_run_in_the_callers_context(self, fresh_pool, monkeypatch):
         # every context variable the caller set, numpy's error state and
         # error callback among them, and none of them left on the pool's
