@@ -39,18 +39,19 @@ Grid points are independent problems (Trefethen, "Computation of
 pseudospectra", Acta Numerica 8, 1999), so the kernel runs the shifts of
 each block size in the contiguous parts of ``linalg._scan_parts`` on the
 threads of ``linalg._on_threads`` (the module docstring of
-:mod:`csaop.linalg` tells how), each part's batched SVD on its own thread
-(numpy's LAPACK loop releases the GIL). Each part builds its shifted
-stacks in place, in chunks that keep the stacks in flight together under
-``SVD_STACK_ENTRIES`` entries, 16 MB. The closed form runs in plain
-arithmetic, ``CLOSED_FORM_CHUNK`` shifted blocks at a time in 1 MB of
-buffers that every chunk reuses, and rescales by powers of two only the
-(shift, block) pairs whose squares leave ``PLAIN_RANGE``. No value
-depends on the split or the chunks, so each is bit for bit the one a
-single thread computes. The eigensystem's check runs beside its SVD
-(``csa._checked``), and its completeness product ``psi psi*`` beside the
-expansion's two products, into an array made on the calling thread, as
-``linalg._overlap`` decides.
+:mod:`csaop.linalg` tells how), each part's batched SVD on its own thread.
+Each part builds its shifted stacks in place, in chunks of
+``linalg._svd_chunk`` shifts: the least that numpy's LAPACK loop runs
+without the GIL, more than ``linalg.GIL_FREE_VALUES`` singular values a
+call (2.3 MB of stacks in flight for a dense n = 120 on two CPUs). The
+closed form runs in plain arithmetic, ``CLOSED_FORM_CHUNK`` shifted
+blocks at a time in 1 MB of buffers that every chunk reuses, and
+rescales by powers of two only the (shift, block) pairs whose squares
+leave ``PLAIN_RANGE``. No value depends on the split or the chunks, so
+each is bit for bit the one a single thread computes. The eigensystem's
+check runs beside its SVD (``csa._checked``), and its completeness
+product ``psi psi*`` beside the expansion's two products, into an array
+made on the calling thread, as ``linalg._overlap`` decides.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ from .csa import _csa_svd
 from .decomp import _certify, _fixed_involutive, _fixed_singular_basis, _phase_fixed, _singular_clusters
 from .errors import DimMismatch, NonFinite, ZInSpectrum
 from .linalg import (
-    DEFAULT_TOL, Tolerance, _on_threads, _overlap, _products, _scan_parts, _shifted, as_matrix, column_norms,
-    direct_sum_blocks, fro,
+    DEFAULT_TOL, Tolerance, _on_threads, _overlap, _products, _scan_parts, _shifted, _svd_chunk, as_matrix,
+    column_norms, direct_sum_blocks, fro,
 )
 
 #: sigma_min(H - z I) at or below this fraction of ||H - z I||_F puts z in
@@ -253,20 +254,6 @@ class _ClosedForm:
 #: page faults a scan in a process that runs nothing larger.
 CLOSED_FORM_CHUNK = 2**13
 
-#: Entries of the shifted stacks that all parts of a block size hold at
-#: once, 16 MB of complex128: each part takes ``SVD_STACK_ENTRIES // (parts
-#: x blocks x m^2)`` shifts (at least one) per batched SVD. The time per
-#: SVD does not depend on the batch, so a larger budget only adds memory.
-#: On a two-CPU x86 machine (one BLAS thread), against ``2**22``: the
-#: benchmark's ``scan`` peak RSS fell from 101 to 60.5 MB (``2**19``:
-#: 52 MB) at the same ops/s within noise; a dense n = 120 scan at 256
-#: shifts took a median 344 ms against 339 ms, n = 256 at 64 shifts
-#: 510 ms against 521 ms (12 interleaved rounds). Chunks of 2 shifts
-#: serialize the two threads (584 ms at n = 120; on one CPU they cost
-#: nothing, 552 against 553 ms), so a chunk should keep about 8 shifts or
-#: more: ``2**20`` gives 36 at n = 120 and 8 at n = 256 on two CPUs.
-SVD_STACK_ENTRIES = 2**20
-
 
 def _block_norms(blocks: np.ndarray, zs: np.ndarray, step: int) -> tuple[np.ndarray, np.ndarray]:
     """``sigma_min`` and the norm of all singular values of ``blocks - z I``
@@ -305,12 +292,9 @@ def _smin_and_norm(H: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     frobenius = np.zeros(len(zs))
     for m, index in direct_sum_blocks(H != 0).items():
         blocks = H[index[:, :, None], index[:, None, :]]
-        parts = _scan_parts(m, zs)
-        if m <= 2:  # see CLOSED_FORM_CHUNK
-            step = max(1, CLOSED_FORM_CHUNK // len(index))
-        else:  # see SVD_STACK_ENTRIES
-            step = max(1, SVD_STACK_ENTRIES // (len(parts) * len(index) * m * m))
-        norms = _on_threads(lambda part: _block_norms(blocks, part, step), parts)
+        # see CLOSED_FORM_CHUNK and linalg._svd_chunk
+        step = max(1, CLOSED_FORM_CHUNK // len(index)) if m <= 2 else _svd_chunk(len(index), m)
+        norms = _on_threads(lambda part: _block_norms(blocks, part, step), _scan_parts(m, zs))
         block_min, block_norm = map(np.concatenate, zip(*norms))  # back in shift order
         smin = np.minimum(smin, block_min)
         frobenius = np.hypot(frobenius, block_norm)
@@ -401,7 +385,7 @@ def pseudospectrum(
     exactly. Threads may share the points (module docstring): the norms
     and the mask are bit for bit the same on any CPU count, under the
     caller's numpy error state, and the shifted stacks in flight take
-    ~16 MB at most (``SVD_STACK_ENTRIES``).
+    ~2 MB for a dense n = 120 on two CPUs (``linalg._svd_chunk``).
     Points in the spectrum are in the mask at every ``epsilon``; a point
     outside it whose ``1 / sigma_min`` overflows to ``inf`` is in the mask
     only where ``sigma_min < epsilon``. Raises

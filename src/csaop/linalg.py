@@ -12,13 +12,14 @@ runs the parts of one call on a process-wide pool of threads, started on
 first use, beside the calling thread; each pool part runs in a copy of
 the caller's context (``contextvars.copy_context().run``, as
 ``asyncio.to_thread`` does), so it sees every context variable the
-caller set, numpy's error state and error callback included. Two
+caller set, numpy's error state and error callback included. Three
 functions decide every split: :func:`_scan_parts` cuts the
 pseudospectrum scan's shifts into one part per CPU for blocks of
-``THREAD_MIN_BLOCK`` rows up, and :func:`_overlap` runs a
-decomposition's independent steps (the C-self-adjointness check beside
-the SVD, then the products that certify the result) side by side from
-``CHECK_THREAD_MIN_DIM`` rows up. A pool task makes no array it
+``THREAD_MIN_BLOCK`` rows up, :func:`_svd_chunk` cuts each part into the
+least batched SVDs that numpy runs without the GIL, and :func:`_overlap`
+runs a decomposition's independent steps (the C-self-adjointness check
+beside the SVD, then the products that certify the result) side by side
+from ``CHECK_THREAD_MIN_DIM`` rows up. A pool task makes no array it
 returns, beyond a scan part's two vectors of norms: the arrays a pool
 thread makes stay in its own glibc arena and grow the process, so a
 decomposition makes every array it returns on the calling thread.
@@ -138,6 +139,13 @@ def as_vector(v) -> np.ndarray:
 #: 1.85-2.00x at 96 and 120 (two runs of seven).
 THREAD_MIN_BLOCK = 64
 
+#: A values-only batched SVD of ``k`` matrices of ``m`` rows releases the
+#: GIL only once ``k * m`` exceeds this (numpy 2.4, any BLAS thread count).
+#: On a two-CPU x86 machine two threads, each on its own stack, ran at
+#: about 1.0x the speed of one at ``(k, m) = (5, 100), (2, 250), (1, 500),
+#: (7, 64), (12, 40)`` and at 1.55-1.93x one matrix further on.
+GIL_FREE_VALUES = 500
+
 #: Least dimension n at which a decomposition runs its independent steps
 #: on the pool (:func:`_overlap`): the C-self-adjointness check beside the
 #: SVD (``csa._checked``), then the products that certify the result. On a
@@ -228,6 +236,13 @@ def _scan_parts(rows: int, shifts: np.ndarray) -> list:
     :func:`_on_threads` runs the parts."""
     count = max(1, min(_cpu_count(), len(shifts))) if rows >= THREAD_MIN_BLOCK else 1
     return np.array_split(shifts, count)
+
+
+def _svd_chunk(count: int, rows: int) -> int:
+    """Shifts per batched SVD of ``count`` blocks of ``rows`` rows: the
+    least that numpy runs without the GIL, so the parts of
+    :func:`_scan_parts` run side by side. No value depends on it."""
+    return GIL_FREE_VALUES // (count * rows) + 1
 
 
 def _overlap(rows: int, tasks: list) -> list:

@@ -789,9 +789,11 @@ class TestThreadedScan:
     def test_benchmark_scan_plan(self, monkeypatch, rng):
         # the plan of the benchmark's dense op, n = 120 at 256 shifts on two
         # CPUs: two parts of 128 shifts, one on the calling thread and one
-        # on a pool thread, each in batched SVDs of 36, 36, 36 and 20 shifts
-        # (SVD_STACK_ENTRIES: 16 MB of stacks in flight). Chunks of 2 shifts
-        # serialized the two threads, and a pool that leaves the caller idle
+        # on a pool thread, each in batched SVDs of 5 shifts and a last of 3
+        # (linalg._svd_chunk: 5 x 120 = 600 singular values, past numpy's
+        # GIL_FREE_VALUES, so the two threads run side by side with 2.3 MB
+        # of stacks in flight). At 4 shifts, 480 values, numpy keeps the GIL
+        # and the threads take turns; a pool that leaves the caller idle
         # held ~5 MB more RSS
         monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
         svd, calls = np.linalg.svd, {}
@@ -804,7 +806,7 @@ class TestThreadedScan:
         pseudospectrum(random_complex_symmetric(120, rng), 0.1, (-2.0, 2.0, -2.0, 2.0), 16)
         assert len(calls) == 2 and threading.get_ident() in calls
         for shapes in calls.values():
-            assert shapes == [(36, 1, 120, 120)] * 3 + [(20, 1, 120, 120)]
+            assert shapes == [(5, 1, 120, 120)] * 25 + [(3, 1, 120, 120)]
 
     @pytest.mark.parametrize("chunks", ["one", "two", "several"])
     @pytest.mark.parametrize("count", [1, 2])
@@ -818,7 +820,9 @@ class TestThreadedScan:
         whole = antieig._resolvent(*antieig._smin_and_norm(H, zs))
         longest = -(-len(zs) // count)
         step = {"one": longest, "two": -(-longest // 2), "several": 4}[chunks]
-        monkeypatch.setattr(antieig, "SVD_STACK_ENTRIES", step * count * THREAD_MIN_BLOCK**2)
+        # GIL_FREE_VALUES // 64 + 1 = step shifts a chunk of the 64-block
+        monkeypatch.setattr(linalg, "GIL_FREE_VALUES", (step - 1) * THREAD_MIN_BLOCK)
+        assert linalg._svd_chunk(1, THREAD_MIN_BLOCK) == step
         svd, calls = np.linalg.svd, []
 
         def recording_svd(a, *args, **kwargs):
@@ -833,8 +837,8 @@ class TestThreadedScan:
         assert min(dense) < step or chunks == "one"  # a remainder chunk
 
     def test_benchmark_scan_stacks_fit_the_budget(self, monkeypatch, rng):
-        # the benchmark's dense op: n = 120 at 256 shifts on two CPUs held
-        # ~59 MB of stacks at a budget of 2**22 entries, 64 MB
+        # the benchmark's dense op, n = 120 at 256 shifts on two CPUs: two
+        # chunks of 5 shifts in flight take 2.3 MB
         monkeypatch.setattr(linalg, "_cpu_count", lambda: 2)
         H = random_complex_symmetric(120, rng)
         tracemalloc.start()
@@ -843,7 +847,7 @@ class TestThreadedScan:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.3 * 2**24  # SVD_STACK_ENTRIES of complex128: 16 MB
+        assert peak < 4 * 2**20
 
     def test_error_callback_reaches_every_thread(self, cpus, monkeypatch):
         # the hypot over subnormal singular values underflows; under
