@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimMismatch, NotUnitary
-from .linalg import CLASSIFY_TOL, DEFAULT_TOL, as_matrix, as_vector, cayley, fro
+from .linalg import CLASSIFY_TOL, DEFAULT_TOL, _blocked_fro, as_matrix, as_vector, cayley, fro
 
 #: Largest Gram deviation ``||A*A - I||_F`` of a unitary part: absolute
 #: (a unitary's singular values are 1) and fixed in n. A QR-made unitary
@@ -102,6 +102,10 @@ class AntiunitaryOp(AntilinearMap):
     of re-orthonormalizing it, since silent projection would mask caller bugs.
     One Gram product is enough: for square ``A`` with singular values ``s_i``,
     ``||A*A - I||_F`` and ``||AA* - I||_F`` both equal ``sqrt(sum (s_i^2 - 1)^2)``.
+    The second is taken, in the row blocks of
+    :func:`~csaop.linalg._blocked_fro`, where a block of ``conj(AA*)`` is
+    ``conj(A[rows]) @ A^T``: the constructor makes no ``n x n`` array
+    beside its copy of ``A``.
     :meth:`permuted_blocks` checks a lifted ``kron(R, B)`` from its factors.
 
     :attr:`square_split`, the eigenbasis of ``C^{-2}``, and the generator's
@@ -113,8 +117,14 @@ class AntiunitaryOp(AntilinearMap):
 
     def __init__(self, unitary_part):
         super().__init__(unitary_part)
-        A = self._matrix
-        dev = fro(A.conj().T @ A - np.eye(self.dim))
+        A, n = self._matrix, self.dim
+
+        def gram_rows(rows, left, right):  # rows of conj(AA* - I)
+            np.matmul(np.conjugate(A[rows], out=left), A.T, out=right)
+            right.reshape(-1)[rows.start :: n + 1] -= 1
+            return right
+
+        dev = _blocked_fro(n, gram_rows)
         if not dev <= UNITARITY_TOL:  # a NaN deviation fails
             raise NotUnitary(f"unitary part deviates from unitarity by {dev:.3e}")
 

@@ -28,6 +28,11 @@ the factorization last, and the decompositions then schedule the
 products that certify their results the same way; whether steps run on
 threads is :mod:`csaop.linalg`'s to decide (``linalg._overlap``). The
 errors and values are those of the serial order.
+
+The checks compare dimensions first, then take ``||A conj(H) A* - T||_F``
+a row block at a time (``linalg._blocked_fro``): a check makes two
+blocks of ``linalg.RESIDUAL_BLOCK_ROWS`` rows and no ``n x n`` array, so
+it leaves little in the arena of the pool thread that runs it.
 """
 
 from __future__ import annotations
@@ -36,10 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .antiunitary import AntiunitaryOp, conjugate_linear_map
-from .errors import NonFinite, NotCsa
+from .antiunitary import AntiunitaryOp
+from .errors import DimMismatch, NonFinite, NotCsa
 from .linalg import (
-    DEFAULT_TOL, Tolerance, _overlap, _shifted, as_matrix, column_norms, fro, rank_cutoff,
+    DEFAULT_TOL, Tolerance, _blocked_fro, _overlap, _shifted, as_matrix, column_norms, fro, rank_cutoff,
 )
 
 
@@ -54,26 +59,49 @@ class CsaReport:
         return {"residual": self.residual, "is_csa": self.is_csa}
 
 
-def _check(H, C: AntiunitaryOp, target: np.ndarray, tol: Tolerance) -> CsaReport:
+def _check(H, C: AntiunitaryOp, adjoint: bool, tol: Tolerance) -> CsaReport:
+    """The report on ``A conj(H) A* = T``, ``T = H*`` if ``adjoint`` else
+    ``H``, taken in the row blocks of :func:`~csaop.linalg._blocked_fro`.
+
+    A block's rows of ``A conj(H) A*`` come conjugated, as ``conj(A[rows])
+    @ H @ A^T`` (``conj(x) conj(y) = conj(xy)``), and are compared with
+    ``conj(T)[rows]``, the rows of ``H^T`` for ``T = H*``: the moduli, so
+    the norm, are those of the plain difference, and nothing of ``n x n``
+    is made.
+    """
+    n, A = H.shape[0], C.unitary_part
+    if n != C.dim:
+        raise DimMismatch(f"matrix dim {n} vs operator dim {C.dim}")
     scale = fro(H)  # once finite, it bounds every entry and partial sum of A conj(H) A*
     if scale == np.inf:
         raise NonFinite("||H||_F overflows")
+
+    def difference(rows, left, right):
+        np.matmul(np.conjugate(A[rows], out=left), H, out=right)
+        np.matmul(right, A.T, out=left)
+        if adjoint:
+            return np.subtract(left, H[:, rows].T, out=left)
+        return np.subtract(left, np.conjugate(H[rows], out=right), out=left)
+
     with np.errstate(over="ignore"):  # a difference past the float range: residual inf
-        residual = fro(conjugate_linear_map(C, H) - target)
+        residual = _blocked_fro(n, difference)
     return CsaReport(residual=residual, is_csa=residual <= tol.bound(scale))
 
 
 def check_c_selfadjoint(H, C: AntiunitaryOp, tol: Tolerance = DEFAULT_TOL) -> CsaReport:
-    """Residual check of ``C H C^{-1} = H*`` (Frobenius norm); raises
-    :class:`NonFinite` when ``||H||_F`` overflows."""
+    """Residual check of ``C H C^{-1} = H*`` (Frobenius norm), taken in
+    row blocks with no ``n x n`` array made. Raises :class:`DimMismatch`
+    for a ``C`` of another dimension, then :class:`NonFinite` when
+    ``||H||_F`` overflows."""
     H = as_matrix(H, square=True)
-    return _check(H, C, H.conj().T, tol)
+    return _check(H, C, True, tol)
 
 
 def check_c_real(H, C: AntiunitaryOp, tol: Tolerance = DEFAULT_TOL) -> CsaReport:
-    """Residual check of ``C H C^{-1} = H``, i.e. the commutation [C, H] = 0."""
+    """Residual check of ``C H C^{-1} = H``, i.e. the commutation [C, H] = 0,
+    taken and raising as :func:`check_c_selfadjoint`."""
     H = as_matrix(H, square=True)
-    return _check(H, C, H, tol)
+    return _check(H, C, False, tol)
 
 
 def _require_csa(H: np.ndarray, C, tol) -> None:

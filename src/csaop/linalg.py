@@ -19,15 +19,20 @@ pseudospectrum scan's shifts into one part per CPU for blocks of
 least batched SVDs that numpy runs without the GIL, and :func:`_overlap`
 runs a decomposition's independent steps (the C-self-adjointness check
 beside the SVD, then the products that certify the result) side by side
-from ``CHECK_THREAD_MIN_DIM`` rows up. A pool task makes no array it
-returns, beyond a scan part's two vectors of norms: the arrays a pool
-thread makes stay in its own glibc arena and grow the process, so a
-decomposition makes every array it returns on the calling thread.
+from ``CHECK_THREAD_MIN_DIM`` rows up. The arrays a pool thread makes
+stay in its own glibc arena and grow the process, so no pool task makes
+an array larger than a block: a scan part holds the stacks of one chunk
+of shifts, the check two row blocks of its residual
+(:func:`_blocked_fro`), and the certifying products write into arrays
+the calling thread made. Nor does a pool task return an array, beyond a
+scan part's two vectors of norms: a decomposition makes every array it
+returns on the calling thread.
 """
 
 from __future__ import annotations
 
 import contextvars
+import math
 import os
 import threading
 from dataclasses import dataclass
@@ -162,6 +167,20 @@ GIL_FREE_VALUES = 500
 CHECK_THREAD_MIN_DIM = 112
 
 
+#: Most rows in one block of a residual that :func:`_blocked_fro` takes
+#: block by block. Taller blocks run faster, as each block's product packs
+#: the whole right factor again, and make larger scratch arrays. On a
+#: two-CPU x86 machine (one BLAS thread, medians of 11 interleaved rounds)
+#: ``check_c_selfadjoint`` took 1.13x, 1.06x and 1.04x the time of the
+#: dense check at n = 256 with blocks of 32, 48 and 64 rows, 1.16x,
+#: 1.08x and 1.04x at 128 and 1.34x, 1.26x and 1.16x at 1024; the Gram
+#: deviation of ``AntiunitaryOp`` 1.11x, 1.04x and 1.02x at 256. The
+#: constructor's ``tracemalloc`` peak at n = 256 was 1.25, 1.34 and 1.50
+#: n x n arrays, its copy of ``A`` included (3.00 dense), and the check's
+#: 0.38, 0.46 and 0.63 (4.00 dense).
+RESIDUAL_BLOCK_ROWS = 48
+
+
 def _cpu_count() -> int:
     """The number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -253,9 +272,10 @@ def _overlap(rows: int, tasks: list) -> list:
     on the calling thread and the others on the pool; otherwise the
     calling thread runs them in list order. Either way the error raised is
     the first in list order, so a task whose errors come first goes
-    before the last. The tasks before the last make no array they return
-    (module docstring): ``csa._checked``'s check makes only temporaries,
-    and products write into arrays the caller made (:func:`_products`).
+    before the last. The tasks before the last make no array larger than
+    a block (module docstring): ``csa._checked``'s check makes two row
+    blocks of its residual (:func:`_blocked_fro`), and products write into
+    arrays the caller made (:func:`_products`).
     """
     if rows < CHECK_THREAD_MIN_DIM or _cpu_count() < 2:
         return [task() for task in tasks]
@@ -276,6 +296,27 @@ def _products(*triples):
             np.matmul(x, y, out=out)
 
     return task
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """The slices of the fewest blocks of at most ``RESIDUAL_BLOCK_ROWS``
+    consecutive rows that cover ``range(n)``, balanced to within one row,
+    so no block of two rows or more has a single row: a one-row product
+    goes through ``gemv``, whose sums can round otherwise than ``gemm``'s."""
+    count = -(-n // RESIDUAL_BLOCK_ROWS)
+    return [slice(n * i // count, n * (i + 1) // count) for i in range(count)]
+
+
+def _blocked_fro(n: int, block) -> float:
+    """The Frobenius norm of an ``n x n`` matrix that is made only a row
+    block at a time: ``block(rows, left, right)`` returns the rows
+    ``rows`` of :func:`_row_blocks`, written into ``left`` or ``right``,
+    two scratch arrays of its height and ``n`` columns it may overwrite.
+    The norm is the ``hypot`` of the blocks' :func:`fro`, so nothing
+    larger than the two scratch arrays is made here."""
+    parts = _row_blocks(n)
+    scratch = np.empty((2, max((part.stop - part.start for part in parts), default=0), n), complex)
+    return math.hypot(*(fro(block(part, *scratch[:, : part.stop - part.start])) for part in parts))
 
 
 def _shifted(blocks: np.ndarray, zs: np.ndarray) -> np.ndarray:

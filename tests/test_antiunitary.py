@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -252,6 +254,33 @@ class TestUnitarityCheck:
         else:
             with pytest.raises(NotUnitary, match="deviates from unitarity by 2.000e-09"):
                 AntiunitaryOp(A)
+
+    def test_construction_makes_no_array_of_n_by_n_beside_its_copy(self, rng):
+        # the Gram deviation is taken in row blocks (linalg._blocked_fro)
+        A = haar_unitary(256, rng)
+        AntiunitaryOp(A)
+        tracemalloc.start()
+        try:
+            AntiunitaryOp(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * A.nbytes
+
+    @pytest.mark.parametrize("n", [1, 47, 48, 49, 97])
+    def test_decision_is_the_dense_one_at_the_bound(self, n, rng):
+        # one column of a unitary scaled by s gives a Gram deviation of
+        # s^2 - 1, here 1 -+ 1e-3 times the bound; a Haar unitary's own
+        # is about n eps, 1e-4 of that margin
+        for factor, unitary in ((1 - 1e-3, True), (1 + 1e-3, False)):
+            A = haar_unitary(n, rng)
+            A[:, -1] *= np.sqrt(1 + factor * UNITARITY_TOL)
+            assert (fro(A.conj().T @ A - np.eye(n)) <= UNITARITY_TOL) == unitary
+            if unitary:
+                AntiunitaryOp(A)
+            else:
+                with pytest.raises(NotUnitary):
+                    AntiunitaryOp(A)
 
 
 class TestPermutedBlocks:

@@ -2,6 +2,7 @@ import dataclasses
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -14,9 +15,11 @@ from csaop import (
     DimMismatch,
     NonFinite,
     NotCsa,
+    Tolerance,
     antilinear_eigensystem,
     check_c_real,
     check_c_selfadjoint,
+    conjugate_linear_map,
     eigen_pairing,
     generate_csa,
     kernel_pairing,
@@ -75,6 +78,11 @@ class TestChecks:
                 with pytest.raises(NonFinite, match="overflows"):
                     check(H, C)
 
+    @pytest.mark.parametrize("check", [check_c_selfadjoint, check_c_real])
+    def test_operator_of_another_dimension_comes_before_an_overflowing_norm(self, check):
+        with pytest.raises(DimMismatch, match="^matrix dim 3 vs operator dim 2$"):
+            check(np.full((3, 3), 1e308), conj_k(2))
+
     def test_largest_finite_norm_is_checked(self):
         # ||H||_F just below the overflow threshold: a finite residual and bound
         H = np.zeros((4, 4))
@@ -122,6 +130,62 @@ class TestChecks:
         report = check_c_selfadjoint(np.eye(2), conj_k(2))
         payload = report.to_json()
         assert set(payload) == {"residual", "is_csa"}
+
+
+def _dense_residual(H, C, adjoint):
+    """``||C H C^{-1} - T||_F`` with every ``n x n`` array made, ``T = H*``
+    for the C-self-adjointness check and ``H`` for the C-reality check."""
+    return fro(conjugate_linear_map(C, H) - (H.conj().T if adjoint else H))
+
+
+BLOCK = linalg.RESIDUAL_BLOCK_ROWS
+CLASSES = ["involutive", "anti-involutive", "neither"]
+
+
+class TestBlockedCheck:
+    """The checks take ``A conj(H) A* - T`` a row block at a time
+    (``linalg._blocked_fro``): the residual is the dense one up to the
+    order of its sums, and the decisions are the dense ones."""
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 256])
+    @pytest.mark.parametrize("kind", CLASSES)
+    def test_residual_is_the_dense_one_to_a_few_ulps(self, kind, n):
+        n += n % 2 if kind == "anti-involutive" else 0  # C^2 = -I needs an even n
+        C = class_operator(kind, n, seed=n)
+        for H in (generate_csa(C, 3), random_matrix(n, np.random.default_rng(n))):
+            for check, adjoint in ((check_c_selfadjoint, True), (check_c_real, False)):
+                dense = _dense_residual(H, C, adjoint)
+                assert abs(check(H, C).residual - dense) <= 8 * np.finfo(float).eps * dense
+
+    @pytest.mark.parametrize("kind", CLASSES)
+    def test_decision_is_the_dense_one_at_the_bound(self, kind, rng):
+        # H = G + t D, with G generated and t D a step off the solution
+        # space whose residual is 1 -+ 1e-5 times the bound: G's own
+        # residual, about 1e-13 ||G||, is 1e-7 of a bound of 1e-6 ||G||
+        n, tol = 2 * BLOCK + 2, Tolerance(abs=1e-6, rel=1e-6)
+        C = class_operator(kind, n, seed=5)
+        G, D = generate_csa(C, 5), random_matrix(n, rng)
+        assert check_c_selfadjoint(G, C, tol).is_csa and _dense_residual(G, C, True) <= tol.bound(fro(G))
+        step = tol.bound(fro(G)) / _dense_residual(D, C, True)
+        for factor, inside in ((1 - 1e-5, True), (1 + 1e-5, False)):
+            H = G + factor * step * D
+            assert (_dense_residual(H, C, True) <= tol.bound(fro(H))) == inside
+            assert check_c_selfadjoint(H, C, tol).is_csa == inside
+
+    @pytest.mark.parametrize("check", [check_c_selfadjoint, check_c_real])
+    def test_check_makes_no_array_of_n_by_n(self, check):
+        # at most one n x n array at n = 256, as the scan's stacks are held
+        # to a budget (test_benchmark_scan_stacks_fit_the_budget)
+        C = class_operator("neither", 256, seed=1)
+        H = generate_csa(C, 1)
+        check(H, C)
+        tracemalloc.start()
+        try:
+            check(H, C)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= H.nbytes
 
 
 class TestGenerate:
@@ -554,14 +618,18 @@ class TestCheckedFrontEnd:
 
     @pytest.fixture
     def threads(self, monkeypatch):
-        """The thread of every ``np.matmul`` call (the products that a pool
-        thread may run, into arrays the calling thread made) and of every
-        ``np.linalg.svd`` call, by name."""
-        seen = {"matmul": [], "svd": []}
+        """The thread of every ``np.matmul`` call and of every
+        ``np.linalg.svd`` call, by name. ``np.matmul`` is called by the
+        products that a pool thread may run, into arrays the calling thread
+        made (``"products"``), by the check's row blocks (``"check"``) and
+        by the row blocks of an ``AntiunitaryOp``'s Gram deviation."""
+        seen = {"products": [], "check": [], "matmul": [], "svd": []}
+        callers = {"task": "products", "difference": "check"}
 
         def recording(name, call):
             def recorded(*args, **kwargs):
-                seen[name].append(threading.get_ident())
+                caller = callers.get(sys._getframe(1).f_code.co_name, name) if name == "matmul" else name
+                seen[caller].append(threading.get_ident())
                 return call(*args, **kwargs)
 
             return recorded
@@ -578,13 +646,14 @@ class TestCheckedFrontEnd:
         outcomes, ran = {}, {}
         for cpus in (1, 2):
             monkeypatch.setattr(linalg, "_cpu_count", lambda: cpus)
-            threads["matmul"].clear()
+            threads["products"].clear()
+            threads["check"].clear()
             outcomes[cpus] = {
                 (name, label): _outcome(call, H, C)
                 for name, call in CHECKED_ENTRY_POINTS.items()
                 for label, H in inputs.items()
             }
-            ran[cpus] = list(threads["matmul"])
+            ran[cpus] = list(threads["products"]), list(threads["check"])
         assert outcomes[1] == outcomes[2]
         assert {key[1] for key, outcome in outcomes[1].items() if outcome[0] == "raised"} >= {"not-csa"}
         # the pool ran the check once per call of the two-CPU pass, and
@@ -594,9 +663,10 @@ class TestCheckedFrontEnd:
         me = threading.get_ident()
         assert set(pool_calls) == ({2} if threaded else set())
         assert len(pool_calls) > len(outcomes[2]) or not threaded
-        assert ran[1] and set(ran[1]) == {me}
-        assert len(ran[2]) == len(ran[1])
-        assert (me not in ran[2]) == threaded
+        for serial, overlapped in zip(ran[1], ran[2]):  # the products, then the check's blocks
+            assert serial and set(serial) == {me}
+            assert len(overlapped) == len(serial)
+            assert (me not in overlapped) == threaded
         assert set(threads["svd"]) == {me}
 
     @pytest.fixture(params=[1, 2], ids=["one-cpu", "two-cpus"])
@@ -626,6 +696,12 @@ class TestCheckedFrontEnd:
         H = random_complex_symmetric(CHECK_THREAD_MIN_DIM, np.random.default_rng(2))
         with pytest.raises(DimMismatch, match="operator dim"):
             CHECKED_ENTRY_POINTS[name](H, conj_k(CHECK_THREAD_MIN_DIM - 1))
+
+    @pytest.mark.parametrize("n, entry", [(3, 1e308), (CHECK_THREAD_MIN_DIM, 1.5e308)], ids=["below", "at"])
+    @pytest.mark.parametrize("name", CHECKED_ENTRY_POINTS)
+    def test_operator_of_another_dimension_comes_before_an_overflowing_norm(self, name, n, entry, cpus):
+        with pytest.raises(DimMismatch, match=f"^matrix dim {n} vs operator dim {n - 1}$"):
+            CHECKED_ENTRY_POINTS[name](np.full((n, n), entry), conj_k(n - 1))
 
     def test_bad_shift_of_a_csa_matrix_is_the_factors_error(self, cpus):
         H = random_complex_symmetric(CHECK_THREAD_MIN_DIM, np.random.default_rng(3))

@@ -100,6 +100,42 @@ class TestColumnNorms:
         np.testing.assert_array_equal(column_norms(M), [0.0, 5e-324, np.inf, 1.0])
 
 
+class TestRowBlocks:
+    """The row blocks in which residuals are taken (``_blocked_fro``)."""
+
+    def test_fewest_balanced_blocks_cover_the_rows(self):
+        height = linalg.RESIDUAL_BLOCK_ROWS
+        for n in range(5 * height + 3):
+            blocks = linalg._row_blocks(n)
+            sizes = [block.stop - block.start for block in blocks]
+            assert [i for block in blocks for i in range(n)[block]] == list(range(n)), n
+            assert len(blocks) == -(-n // height), n
+            assert not sizes or max(sizes) - min(sizes) <= 1 and max(sizes) <= height, n
+            assert n < 2 or min(sizes) >= 2, n  # a one-row product takes gemv
+
+    @pytest.mark.parametrize("t", [1.0, 1e-170, 1e160])
+    def test_norm_of_the_blocks_is_the_norm_of_the_matrix(self, t, rng):
+        n = 2 * linalg.RESIDUAL_BLOCK_ROWS + 1
+        M = t * random_matrix(n, rng)
+        seen = []
+
+        def block(rows, left, right):
+            assert left.shape == right.shape == (rows.stop - rows.start, n)
+            seen.append(rows)
+            np.copyto(left, M[rows])
+            return left
+
+        np.testing.assert_allclose(linalg._blocked_fro(n, block), fro(M), rtol=1e-15, atol=0)
+        assert seen == linalg._row_blocks(n)
+
+    def test_an_overflowing_block_gives_inf_and_no_block_gives_zero(self):
+        n = linalg.RESIDUAL_BLOCK_ROWS + 1
+        M = np.ones((n, n), complex)
+        M[-1] = 1e308
+        assert linalg._blocked_fro(n, lambda rows, left, right: M[rows]) == np.inf
+        assert linalg._blocked_fro(0, lambda rows, left, right: M[rows]) == 0.0
+
+
 class TestNullspace:
     def test_rank_one_projector(self):
         kernel = nullspace(np.diag([1.0, 0.0]))
