@@ -388,14 +388,15 @@ def pseudospectrum(
     ~2 MB for a dense n = 120 on two CPUs (``linalg._svd_chunk``).
     Points in the spectrum are in the mask at every ``epsilon``; a point
     outside it whose ``1 / sigma_min`` overflows to ``inf`` is in the mask
-    only where ``sigma_min < epsilon``. Raises
-    ``ValueError`` for a bad ``epsilon`` or ``resolution`` and for bounds
-    that are not finite or whose width overflows.
+    only where ``sigma_min < epsilon``. Raises ``ValueError`` for a bad
+    ``epsilon``, a ``resolution`` that is not an integer of at least 2
+    (numpy integers are, ``bool`` is not), and for bounds that are not
+    finite or whose width overflows.
     """
     if not 0 < epsilon < np.inf:
         raise ValueError("epsilon must be positive and finite")
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)) or resolution < 2:
+        raise ValueError("resolution must be an integer of at least 2")
     H = as_matrix(H, square=True)
     re_min, re_max, im_min, im_max = map(float, bounds)
     if not np.isfinite([re_min, re_max, im_min, im_max]).all():

@@ -391,9 +391,12 @@ def cluster_indices(values: np.ndarray, gap: float) -> list[list[int]]:
     This is single linkage at ``gap``: rounding is monotone, so no farther
     pair is closer than a neighbouring one, and the split takes O(n) time
     and memory. Returns consecutive index groups, ``[]`` for empty input;
-    raises ``ValueError`` on complex or unsorted (or NaN) input.
+    raises ``ValueError`` on complex, unsorted (or NaN) or not
+    one-dimensional input.
     """
     values = np.asarray(values)
+    if values.ndim != 1:
+        raise ValueError("cluster_indices needs sorted real values in one dimension")
     steps = np.diff(values)
     if not (np.isrealobj(values) and (np.all(steps >= 0) or np.all(steps <= 0))) or np.isnan(values).any():
         raise ValueError("cluster_indices needs sorted real values")

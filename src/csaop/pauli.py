@@ -93,8 +93,13 @@ def distance_to_closed_form(alpha: float, lam: complex) -> float:
     solution; for ``alpha < 0`` the squared distance is a quartic in ``k``,
     minimized over the real parts of the roots of its cubic derivative, with
     no Newton polish (a complex root's real part is one more candidate).
+    Raises ``ValueError`` for a non-finite alpha or lam.
     """
+    if not np.isfinite(alpha):
+        raise ValueError("alpha must be finite")
     lam = complex(lam)
+    if not np.isfinite(lam):
+        raise ValueError("lam must be finite")
     a, b = lam.real, lam.imag
     if alpha >= 0:
         left = -alpha / 4.0

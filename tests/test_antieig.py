@@ -476,6 +476,10 @@ class TestPseudospectrum:
             pseudospectrum(np.eye(2), -1.0, (-1, 1, -1, 1), 10)
         with pytest.raises(ValueError):
             pseudospectrum(np.eye(2), 0.1, (-1, 1, -1, 1), 1)
+        for resolution in [3.0, np.float64(3.0), "3", True, None]:
+            with pytest.raises(ValueError, match="resolution must be an integer"):
+                pseudospectrum(np.eye(2), 0.1, (-1, 1, -1, 1), resolution)
+        assert pseudospectrum(np.eye(2), 0.1, (-1, 1, -1, 1), np.int64(3)).zs.size == 9
         for bounds in [(np.nan, 1, -1, 1), (-1, 1, -1, np.inf)]:
             with pytest.raises(ValueError, match="bounds must be finite"):
                 pseudospectrum(np.eye(2), 0.1, bounds, 10)

@@ -233,8 +233,10 @@ class TestClusterIndicesOracle:
             [0.0, 0.1 + 1.0j, 0.2],
             [1.0, np.nan, 2.0],
             [np.nan],  # no step to compare
+            [[1.0, 1.0], [1.0, 1.0]],  # sorted along each row, which is not a sequence of values
+            5.0,
         ],
-        ids=["unsorted", "complex-dtype", "complex", "nan", "lone-nan"],
+        ids=["unsorted", "complex-dtype", "complex", "nan", "lone-nan", "two-dimensional", "zero-dimensional"],
     )
     def test_rejects_complex_or_unsorted_input(self, values):
         with pytest.raises(ValueError, match="sorted real"):

@@ -126,6 +126,24 @@ class TestDistanceToClosedForm:
         assert distance_to_closed_form(4.0, -2.0) == pytest.approx(1.0, abs=1e-10)
         assert distance_to_closed_form(4.0, 3.0 + 2.0j) == pytest.approx(2.0, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "alpha, lam, name",
+        [
+            (np.nan, 1j, "alpha"),
+            (-np.inf, 1j, "alpha"),
+            (np.inf, 1j, "alpha"),
+            (-1.0, complex(np.nan, 0.0), "lam"),
+            (-1.0, complex(0.0, np.inf), "lam"),
+            (1.0, complex(np.nan, 1.0), "lam"),
+            (1.0, complex(np.inf, 1.0), "lam"),
+        ],
+        ids=["nan-alpha", "minus-inf-alpha", "inf-alpha", "nan-lam-parabola", "inf-lam-parabola",
+             "nan-lam-half-line", "inf-lam-half-line"],
+    )
+    def test_non_finite_input_is_named(self, alpha, lam, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            distance_to_closed_form(alpha, lam)
+
 
 def reflection_by_momentum(k_grid):
     """Reference for the momentum reflection, as the dense permutation
